@@ -2,6 +2,6 @@
 
 import sys
 
-from repro.cli import main
+from repro.cli import process_main
 
-sys.exit(main())
+sys.exit(process_main())

@@ -118,16 +118,6 @@ class CycleAccountant:
                 bus.emit(InterThreadAccess(core_id, "hit"))
         return classification
 
-    def replace_tag_stores(self, store_factory) -> None:
-        """Swap every ATD's tag store with ``store_factory(llc_config)``
-        (engine-backend hook; see
-        :meth:`~repro.accounting.atd.AuxiliaryTagDirectory.replace_tag_store`)."""
-        for atd in self.atds:
-            atd.replace_tag_store(store_factory(self.machine.llc))
-        if self.oracle_atds is not None:
-            for atd in self.oracle_atds:
-                atd.replace_tag_store(store_factory(self.machine.llc))
-
     def warm_llc_access(self, core_id: int, line_addr: int, set_index: int) -> None:
         self.atds[core_id].warm(line_addr, set_index)
         if self.oracle_atds is not None:

@@ -81,28 +81,6 @@ class TianSpinDetector:
         entry.marked = False
         entry.timestamp = now
 
-    def on_repeated_loads(self, pc: int, addr: int, value: int, k: int) -> bool:
-        """Observe ``k`` consecutive identical retired loads at once.
-
-        Batch form of :meth:`on_load` for the vectorized engine's spin
-        event-horizon jump: applies exactly the state change of ``k``
-        successive matching ``on_load`` calls *iff* the watch-table
-        entry for ``pc`` already matches ``(addr, value)``; returns
-        False — with zero state change — otherwise, so the caller falls
-        back to the per-iteration path (which creates/restarts the
-        entry).  A detector exposing this method also asserts that its
-        scheme ignores the backward-branch stream, so a batched spin
-        may skip :meth:`on_backward_branch`.
-        """
-        entry = self._table.get(pc)
-        if entry is None or entry.addr != addr or entry.value != value:
-            return False
-        self._table.move_to_end(pc)
-        entry.count += k
-        if entry.count >= self.threshold:
-            entry.marked = True
-        return True
-
     def on_backward_branch(self, pc: int, state_signature: int, now: int) -> None:
         """Branch stream is unused by this scheme (protocol no-op)."""
 

@@ -11,9 +11,8 @@ simulator's mechanisms.  It provides:
   ``accounting`` packages: cache replacement
   (:mod:`~repro.components.replacement`), DRAM page policies
   (:mod:`~repro.components.paging`), spin detectors
-  (:mod:`~repro.components.spin`), the engine scheduler
-  (:mod:`~repro.components.scheduling`), and the simulation engine
-  backends themselves (:mod:`~repro.components.engines`).
+  (:mod:`~repro.components.spin`) and the engine scheduler
+  (:mod:`~repro.components.scheduling`).
 
 Importing this package registers every built-in, so
 ``available("replacement")`` etc. is complete after
@@ -39,7 +38,6 @@ from repro.components.registry import (
 
 # Import the built-in implementations for their registration side
 # effects (order matters only in that each must come after registry).
-from repro.components import engines as engines  # noqa: E402
 from repro.components import paging as paging  # noqa: E402
 from repro.components import replacement as replacement  # noqa: E402
 from repro.components import scheduling as scheduling  # noqa: E402
@@ -51,7 +49,6 @@ __all__ = [
     "Scheduler",
     "SpinDetector",
     "available",
-    "engines",
     "kinds",
     "paging",
     "register",

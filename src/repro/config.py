@@ -337,15 +337,8 @@ class RunConfig:
     #: directory for per-cell checkpoint files; None disables
     #: checkpointing entirely
     checkpoint_dir: str | None = None
-    #: simulation engine backend, resolved via the ``"engine"``
-    #: component registry; built-ins: "reference" (the per-op loop every
-    #: backend is validated against), "vectorized" (flat-array state +
-    #: event-horizon fast-forward; needs numpy, produces exactly the
-    #: reference results)
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
-        _component_choice("engine", self.engine, "engine")
         if self.on_error not in ON_ERROR_MODES:
             raise ConfigError(
                 f"on_error: unknown mode {self.on_error!r}; "

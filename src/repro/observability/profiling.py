@@ -160,15 +160,13 @@ class DeterministicProfiler:
         )
         return round(100.0 * inside / total, 2)
 
-    def profile_section(
-        self, top_n: int = 15, engine_prefix: str = ENGINE_PREFIX
-    ) -> dict[str, Any]:
+    def profile_section(self, top_n: int = 15) -> dict[str, Any]:
         """The ``profile`` section for ``BENCH_sweep.json``."""
         return {
             "profiler": "deterministic (sys.setprofile)",
             "total_self_us": self.total_us(),
             "distinct_stacks": len(self.stacks),
-            "engine_inner_loop_pct": self.pct_in_prefix(engine_prefix),
-            "engine_prefix": engine_prefix,
+            "engine_inner_loop_pct": self.pct_in_prefix(ENGINE_PREFIX),
+            "engine_prefix": ENGINE_PREFIX,
             "top_functions": self.top_functions(top_n),
         }

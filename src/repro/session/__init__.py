@@ -8,7 +8,7 @@ Layering (see ``docs/architecture.md``)::
         │
     SimulationKernel — run lifecycle      kernel.py
         │
-    Simulation / VectorizedSimulation     repro.sim
+    Simulation                            repro.sim
 
 :class:`SimulationKernel` hosts *every* run path — ``run_accounted``,
 ``run_experiment`` and the batch runner all drive their simulations

@@ -2,8 +2,8 @@
 
 Historically the engine was driven from three near-identical call
 sites — ``run_accounted``, ``run_experiment`` and
-``BatchRunner._run_once`` — each building an accountant, resolving an
-engine backend, calling ``Simulation.run`` once and harvesting a
+``BatchRunner._run_once`` — each building an accountant and a
+``Simulation``, calling ``Simulation.run`` once and harvesting a
 report.  :class:`SimulationKernel` extracts that lifecycle into one
 object with an explicit state machine::
 
@@ -18,7 +18,7 @@ path (``step``/``peek_report``) rides on the engine's non-mutating
 
     ``step(N) then step(M)  ≡  step(N+M)  ≡  one-shot run``
 
-on every engine backend — locked by ``tests/session/``.
+locked by ``tests/session/``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.accounting.accountant import CycleAccountant
 from repro.accounting.interface import NULL_ACCOUNTANT
 from repro.accounting.report import AccountingReport, partial_run_view
 from repro.checkpoint.format import save_checkpoint
-from repro.components.registry import resolve
 from repro.config import MachineConfig
 from repro.errors import SimulationError
 from repro.osmodel.thread import FINISHED
@@ -42,7 +41,7 @@ from repro.workloads.spec import build_program
 class SimulationKernel:
     """One simulated run with an explicit lifecycle.
 
-    The kernel owns the accountant, the engine backend, and the
+    The kernel owns the accountant, the simulation, and the
     watchdog/checkpoint parameters of a run; the run itself advances
     through :meth:`step` (bounded) or :meth:`finish` (to completion).
     ``step``/``finish`` pass the *same* arguments to the same
@@ -57,7 +56,6 @@ class SimulationKernel:
         program: Program,
         *,
         accounted: bool = True,
-        engine: str = "reference",
         max_cycles: int | None = None,
         livelock_window: int | None = None,
         on_timeout: str = "raise",
@@ -66,20 +64,15 @@ class SimulationKernel:
     ) -> None:
         self.machine = machine
         self.program = program
-        self.engine = engine
         self.max_cycles = max_cycles
         self.livelock_window = livelock_window
         self.on_timeout = on_timeout
         self.checkpoint = checkpoint
-        # Construction order matches run_accounted: accountant first,
-        # then the engine factory (both may touch the registry).
         self.accountant = (
             CycleAccountant(machine, bus=bus) if accounted
             else NULL_ACCOUNTANT
         )
-        self.sim: Simulation = resolve("engine", engine)(
-            machine, program, self.accountant, bus=bus
-        )
+        self.sim = Simulation(machine, program, self.accountant, bus=bus)
         self._result: SimResult | None = None
 
     # ------------------------------------------------------------------
@@ -94,7 +87,6 @@ class SimulationKernel:
         n_threads: int | None = None,
         *,
         accounted: bool = True,
-        engine: str | None = None,
         bus=None,
         checkpoint=None,
         fault=None,
@@ -102,11 +94,10 @@ class SimulationKernel:
         """Kernel for one (benchmark, N) cell of an
         :class:`~repro.config.ExperimentConfig`.
 
-        ``n_threads`` defaults to the experiment's first thread count;
-        ``engine`` to the experiment's run engine.  ``fault`` (a
-        :data:`~repro.robustness.faults.CellFault`) transforms the
-        program/machine before the run, exactly as the batch runner
-        applies it.
+        ``n_threads`` defaults to the experiment's first thread count.
+        ``fault`` (a :data:`~repro.robustness.faults.CellFault`)
+        transforms the program/machine before the run, exactly as the
+        batch runner applies it.
         """
         from repro.workloads.suite import by_name
 
@@ -121,7 +112,6 @@ class SimulationKernel:
         kernel = cls(
             machine, program,
             accounted=accounted,
-            engine=engine if engine is not None else run.engine,
             max_cycles=run.max_cycles,
             livelock_window=run.livelock_window,
             on_timeout=(
@@ -147,15 +137,14 @@ class SimulationKernel:
     ) -> "SimulationKernel":
         """Wrap an existing (typically checkpoint-restored) simulation.
 
-        The simulation keeps its accountant, bus and backend; the
-        kernel only supplies the run parameters for the continuation —
-        this is how the batch runner's crash-resume path and
+        The simulation keeps its accountant and bus; the kernel only
+        supplies the run parameters for the continuation — this is how
+        the batch runner's crash-resume path and
         ``Session.from_checkpoint`` host restored runs.
         """
         kernel = cls.__new__(cls)
         kernel.machine = sim.machine
         kernel.program = sim.program
-        kernel.engine = sim.ENGINE_NAME
         kernel.max_cycles = max_cycles
         kernel.livelock_window = livelock_window
         kernel.on_timeout = on_timeout
@@ -285,5 +274,5 @@ class SimulationKernel:
         status = "done" if self.done else f"cycle={self.cycle}"
         return (
             f"<SimulationKernel {self.program.n_threads} threads "
-            f"engine={self.engine} {status}>"
+            f"{status}>"
         )

@@ -21,9 +21,12 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from itertools import zip_longest
 
+from repro.accounting.accountant import CycleAccountant
 from repro.accounting.interface import NULL_ACCOUNTANT
 from repro.components.registry import resolve
+from repro.components.replacement import FifoPolicy, LruPolicy
 from repro.config import MachineConfig
 from repro.errors import (
     CheckpointError,
@@ -52,7 +55,9 @@ from repro.osmodel.thread import (
     SoftwareThread,
     SpinContext,
 )
+from repro.sim.cache import SetAssocCache
 from repro.sim.cmp import Chip
+from repro.sim.coherence import CoherenceDirectory
 from repro.sync import primitives as sync_pc
 from repro.sync.primitives import BarrierState, LockState, SyncManager
 from repro.workloads.program import (
@@ -78,6 +83,10 @@ logger = logging.getLogger(__name__)
 
 #: steps between watchdog progress checks (cheap: amortized O(1/step))
 _WATCHDOG_STRIDE = 1024
+
+#: replacement policies whose victim is always the set front, the only
+#: ones the fused warm-up loop inlines
+_FRONT_EVICTING = (LruPolicy, FifoPolicy)
 
 
 class _CoreRuntime:
@@ -147,9 +156,6 @@ class SimResult:
 class Simulation:
     """Execute a :class:`Program` on a simulated CMP."""
 
-    #: registry name of this engine backend (subclasses override)
-    ENGINE_NAME = "reference"
-
     def __init__(
         self,
         machine: MachineConfig,
@@ -173,7 +179,7 @@ class Simulation:
         #: switches back to the one-op-per-iteration reference loop (the
         #: two must produce identical results — see tests/parallel/)
         self.fast_forward = fast_forward
-        self.chip = self._build_chip(machine, accountant, bus)
+        self.chip = Chip(machine, accountant, bus=bus)
         self.sync = SyncManager(
             program.n_threads,
             lock_fifo_handoff=getattr(program, "lock_fifo_handoff", False),
@@ -216,12 +222,6 @@ class Simulation:
         self._spin_threshold = (
             override if override is not None else machine.sync.spin_threshold
         )
-
-    def _build_chip(self, machine, accountant, bus) -> Chip:
-        """Engine-backend hook: construct the chip model.  Subclass
-        backends (``engine=vectorized``) substitute alternate cache
-        stores here; everything else about the chip stays shared."""
-        return Chip(machine, accountant, bus=bus)
 
     # ------------------------------------------------------------------
     # main loop
@@ -266,10 +266,10 @@ class Simulation:
         ``run()`` call; because the pause check is side-effect-free and
         every scheduling decision depends only on simulation state (all
         of which persists on the instance), any partition of a run into
-        pauses is byte-identical to the uninterrupted run.  Block
-        executors (instruction fast-forward, spin-horizon batching) may
-        overshoot ``pause_at``: the contract is "pause at the first
-        loop-top boundary at or after this cycle", not an exact cut.
+        pauses is byte-identical to the uninterrupted run.  The
+        instruction-block fast-forward may overshoot ``pause_at``: the
+        contract is "pause at the first loop-top boundary at or after
+        this cycle", not an exact cut.
         When both fire, the ``max_cycles`` watchdog wins over a pause.
         """
         if on_timeout not in ("raise", "truncate"):
@@ -453,10 +453,22 @@ class Simulation:
     def _warm_caches(self) -> None:
         """Untimed warmup: interleave the threads' working-set addresses
         round-robin through the cache hierarchy so LLC occupancy starts
-        from a fair steady state."""
+        from a fair steady state.
+
+        The standard chip takes the fused loop (:meth:`_warm_fused`);
+        any other takes the per-line loop (:meth:`_warm_per_line`),
+        which is also the reference the fused loop is tested against.
+        """
         warmup = self.program.warmup
         if not warmup:
             return
+        if self._can_fuse_warm():
+            self._warm_fused(warmup)
+        else:
+            self._warm_per_line(warmup)
+
+    def _warm_per_line(self, warmup) -> None:
+        """One :meth:`Chip.warm_line` call per interleaved address."""
         n_cores = self.machine.n_cores
         warm_line = self.chip.warm_line
         iters = [iter(addrs) for addrs in warmup]
@@ -470,6 +482,120 @@ class Simulation:
                 warm_line(entry[1], addr)
                 still_live.append(entry)
             live = still_live
+
+    def _can_fuse_warm(self) -> bool:
+        """Whether :meth:`_warm_fused` reproduces the per-line loop:
+        plain set-associative caches that evict the set front (``lru``
+        or ``fifo``; ``random`` and the ``llc_quotas`` partitioned LLC
+        fall back), the standard directory with no invalid tags (none
+        exist before the first store), and no accountant or one whose
+        only warmed state is its sampled ATDs (``atd_shadow_oracle``
+        falls back)."""
+        chip = self.chip
+        for cache in (chip.llc, *chip.l1d):
+            if (type(cache) is not SetAssocCache
+                    or type(cache._policy) not in _FRONT_EVICTING):
+                return False
+        directory = chip.directory
+        if (type(directory) is not CoherenceDirectory
+                or any(directory._invalid_tags)):
+            return False
+        accountant = self.accountant
+        return not accountant.enabled or (
+            type(accountant) is CycleAccountant
+            and accountant.oracle_atds is None
+        )
+
+    def _warm_fused(self, warmup) -> None:
+        """:meth:`Chip.warm_line` inlined into one loop over the cache
+        sets and the directory's sharer dict.
+
+        Each address makes the same dict operations in the same order
+        as the per-line loop, so the warmed state is identical down to
+        set order and the sharer dict's insertion order: the LLC fill
+        without promote and the inclusive drop of its victim, the
+        sampled ATD fill, the clean L1 fill, and the sharer updates.
+        The invalid-tag discards of the per-line path are left out:
+        warm-up never stores, so those sets stay empty.
+        """
+        chip = self.chip
+        n_cores = self.machine.n_cores
+        shift = chip._l1_line_shift
+        llc = chip.llc
+        llc_sets = llc._sets
+        llc_mask = llc._set_mask
+        assoc = llc.assoc
+        l1_sets = [l1._sets for l1 in chip.l1d]
+        l1_mask = chip.l1d[0]._set_mask
+        l1_assoc = chip.l1d[0].assoc
+        sharers = chip.directory._sharers
+        accountant = self.accountant
+        atd_sets = None
+        if accountant.enabled:
+            atds = accountant.atds
+            atd_sets = [atd._tags._sets for atd in atds]
+            period = atds[0].sample_period
+            offset = atds[0]._sample_offset
+            atd_promote = atds[0]._tags._promote_on_hit
+        llc_evictions = 0
+        l1_evictions = [0] * n_cores
+        atd_evictions = [0] * n_cores
+        cores = [tid % n_cores for tid in range(len(warmup))]
+        for row in zip_longest(*warmup):
+            for cid, addr in zip(cores, row):
+                if addr is None:
+                    continue  # this thread's list is exhausted
+                line = addr >> shift
+                # LLC: a resident line stays put; a full set evicts its
+                # front, and every L1 copy of the victim goes with it
+                set_index = line & llc_mask
+                cache_set = llc_sets[set_index]
+                if line not in cache_set:
+                    if len(cache_set) >= assoc:
+                        victim = cache_set.popitem(False)[0]
+                        llc_evictions += 1
+                        holders = sharers.pop(victim, None)
+                        if holders:
+                            victim_set = victim & l1_mask
+                            for core in holders:
+                                l1_sets[core][victim_set].pop(victim, None)
+                    cache_set[line] = False
+                # sampled ATD: a resident line is promoted only under LRU
+                if atd_sets is not None and set_index % period == offset:
+                    cache_set = atd_sets[cid][set_index]
+                    if line in cache_set:
+                        if atd_promote:
+                            cache_set.move_to_end(line)
+                    else:
+                        if len(cache_set) >= assoc:
+                            cache_set.popitem(False)
+                            atd_evictions[cid] += 1
+                        cache_set[line] = False
+                # clean L1 fill, always to MRU; its victim loses this sharer
+                cache_set = l1_sets[cid][line & l1_mask]
+                if line in cache_set:
+                    cache_set.move_to_end(line)
+                else:
+                    if len(cache_set) >= l1_assoc:
+                        victim = cache_set.popitem(False)[0]
+                        l1_evictions[cid] += 1
+                        holders = sharers.get(victim)
+                        if holders is not None:
+                            holders.discard(cid)
+                            if not holders:
+                                del sharers[victim]
+                    cache_set[line] = False
+                holders = sharers.get(line)
+                if holders is None:
+                    sharers[line] = {cid}
+                else:
+                    holders.add(cid)
+        llc.n_evictions += llc_evictions
+        for l1, count in zip(chip.l1d, l1_evictions):
+            l1.n_evictions += count
+        if atd_sets is not None:
+            for atd, count in zip(atds, atd_evictions):
+                atd._tags.n_evictions += count
 
     def _pick_core(self) -> _CoreRuntime | None:
         best, best_time, second_time = self._scheduler.pick(self.cores)

@@ -36,6 +36,7 @@ Mechanism notes (how each Figure 6 behaviour is realised):
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
 from repro.workloads.spec import BenchmarkSpec
 
 GOOD = "good"
@@ -198,19 +199,23 @@ SUITE: tuple[BenchmarkSpec, ...] = (
 def by_name(full_name: str) -> BenchmarkSpec:
     """Look up a spec by its full name (e.g. ``facesim_medium``).
 
-    Unknown names raise :class:`KeyError` with close-match suggestions,
-    so a typo in a sweep config fails with an actionable message.
+    Unknown names raise :class:`~repro.errors.ConfigError` with
+    close-match suggestions and every valid name as ``choices``, so a
+    typo in a sweep config fails with an actionable message.
     """
     for spec in SUITE:
         if spec.full_name == full_name:
             return spec
     import difflib
 
-    close = difflib.get_close_matches(
-        full_name, [spec.full_name for spec in SUITE], n=3
-    )
+    names = [spec.full_name for spec in SUITE]
+    close = difflib.get_close_matches(full_name, names, n=3)
     hint = f" (did you mean: {', '.join(close)}?)" if close else ""
-    raise KeyError(f"unknown benchmark {full_name!r}{hint}")
+    raise ConfigError(
+        f"unknown benchmark {full_name!r}{hint}",
+        field="benchmark",
+        choices=tuple(names),
+    )
 
 
 def sweep_cells(

@@ -102,13 +102,3 @@ def test_experiment_limits_override_saved(tmp_path):
     assert resumed.kernel.max_cycles == 50_000_000
     resumed_default = Session.from_checkpoint(path, experiment=experiment)
     assert resumed_default.kernel.max_cycles == 3_000
-
-
-def test_checkpoint_resume_crosses_backends(saved):
-    numpy = pytest.importorskip("numpy")  # noqa: F841
-    session, path = saved
-    resumed = Session.from_checkpoint(path, engine="vectorized")
-    assert resumed.kernel.engine == "vectorized"
-    session.run()
-    resumed.run()
-    assert canon(resumed.snapshot()) == canon(session.snapshot())

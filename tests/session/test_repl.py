@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import io
 
-import pytest
-
 from repro.cli import main
 from repro.session import Session, SessionShell
 
@@ -67,16 +65,6 @@ def test_cli_session_scripted(capsys):
     captured = capsys.readouterr().out
     assert "partial stack at cycle" in captured
     assert "cholesky" in captured
-
-
-def test_cli_session_vectorized(capsys):
-    pytest.importorskip("numpy")
-    code = main([
-        "session", "cholesky", "-n", "4", "--scale", "0.05",
-        "--engine", "vectorized", "--run", "run; stack",
-    ])
-    assert code == 0
-    assert "cholesky" in capsys.readouterr().out
 
 
 def test_cli_session_from_checkpoint(tmp_path, capsys):

@@ -5,11 +5,9 @@ The keystone guarantee of the ISSUE-10 refactor —
     step(N) then step(M)  ≡  step(N+M)  ≡  one-shot batch run
 
 — holds for *arbitrary* partitions, including a snapshot/restore onto a
-fresh session mid-run and a reference↔vectorized backend hop at the
-restore point (checkpoint state is backend-portable).  Hypothesis
-drives the partition; the comparison is the canonical JSON of the full
-engine state tree plus the accounting report, so a single diverging
-counter anywhere fails.
+fresh session mid-run.  Hypothesis drives the partition; the comparison
+is the canonical JSON of the full engine state tree plus the accounting
+report, so a single diverging counter anywhere fails.
 """
 
 from __future__ import annotations
@@ -46,14 +44,6 @@ def one_shot():
     return canon(session.snapshot()), session.stack()
 
 
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 @settings(
     max_examples=10, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -61,29 +51,19 @@ def _has_numpy() -> bool:
 @given(
     steps=st.lists(st.integers(500, 50_000), min_size=1, max_size=6),
     restore_at=st.integers(0, 5),
-    hop_backend=st.booleans(),
 )
-def test_any_partition_matches_one_shot(
-    one_shot, steps, restore_at, hop_backend
-):
+def test_any_partition_matches_one_shot(one_shot, steps, restore_at):
     expected_state, expected_stack = one_shot
-    if hop_backend and not _has_numpy():
-        hop_backend = False
     session = Session.from_config(
         BENCH, N_THREADS, scale=SCALE, max_cycles=MAX_CYCLES,
     )
     for i, n_cycles in enumerate(steps):
         if i == restore_at % len(steps):
-            # snapshot → fresh session (possibly on the other backend)
-            # → restore → continue: must be invisible
+            # snapshot → fresh session → restore → continue: must be
+            # invisible
             state = session.snapshot()
-            engine = (
-                "vectorized" if hop_backend
-                and session.kernel.engine == "reference" else "reference"
-            )
             session = Session.from_config(
                 BENCH, N_THREADS, scale=SCALE, max_cycles=MAX_CYCLES,
-                engine=engine,
             ).load(state)
         session.step(n_cycles)
     session.run()

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigError
 
 SCALE = ["--scale", "0.05"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -95,7 +101,7 @@ class TestCommands:
         assert "core  0" in out
 
     def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             main(["stack", "nope", "-n", "2"] + SCALE)
 
     def test_run_trace_parse_error_exits_2(self, capsys, tmp_path):
@@ -134,14 +140,33 @@ class TestSweep:
         assert "resumed blackscholes_small:2" in out
 
     def test_bad_inject_spec_rejected(self):
-        from repro.errors import ConfigError
         with pytest.raises(ConfigError):
             main(["sweep", "--benchmarks", "cholesky",
                   "--inject", "deadlock-cholesky-2"])
 
     def test_unknown_benchmark_listed_up_front(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             main(["sweep", "--benchmarks", "choleski", "-n", "2"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--benchmarks", "nosuch"],
+    ["stack", "nosuch"],
+    ["sweep", "--benchmarks", "cholesky", "--inject", "garbage"],
+])
+def test_config_error_exits_2_with_one_line(argv):
+    """``python -m repro`` turns a ConfigError into one ``error:`` line
+    and exit code 2, never a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 class TestTrace:
@@ -279,8 +304,6 @@ class TestConfigCommands:
         assert "registered spin_detector: li, tian" in out
 
     def test_validate_bad_component_lists_choices(self, tmp_path):
-        from repro.errors import ConfigError
-
         path = tmp_path / "bad.toml"
         path.write_text(
             "[machine.llc]\nsize_bytes = 2097152\nassoc = 16\n"
@@ -296,7 +319,7 @@ class TestConfigCommands:
         path.write_text(
             '[workload]\nbenchmarks = ["choleski"]\n', encoding="utf-8"
         )
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             main(["config", "validate", str(path)])
 
     def test_stack_with_config(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.workloads.suite import (
     FIG5_BENCHMARKS,
     FIG8_BENCHMARKS,
@@ -75,8 +76,10 @@ class TestLookup:
         assert by_name("facesim_medium").input_class == "medium"
 
     def test_unknown_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError) as err:
             by_name("nonexistent")
+        assert err.value.field == "benchmark"
+        assert "cholesky" in err.value.choices
 
 
 class TestFigureLists:

@@ -66,12 +66,6 @@ def main(argv=None) -> int:
                              "speedup vs serial is below FACTOR; skipped "
                              "with a note when the host has fewer than "
                              "JOBS CPUs (repeatable)")
-    parser.add_argument("--min-vec-speedup", type=float, default=None,
-                        metavar="FACTOR",
-                        help="fail (exit 1) when the vectorized engine's "
-                             "single-cell speedup over the reference "
-                             "engine is below FACTOR; skipped with a "
-                             "note when numpy is not installed")
     args = parser.parse_args(argv)
     warm_gates = []
     for raw in args.min_warm_speedup:
@@ -153,23 +147,6 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: --jobs {jobs} speedup {speedup:.2f}x vs serial "
                 f"is below the {factor:g}x gate",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_vec_speedup is not None:
-        vec = doc["engine_vec"]
-        if not vec["gate"]["enforced"]:
-            # same can't-tell/failed split as the warm gate: a host
-            # without numpy cannot run the vectorized engine at all
-            print(
-                f"note: skipping --min-vec-speedup "
-                f"{args.min_vec_speedup:g} ({vec['gate']['note']})"
-            )
-        elif vec["speedup"] < args.min_vec_speedup:
-            print(
-                f"FAIL: vectorized engine speedup {vec['speedup']:.2f}x "
-                f"on {vec['cell']} is below the "
-                f"{args.min_vec_speedup:g}x gate",
                 file=sys.stderr,
             )
             return 1
