@@ -36,6 +36,24 @@ from repro.errors import CheckpointError
 #: bump when the header or payload layout changes incompatibly
 SCHEMA_VERSION = 1
 
+#: header fields every reader indexes, with the types they must have
+_HEADER_FIELDS: dict[str, tuple[type, ...]] = {
+    "config_hash": (str,),
+    "cycle": (int,),
+    "reason": (str,),
+    "repro_version": (str,),
+    "descriptor": (dict,),
+}
+
+#: descriptor fields every reader indexes (``fault`` and the watchdog
+#: limits are optional: readers ``.get()`` them)
+_DESCRIPTOR_FIELDS: dict[str, tuple[type, ...]] = {
+    "benchmark": (str,),
+    "n_threads": (int,),
+    "scale": (int, float),
+    "machine": (dict,),
+}
+
 
 def config_hash(descriptor: dict[str, Any]) -> str:
     """16-hex-char digest of a cell descriptor's canonical JSON form.
@@ -101,7 +119,35 @@ def read_header(path: str | Path) -> dict[str, Any]:
             f"{header['schema_version']}, this build reads "
             f"{SCHEMA_VERSION}"
         )
+    _check_fields(path, header, _HEADER_FIELDS, "")
+    _check_fields(
+        path, header["descriptor"], _DESCRIPTOR_FIELDS, "descriptor."
+    )
     return header
+
+
+def _check_fields(
+    path: Path,
+    doc: dict[str, Any],
+    fields: dict[str, tuple[type, ...]],
+    prefix: str,
+) -> None:
+    """Raise :class:`CheckpointError` naming the first field of
+    ``fields`` that ``doc`` lacks or holds with the wrong type."""
+    for key, types in fields.items():
+        name = prefix + key
+        if key not in doc:
+            raise CheckpointError(
+                f"checkpoint {path} header has no {name!r}"
+            )
+        value = doc[key]
+        # bool is an int subclass, but never a valid field value
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(t.__name__ for t in types)
+            raise CheckpointError(
+                f"checkpoint {path} header field {name!r} is "
+                f"{type(value).__name__}, expected {expected}"
+            )
 
 
 def load_checkpoint(

@@ -33,7 +33,7 @@ import logging
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.accounting.report import AccountingReport
@@ -104,6 +104,19 @@ class ExperimentResult:
             return None
         mt_real = self.mt_result.total_instrs - self.mt_result.total_spin_instrs
         return (mt_real - st_instrs) / st_instrs
+
+    def without_machine(self) -> "ExperimentResult":
+        """A copy whose runs carry no simulated machine (see
+        :meth:`SimResult.without_machine`): stack, report, threads and
+        totals kept.  What a sweep or a figure cache holds per cell."""
+        return replace(
+            self,
+            mt_result=self.mt_result.without_machine(),
+            st_result=(
+                self.st_result.without_machine()
+                if self.st_result is not None else None
+            ),
+        )
 
 
 def run_accounted(
@@ -780,7 +793,9 @@ class BatchRunner:
 
         The key covers everything the run depends on — the spec, the
         scale, the single-core view of the (post-fault) machine, and
-        the watchdog limits — all frozen dataclasses or scalars.
+        the watchdog limits — all frozen dataclasses or scalars.  The
+        memo stores (and returns) the run without its machine: only
+        ``Ts`` and the instruction count are read from it.
         """
         key = (
             spec, self.scale, machine.with_cores(1),
@@ -794,7 +809,7 @@ class BatchRunner:
                 max_cycles=self.policy.max_cycles,
                 livelock_window=self.policy.livelock_window,
                 on_timeout="truncate",
-            )
+            ).without_machine()
             self._st_cache[key] = st_result
         return st_result
 
@@ -808,6 +823,10 @@ class BatchRunner:
         resume: bool = False,
     ) -> SweepReport:
         """Run every cell, journaling after each one.
+
+        Each ok outcome keeps its stack, report and run totals but not
+        the simulated machine (``result.mt_result.chip is None``); call
+        :meth:`run_cell` for a cell's live chip.
 
         With ``resume=True``, cells the journal already records as
         ``ok`` are skipped (status ``"resumed"``); failed and unseen
@@ -878,6 +897,10 @@ class BatchRunner:
                         error_type=outcome.error_type or "",
                         snapshot=outcome.snapshot,
                     )
+            if outcome.result is not None:
+                # journaled and its stack built: nothing reads this
+                # cell's machine again, so the sweep does not keep it
+                outcome.result = outcome.result.without_machine()
             report.outcomes.append(outcome)
         if self.bus is not None:
             self.bus.emit(SweepFinished(

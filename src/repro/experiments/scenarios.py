@@ -33,7 +33,7 @@ from repro.core.classification import ClassificationTree, classify_stack
 from repro.core.stack import SpeedupStack
 from repro.core.validation import ValidationRow, errors_by_thread_count
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.sim.engine import Simulation
+from repro.sim.engine import SimResult, Simulation
 from repro.workloads.pipeline import build_pipeline_program
 from repro.workloads.spec import BenchmarkSpec, build_program
 from repro.workloads.suite import FIG5_BENCHMARKS, FIG8_BENCHMARKS, SUITE, by_name
@@ -57,12 +57,16 @@ class ExperimentCache:
     re-coring — the way an :class:`~repro.config.ExperimentConfig`'s
     machine reaches the figure drivers.  ``None`` keeps the historical
     default of a fresh paper-default machine per thread count.
+
+    Results are stored without their simulated machine (see
+    :meth:`~repro.experiments.runner.ExperimentResult.without_machine`):
+    the figures read stacks and instruction counts only.
     """
 
     scale: float = 1.0
     machine: MachineConfig | None = None
     _results: dict[tuple, ExperimentResult] = field(default_factory=dict)
-    _references: dict[tuple, object] = field(default_factory=dict)
+    _references: dict[tuple, SimResult] = field(default_factory=dict)
 
     @classmethod
     def from_experiment(cls, experiment: ExperimentConfig) -> "ExperimentCache":
@@ -77,7 +81,9 @@ class ExperimentCache:
                          spec.full_name, self.scale)
             program = build_program(spec, 1, scale=self.scale)
             single = machine.with_cores(1)
-            self._references[key] = Simulation(single, program).run()
+            self._references[key] = (
+                Simulation(single, program).run().without_machine()
+            )
         return self._references[key]
 
     def reference_cycles(
@@ -114,7 +120,7 @@ class ExperimentCache:
                 spec.full_name, result.report,
                 ts_cycles=st_result.total_cycles,
             )
-            self._results[key] = result
+            self._results[key] = result.without_machine()
         return self._results[key]
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import zip_longest
 
 from repro.accounting.accountant import CycleAccountant
@@ -108,7 +108,10 @@ class SimResult:
 
     machine: MachineConfig
     threads: list[SoftwareThread]
-    chip: Chip
+    #: the simulated memory hierarchy as the run left it (caches, ATDs,
+    #: directory, DRAM, per-core stats); None on a copy made by
+    #: :meth:`without_machine`
+    chip: Chip | None
     sync: SyncManager
     #: multi-threaded execution time: cycles until the last thread ends
     total_cycles: int
@@ -151,6 +154,12 @@ class SimResult:
     @property
     def total_spin_instrs(self) -> int:
         return sum(t.spin_instrs for t in self.threads)
+
+    def without_machine(self) -> "SimResult":
+        """A copy with ``chip=None``: threads, sync state and every
+        total kept, the megabytes of simulated cache state released.
+        What a sweep keeps of a finished run once its stack is built."""
+        return replace(self, chip=None)
 
 
 class Simulation:

@@ -30,6 +30,8 @@ engine serializes exactly like memory state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.workloads.program import (
     Compute,
     FutexWait,
@@ -149,7 +151,7 @@ def build_pipeline_program(
     share = n_items // n_workers
     remainder = n_items - share * n_workers
     bodies = [_serial_stage(queue, n_items, serial_instrs)]
-    warmup: list[list[int]] = [[QUEUE_ADDR]]
+    warmup: list[Sequence[int]] = [[QUEUE_ADDR]]
     next_item = 0
     for tid in range(1, n_threads):
         items = share + (1 if tid <= remainder else 0)

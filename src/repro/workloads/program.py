@@ -13,7 +13,9 @@ engine's hot loop.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from collections.abc import Sequence
+from itertools import chain
+from typing import Callable, Iterator, overload
 
 # Op tags (engine dispatch).
 TAG_COMPUTE = 0
@@ -170,21 +172,64 @@ ThreadBody = Iterator[Op]
 ThreadFactory = Callable[[int], ThreadBody]
 
 
+class AddressRegions(Sequence[int]):
+    """The addresses of consecutive ``range`` regions, as one sequence.
+
+    A thread's warm-up working set is a few arithmetic runs of line
+    addresses; holding the ranges instead of a list of their ints keeps
+    it at a few hundred bytes, however many megabytes it covers.
+    Iteration is repeatable, and indexing (negative indices and slices
+    included) matches ``list(regions)``.
+    """
+
+    __slots__ = ("_ranges", "_len")
+
+    def __init__(self, ranges: tuple[range, ...]) -> None:
+        self._ranges = ranges
+        self._len = sum(map(len, ranges))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self._ranges)
+
+    @overload
+    def __getitem__(self, index: int) -> int: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[int]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        if index < 0:
+            index += self._len
+        if index >= 0:
+            for region in self._ranges:
+                if index < len(region):
+                    return region[index]
+                index -= len(region)
+        raise IndexError("AddressRegions index out of range")
+
+
 class Program:
     """A multi-threaded program: one op stream per software thread.
 
     ``warmup`` optionally lists, per thread, the addresses the thread's
-    working set occupies; the simulator streams them through the caches
-    untimed before measurement starts, so results reflect the steady
-    state of the parallel fraction (the paper measures after the
-    sequential initialization has run).
+    working set occupies (any sequence of ints: an explicit list, or
+    the :class:`AddressRegions` synthesized workloads use); the
+    simulator streams them through the caches untimed before
+    measurement starts, so results reflect the steady state of the
+    parallel fraction (the paper measures after the sequential
+    initialization has run).
     """
 
     def __init__(
         self,
         name: str,
         thread_bodies: list[ThreadBody],
-        warmup: list[list[int]] | None = None,
+        warmup: list[Sequence[int]] | None = None,
         lock_fifo_handoff: bool = False,
         spin_threshold_override: int | None = None,
     ) -> None:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 from repro.workloads import generators as g
 from repro.workloads.program import (
+    AddressRegions,
     BarrierWait,
     Compute,
     Load,
@@ -163,25 +164,26 @@ def build_program(
     )
 
 
-def _warmup_addrs(spec: BenchmarkSpec, tid: int) -> list[int]:
+def _warmup_addrs(spec: BenchmarkSpec, tid: int) -> AddressRegions:
     """The lines a thread's working set occupies.
 
     Cold and shared regions come first and the hot private working set
     last, so the hot data is the most-recently-used LLC content when
     measurement starts.
     """
-    addrs = []
-    if spec.cold_ws_kb > 0 and spec.cold_fraction > 0:
+    regions = []
+    if spec.cold_fraction > 0:
         cold_base = g.private_base(tid) + 0x100_0000
-        for offset in range(0, spec.cold_ws_kb * 1024, g.LINE):
-            addrs.append(cold_base + offset)
-    if spec.shared_ws_kb > 0 and spec.shared_fraction > 0:
-        for offset in range(0, spec.shared_ws_kb * 1024, g.LINE):
-            addrs.append(g.SHARED_BASE + offset)
+        regions.append(
+            range(cold_base, cold_base + spec.cold_ws_kb * 1024, g.LINE)
+        )
+    if spec.shared_fraction > 0:
+        regions.append(range(
+            g.SHARED_BASE, g.SHARED_BASE + spec.shared_ws_kb * 1024, g.LINE
+        ))
     base = g.private_base(tid)
-    for offset in range(0, spec.private_ws_kb * 1024, g.LINE):
-        addrs.append(base + offset)
-    return addrs
+    regions.append(range(base, base + spec.private_ws_kb * 1024, g.LINE))
+    return AddressRegions(tuple(region for region in regions if region))
 
 
 #: base of the produced-stream region (disjoint from the shared region)

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro._version import repro_version
@@ -87,6 +89,28 @@ class TestInspect:
         path.write_text('{"some": "json"}\n')
         assert main(["inspect", str(path)]) == 2
         assert "not a repro checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["inspect"],
+        ["stack", "fft", "--resume-from"],
+        ["session", "--from-checkpoint"],
+    ])
+    def test_header_without_descriptor(self, capsys, tmp_path, argv):
+        """Every command that reads a checkpoint header answers a
+        header with no descriptor with one error line naming the key
+        and exit 2."""
+        from repro.checkpoint import save_checkpoint
+
+        path = tmp_path / "bad.ckpt"
+        header = save_checkpoint(
+            path, {}, {}, cycle=1, reason="interval"
+        )
+        del header["descriptor"]
+        path.write_text(json.dumps(header) + "\n{}\n")
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'descriptor'" in err
 
 
 class TestSweepCheckpointDir:

@@ -15,7 +15,7 @@ from repro.checkpoint import (
 )
 from repro.errors import CheckpointError
 
-DESC = {"benchmark": "tiny", "n_threads": 2, "scale": 0.5}
+DESC = {"benchmark": "tiny", "n_threads": 2, "scale": 0.5, "machine": {}}
 STATE = {"threads": [{"tid": 0}], "cores": [{"now": 7}]}
 
 
@@ -103,6 +103,36 @@ class TestRefusals:
         path.write_text(json.dumps(doc) + "\n" + payload + "\n")
         with pytest.raises(CheckpointError, match="schema version"):
             read_header(path)
+
+    @pytest.mark.parametrize("field", [
+        "config_hash", "cycle", "reason", "repro_version", "descriptor",
+        "descriptor.benchmark", "descriptor.n_threads", "descriptor.scale",
+        "descriptor.machine",
+    ])
+    @pytest.mark.parametrize("fault", ["missing", "mistyped"])
+    def test_malformed_header_field(self, tmp_path, field, fault):
+        """Every header field a reader indexes is checked up front: a
+        missing or mistyped one is a CheckpointError naming it, never a
+        KeyError from deep inside ``repro inspect`` or a resume."""
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, STATE, DESC, cycle=1, reason="interval")
+        header, payload = path.read_text().splitlines()
+        doc = json.loads(header)
+        *parents, key = field.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        if fault == "missing":
+            del target[key]
+        else:
+            # a list is no valid type for any field; True is the bool
+            # that would pass a bare isinstance(value, int) check
+            target[key] = True if key in ("cycle", "n_threads") else []
+        path.write_text(json.dumps(doc) + "\n" + payload + "\n")
+        with pytest.raises(CheckpointError, match=repr(field)):
+            read_header(path)
+        with pytest.raises(CheckpointError, match=repr(field)):
+            load_checkpoint(path)
 
     def test_config_hash_mismatch(self, tmp_path):
         path = tmp_path / "a.ckpt"

@@ -74,11 +74,18 @@ class TestEnabledPath:
     def test_serial_and_parallel_journal_identical_with_metrics(
         self, tmp_path
     ):
+        parallel = parallel_journal(
+            tmp_path / "parallel.json", MetricsRegistry()
+        )
         assert (
             serial_journal(tmp_path / "serial.json", MetricsRegistry())
-            == parallel_journal(tmp_path / "parallel.json",
-                                MetricsRegistry())
+            == parallel
         )
+        # pool workers harvest from the live chip before the cell's
+        # machine is released, so every journaled cell carries metrics
+        for entry in json.loads(parallel)["cells"].values():
+            assert entry["metrics"]["sim.cells"] == 1
+            assert entry["metrics"]["sim.l1_hits{core=0}"] > 0
 
 
 class TestSpansDifferential:

@@ -100,6 +100,32 @@ class TestSweepIsolation:
         assert data["cells"]["tiny:2"]["truncated"] is True
 
 
+class TestMachineRelease:
+    def test_sweep_outcomes_drop_the_machine(self, cells, tiny_spec):
+        """A sweep keeps each cell's stack, report, threads and totals
+        but not its simulated machine, nor the shared reference's;
+        ``run_cell`` still returns the live chip."""
+        report = BatchRunner().run_sweep(cells)
+        assert len(report.completed) == 2
+        for outcome in report.completed:
+            live = BatchRunner().run_cell(tiny_spec, outcome.n_threads)
+            kept, fresh = outcome.result, live.result
+            assert kept.mt_result.chip is None
+            assert kept.st_result.chip is None
+            assert fresh.mt_result.chip is not None
+            assert kept.stack == fresh.stack
+            assert kept.report == fresh.report
+            for run in ("mt_result", "st_result"):
+                a, b = getattr(kept, run), getattr(fresh, run)
+                assert a.total_cycles == b.total_cycles
+                assert a.total_instrs == b.total_instrs
+                assert a.total_spin_instrs == b.total_spin_instrs
+                assert a.truncated == b.truncated
+                assert [t.state_dict() for t in a.threads] == [
+                    t.state_dict() for t in b.threads
+                ]
+
+
 class TestRetries:
     def test_retry_recovers_from_transient_fault(self, tiny_spec):
         """A fault that strikes only the first attempt: retry mode must

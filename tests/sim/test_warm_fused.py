@@ -79,6 +79,22 @@ def test_suite_benchmark_warms_identically(name):
                 assert fused == per_line, (n_threads, policy, accounted)
 
 
+@pytest.mark.parametrize("name", ["lu.ncont", "canneal_small"])
+@pytest.mark.parametrize("loop", ["_warm_fused", "_warm_per_line"])
+def test_regions_warm_like_their_address_lists(name, loop):
+    """Cold, shared and private regions warm exactly like the explicit
+    per-thread lists they stand for, on both loops."""
+    program = build_program(by_name(name), 4, scale=0.05)
+    lists = [list(regions) for regions in program.warmup]
+    machine = MachineConfig(n_cores=4)
+    states = []
+    for warmup in (program.warmup, lists):
+        sim = _sim(machine, program, accounted=True)
+        getattr(sim, loop)(warmup)
+        states.append(sim.state_dict())
+    assert states[0] == states[1]
+
+
 @st.composite
 def _tiny_cases(draw):
     n_cores = draw(st.integers(1, 3))

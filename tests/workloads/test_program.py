@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.program import (
+    AddressRegions,
     BarrierWait,
     Compute,
     Load,
@@ -74,3 +76,42 @@ class TestProgram:
         assert program.warmup is None
         assert not program.lock_fifo_handoff
         assert program.spin_threshold_override is None
+
+
+_ranges = st.lists(
+    st.builds(
+        range,
+        st.integers(-50, 50), st.integers(-50, 50),
+        st.integers(-7, 7).filter(bool),
+    ),
+    max_size=4,
+)
+
+
+class TestAddressRegions:
+    """A warm-up region sequence behaves exactly like the list of its
+    addresses (empty and negative-step ranges included)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranges=_ranges, data=st.data())
+    def test_matches_list(self, ranges, data):
+        regions = AddressRegions(tuple(ranges))
+        expected = [addr for region in ranges for addr in region]
+        assert len(regions) == len(expected)
+        assert list(regions) == expected
+        assert list(regions) == expected  # iteration repeats
+        assert bool(regions) == bool(expected)
+        for i in range(-len(expected), len(expected)):
+            assert regions[i] == expected[i]
+        for i in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                regions[i]
+        bound = len(expected) + 3
+        index = slice(
+            data.draw(st.none() | st.integers(-bound, bound)),
+            data.draw(st.none() | st.integers(-bound, bound)),
+            data.draw(st.none() | st.integers(-4, 4).filter(bool)),
+        )
+        assert regions[index] == expected[index]
+        probe = data.draw(st.integers(-60, 60))
+        assert (probe in regions) == (probe in expected)

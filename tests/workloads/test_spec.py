@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.workloads.program import (
+    AddressRegions,
     BarrierWait,
     Compute,
     Load,
@@ -13,6 +14,7 @@ from repro.workloads.program import (
     Store,
 )
 from repro.workloads.spec import BenchmarkSpec, build_program
+from repro.workloads.suite import SUITE, by_name
 from repro.workloads import generators as g
 
 
@@ -156,7 +158,34 @@ class TestSynchronization:
         )
 
 
+def _warmup_list(spec: BenchmarkSpec, tid: int) -> list[int]:
+    """Reference: the per-address list the warm-up was built as before
+    it became an :class:`~repro.workloads.program.AddressRegions`."""
+    addrs = []
+    if spec.cold_ws_kb > 0 and spec.cold_fraction > 0:
+        cold_base = g.private_base(tid) + 0x100_0000
+        for offset in range(0, spec.cold_ws_kb * 1024, g.LINE):
+            addrs.append(cold_base + offset)
+    if spec.shared_ws_kb > 0 and spec.shared_fraction > 0:
+        for offset in range(0, spec.shared_ws_kb * 1024, g.LINE):
+            addrs.append(g.SHARED_BASE + offset)
+    base = g.private_base(tid)
+    for offset in range(0, spec.private_ws_kb * 1024, g.LINE):
+        addrs.append(base + offset)
+    return addrs
+
+
 class TestWarmup:
+    @pytest.mark.parametrize("name", [spec.full_name for spec in SUITE])
+    def test_regions_match_the_address_lists(self, name):
+        spec = by_name(name)
+        for n_threads in (1, 2, 4):
+            program = build_program(spec, n_threads, scale=0.05)
+            assert program.warmup is not None
+            for tid, addrs in enumerate(program.warmup):
+                assert isinstance(addrs, AddressRegions)
+                assert list(addrs) == _warmup_list(spec, tid)
+
     def test_warmup_covers_private_ws(self):
         program = build_program(BASE, 2)
         assert program.warmup is not None
