@@ -37,6 +37,7 @@ import argparse
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -120,6 +121,39 @@ from repro.workloads.suite import SUITE, by_name, sweep_cells
 from repro.workloads.tracefile import load_trace
 
 logger = logging.getLogger(__name__)
+
+
+def _positive_int(text: str) -> int:
+    """``type=`` for ``-n``/``--threads`` and ``--jobs``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """``type=`` for comma-separated thread counts, each >= 1."""
+    return tuple(_positive_int(part) for part in text.split(","))
+
+
+def _positive_float(text: str) -> float:
+    """``type=`` for ``--scale`` and ``--llc-mb``: finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
 
 
 def _machine(args) -> MachineConfig:
@@ -428,6 +462,9 @@ def cmd_run_trace(args) -> int:
     except TraceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot read trace {args.path}: {exc}", file=sys.stderr)
+        return 2
     machine = MachineConfig(n_cores=args.threads or program.n_threads)
     trace = TraceRecorder() if args.timeline else None
     result = Simulation(machine, program, trace=trace).run(
@@ -514,8 +551,7 @@ def cmd_sweep(args) -> int:
         else workload.benchmarks
     )
     thread_counts = (
-        tuple(int(n) for n in str(args.threads).split(","))
-        if args.threads is not None
+        args.threads if args.threads is not None
         else workload.thread_counts
     )
     scale = args.scale if args.scale is not None else workload.scale
@@ -720,7 +756,7 @@ def cmd_bench(args) -> int:
         else experiment.workload.benchmarks
     )
     if args.threads is not None:
-        thread_counts = tuple(int(n) for n in str(args.threads).split(","))
+        thread_counts = args.threads
     elif args.config:
         thread_counts = experiment.workload.thread_counts
     else:
@@ -846,16 +882,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", metavar="FILE", default=None,
                            help="experiment config file (TOML or JSON); "
                                 "explicit flags override its values")
-            p.add_argument("-n", "--threads", type=int, default=None,
+            p.add_argument("-n", "--threads", type=_positive_int,
+                           default=None,
                            help="threads == cores (default 16)")
-            p.add_argument("--scale", type=float, default=None,
+            p.add_argument("--scale", type=_positive_float, default=None,
                            help="workload scale factor")
         else:
-            p.add_argument("-n", "--threads", type=int, default=16,
+            p.add_argument("-n", "--threads", type=_positive_int, default=16,
                            help="threads == cores (default 16)")
-            p.add_argument("--scale", type=float, default=1.0,
+            p.add_argument("--scale", type=_positive_float, default=1.0,
                            help="workload scale factor")
-        p.add_argument("--llc-mb", type=float, default=None,
+        p.add_argument("--llc-mb", type=_positive_float, default=None,
                        help="LLC size in MB (default 2)")
 
     sub.add_parser("list", help="list the benchmark suite"
@@ -874,11 +911,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="speedup vs thread count")
     p.add_argument("benchmark")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("tree", help="Figure 6 classification tree")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("regions", help="per-region stacks (Section 4.6)")
@@ -900,12 +937,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("cost", help="accounting hardware cost")
-    p.add_argument("-n", "--threads", type=int, default=16)
+    p.add_argument("-n", "--threads", type=_positive_int, default=16)
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("run-trace", help="simulate a text op trace")
     p.add_argument("path")
-    p.add_argument("-n", "--threads", type=int, default=None,
+    p.add_argument("-n", "--threads", type=_positive_int, default=None,
                    help="cores (default: one per trace thread)")
     p.add_argument("--timeline", action="store_true")
     p.add_argument("--max-cycles", type=int, default=None,
@@ -917,9 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="Chrome/Perfetto trace of one cell via the event bus",
     )
     p.add_argument("benchmark", help="suite benchmark, e.g. cholesky")
-    p.add_argument("-n", "--threads", type=int, default=16,
+    p.add_argument("-n", "--threads", type=_positive_int, default=16,
                    help="threads == cores (default 16)")
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_positive_float, default=1.0,
                    help="workload scale factor")
     p.add_argument("--max-cycles", type=int, default=None,
                    help="watchdog: truncate runs past this simulated time")
@@ -936,9 +973,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "flags override its values")
     p.add_argument("--benchmarks", default=None,
                    help="comma-separated full names (default: whole suite)")
-    p.add_argument("-n", "--threads", default=None,
+    p.add_argument("-n", "--threads", type=_positive_ints, default=None,
                    help="comma-separated thread counts (default 16)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_positive_float, default=None,
                    help="workload scale factor")
     p.add_argument("--journal", default=None,
                    help="checkpoint journal JSON path (enables --resume)")
@@ -961,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject", action="append", metavar="KIND@BENCH:N",
                    help=f"inject a fault into one cell; KIND is one of "
                         f"{', '.join(FAULT_KINDS)} (repeatable)")
-    p.add_argument("-j", "--jobs", type=int, default=None,
+    p.add_argument("-j", "--jobs", type=_positive_int, default=None,
                    help="worker processes for the sweep (default 1: "
                         "serial in-process execution)")
     p.add_argument("--chunk-cells", type=int, default=None,
@@ -1033,9 +1070,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "flags override its values")
     p.add_argument("--benchmarks", default=None,
                    help="comma-separated full names (default: whole suite)")
-    p.add_argument("-n", "--threads", default=None,
+    p.add_argument("-n", "--threads", type=_positive_ints, default=None,
                    help="comma-separated thread counts (default 2,4)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_positive_float, default=None,
                    help="workload scale factor (default 0.25)")
     p.add_argument("--jobs-list", default=None,
                    help="comma-separated --jobs levels "
@@ -1102,9 +1139,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite benchmark (omit with --from-checkpoint)")
     p.add_argument("--config", metavar="FILE", default=None,
                    help="experiment config file; explicit flags override")
-    p.add_argument("-n", "--threads", type=int, default=None,
+    p.add_argument("-n", "--threads", type=_positive_int, default=None,
                    help="threads == cores (default: config's first count)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_positive_float, default=None,
                    help="workload scale factor")
     p.add_argument("--max-cycles", type=int, default=None,
                    help="watchdog budget in simulated cycles")

@@ -18,7 +18,6 @@ the relevant config section and returning the component instance —
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:
@@ -75,7 +74,7 @@ class ReplacementPolicy(Protocol):
     #: whether a hit moves the line to the protected (MRU) end
     promote_on_hit: bool
 
-    def select_victim(self, cache_set: OrderedDict[int, bool]) -> int:
+    def select_victim(self, cache_set: dict[int, bool]) -> int:
         """Pick the victim line address from a full set (ordered from
         eviction candidate at the front to most recently inserted/used
         at the back)."""

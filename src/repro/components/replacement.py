@@ -15,7 +15,6 @@ bit-identical across the refactor.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.components.registry import register
@@ -33,7 +32,7 @@ class LruPolicy:
     def __init__(self, config: "CacheConfig") -> None:
         pass
 
-    def select_victim(self, cache_set: OrderedDict[int, bool]) -> int:
+    def select_victim(self, cache_set: dict[int, bool]) -> int:
         return next(iter(cache_set))
 
     def reset(self) -> None:
@@ -49,7 +48,7 @@ class FifoPolicy:
     def __init__(self, config: "CacheConfig") -> None:
         pass
 
-    def select_victim(self, cache_set: OrderedDict[int, bool]) -> int:
+    def select_victim(self, cache_set: dict[int, bool]) -> int:
         return next(iter(cache_set))
 
     def reset(self) -> None:
@@ -71,7 +70,7 @@ class RandomPolicy:
         self._seed = config.size_bytes ^ config.assoc
         self._rng = random.Random(self._seed)
 
-    def select_victim(self, cache_set: OrderedDict[int, bool]) -> int:
+    def select_victim(self, cache_set: dict[int, bool]) -> int:
         return self._rng.choice(list(cache_set))
 
     def reset(self) -> None:

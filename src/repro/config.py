@@ -28,6 +28,7 @@ form, which pickles trivially).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -80,14 +81,23 @@ class CacheConfig:
     def __post_init__(self) -> None:
         _component_choice("replacement", self.replacement, "replacement")
         if self.size_bytes % (self.assoc * self.line_bytes) != 0:
-            raise ValueError(
-                f"cache size {self.size_bytes} not divisible by "
-                f"assoc*line ({self.assoc}*{self.line_bytes})"
+            raise ConfigError(
+                f"size_bytes: cache size {self.size_bytes} not divisible "
+                f"by assoc*line ({self.assoc}*{self.line_bytes})",
+                field="size_bytes",
             )
         if not _is_power_of_two(self.line_bytes):
-            raise ValueError(f"line size must be a power of two: {self.line_bytes}")
+            raise ConfigError(
+                f"line_bytes: line size must be a power of two: "
+                f"{self.line_bytes}",
+                field="line_bytes",
+            )
         if not _is_power_of_two(self.n_sets):
-            raise ValueError(f"number of sets must be a power of two: {self.n_sets}")
+            raise ConfigError(
+                f"size_bytes: number of sets must be a power of two: "
+                f"{self.n_sets}",
+                field="size_bytes",
+            )
 
     @property
     def n_sets(self) -> int:
@@ -123,9 +133,16 @@ class DramConfig:
     def __post_init__(self) -> None:
         _component_choice("page_policy", self.page_policy, "page_policy")
         if not _is_power_of_two(self.n_banks):
-            raise ValueError(f"bank count must be a power of two: {self.n_banks}")
+            raise ConfigError(
+                f"n_banks: bank count must be a power of two: {self.n_banks}",
+                field="n_banks",
+            )
         if not _is_power_of_two(self.page_bytes):
-            raise ValueError(f"page size must be a power of two: {self.page_bytes}")
+            raise ConfigError(
+                f"page_bytes: page size must be a power of two: "
+                f"{self.page_bytes}",
+                field="page_bytes",
+            )
 
     @property
     def page_hit_cycles(self) -> int:
@@ -221,7 +238,9 @@ class AccountingConfig:
     def __post_init__(self) -> None:
         _component_choice("spin_detector", self.spin_detector, "spin_detector")
         if self.atd_sample_period < 1:
-            raise ValueError("atd_sample_period must be >= 1")
+            raise ConfigError(
+                "atd_sample_period: must be >= 1", field="atd_sample_period"
+            )
 
 
 @dataclass(frozen=True)
@@ -254,14 +273,26 @@ class MachineConfig:
         if self.llc_quotas is not None:
             object.__setattr__(self, "llc_quotas", tuple(self.llc_quotas))
         if self.n_cores < 1:
-            raise ValueError("need at least one core")
+            raise ConfigError(
+                "n_cores: need at least one core", field="n_cores"
+            )
         if self.l1d.line_bytes != self.llc.line_bytes:
-            raise ValueError("L1D and LLC line sizes must match (inclusive LLC)")
+            raise ConfigError(
+                "llc.line_bytes: L1D and LLC line sizes must match (one "
+                "line address indexes both levels)",
+                field="llc.line_bytes",
+            )
         if self.llc_quotas is not None:
             if len(self.llc_quotas) != self.n_cores:
-                raise ValueError("need one LLC way quota per core")
+                raise ConfigError(
+                    "llc_quotas: need one LLC way quota per core",
+                    field="llc_quotas",
+                )
             if sum(self.llc_quotas) > self.llc.assoc:
-                raise ValueError("LLC way quotas exceed associativity")
+                raise ConfigError(
+                    "llc_quotas: LLC way quotas exceed associativity",
+                    field="llc_quotas",
+                )
 
     def with_cores(self, n_cores: int) -> "MachineConfig":
         """Derive a config with a different core count."""
@@ -299,11 +330,19 @@ class WorkloadConfig:
             object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         object.__setattr__(self, "thread_counts", tuple(self.thread_counts))
         if not self.thread_counts:
-            raise ValueError("thread_counts must not be empty")
+            raise ConfigError(
+                "thread_counts: must not be empty", field="thread_counts"
+            )
         if any(n < 1 for n in self.thread_counts):
-            raise ValueError(f"thread counts must be >= 1: {self.thread_counts}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0: {self.scale}")
+            raise ConfigError(
+                f"thread_counts: must be >= 1: {self.thread_counts}",
+                field="thread_counts",
+            )
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError(
+                f"scale: must be a finite number > 0: {self.scale}",
+                field="scale",
+            )
 
 
 @dataclass(frozen=True)
@@ -347,17 +386,23 @@ class RunConfig:
                 choices=ON_ERROR_MODES,
             )
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ConfigError("max_retries: must be >= 0", field="max_retries")
         if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
+            raise ConfigError("backoff_s: must be >= 0", field="backoff_s")
         if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+            raise ConfigError(
+                "backoff_factor: must be >= 1", field="backoff_factor"
+            )
         if self.backoff_max_s is not None and self.backoff_max_s < 0:
-            raise ValueError("backoff_max_s must be >= 0")
+            raise ConfigError(
+                "backoff_max_s: must be >= 0", field="backoff_max_s"
+            )
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ConfigError("jobs: must be >= 1", field="jobs")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+            raise ConfigError(
+                "checkpoint_every: must be >= 1", field="checkpoint_every"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
 from repro.parallel.cells import CellSpec
 
 #: floor for any cell's cost estimate: keeps zero-work synthetic specs
@@ -48,11 +49,15 @@ class ChunkingPolicy:
 
     def __post_init__(self) -> None:
         if self.chunk_cells is not None and self.chunk_cells < 1:
-            raise ValueError("chunk_cells must be >= 1")
+            raise ConfigError("chunk_cells: must be >= 1", field="chunk_cells")
         if self.chunks_per_job < 1:
-            raise ValueError("chunks_per_job must be >= 1")
+            raise ConfigError(
+                "chunks_per_job: must be >= 1", field="chunks_per_job"
+            )
         if self.max_chunk_cells < 1:
-            raise ValueError("max_chunk_cells must be >= 1")
+            raise ConfigError(
+                "max_chunk_cells: must be >= 1", field="max_chunk_cells"
+            )
 
 
 @dataclass(frozen=True)

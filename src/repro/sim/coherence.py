@@ -1,13 +1,16 @@
 """MSI-style coherence directory over the private L1 data caches.
 
-The shared LLC is inclusive, so the directory logically lives alongside
-the LLC tags.  The model tracks, per line, which cores hold an L1 copy;
-a write by one core invalidates the copies of all other cores
-(write-invalidate protocol).  Invalidations leave the tag behind in the
-victim L1 (status bits cleared, tag retained), which is exactly the
-state the paper's optional coherency-miss detector keys on: "if a miss
-occurs, but there is a hit in the tag array and the status is invalid,
-we can assume that this is most likely a coherency miss" (Section 4.5).
+The shared LLC is non-inclusive: the directory tracks L1 copies on its
+own, and an LLC eviction during the run leaves them in place.  Only the
+untimed warm-up (``Chip.warm_line``) drops the L1 copies of an LLC
+victim, through :meth:`CoherenceDirectory.drop_line`.  The model
+tracks, per line, which cores hold an L1 copy; a write by one core
+invalidates the copies of all other cores (write-invalidate protocol).
+Invalidations leave the tag behind in the victim L1 (status bits
+cleared, tag retained), which is exactly the state the paper's optional
+coherency-miss detector keys on: "if a miss occurs, but there is a hit
+in the tag array and the status is invalid, we can assume that this is
+most likely a coherency miss" (Section 4.5).
 
 The directory additionally tracks a per-word version and last-writer,
 which is the architectural "data value" surface the Tian et al. spin
@@ -77,7 +80,9 @@ class CoherenceDirectory:
         return victims
 
     def drop_line(self, line_addr: int) -> list[int]:
-        """LLC eviction of an inclusive line: all L1 copies must go."""
+        """Forget every L1 copy of ``line_addr`` and return the cores
+        that held one.  Only the untimed warm-up calls this, for an LLC
+        victim; during the run an LLC eviction leaves L1 copies alone."""
         sharers = self._sharers.pop(line_addr, None)
         victims = list(sharers) if sharers else []
         for core in victims:

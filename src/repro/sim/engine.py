@@ -522,8 +522,10 @@ class Simulation:
         Each address makes the same dict operations in the same order
         as the per-line loop, so the warmed state is identical down to
         set order and the sharer dict's insertion order: the LLC fill
-        without promote and the inclusive drop of its victim, the
+        without promote and the drop of its victim's L1 copies, the
         sampled ATD fill, the clean L1 fill, and the sharer updates.
+        A set is a plain ``dict`` in replacement order, so a promote
+        re-inserts the line and an eviction deletes the first key.
         The invalid-tag discards of the per-line path are left out:
         warm-up never stores, so those sets stay empty.
         """
@@ -561,7 +563,8 @@ class Simulation:
                 cache_set = llc_sets[set_index]
                 if line not in cache_set:
                     if len(cache_set) >= assoc:
-                        victim = cache_set.popitem(False)[0]
+                        victim = next(iter(cache_set))
+                        del cache_set[victim]
                         llc_evictions += 1
                         holders = sharers.pop(victim, None)
                         if holders:
@@ -574,19 +577,20 @@ class Simulation:
                     cache_set = atd_sets[cid][set_index]
                     if line in cache_set:
                         if atd_promote:
-                            cache_set.move_to_end(line)
+                            cache_set[line] = cache_set.pop(line)
                     else:
                         if len(cache_set) >= assoc:
-                            cache_set.popitem(False)
+                            del cache_set[next(iter(cache_set))]
                             atd_evictions[cid] += 1
                         cache_set[line] = False
                 # clean L1 fill, always to MRU; its victim loses this sharer
                 cache_set = l1_sets[cid][line & l1_mask]
                 if line in cache_set:
-                    cache_set.move_to_end(line)
+                    cache_set[line] = cache_set.pop(line)
                 else:
                     if len(cache_set) >= l1_assoc:
-                        victim = cache_set.popitem(False)[0]
+                        victim = next(iter(cache_set))
+                        del cache_set[victim]
                         l1_evictions[cid] += 1
                         holders = sharers.get(victim)
                         if holders is not None:

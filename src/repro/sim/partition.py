@@ -22,8 +22,6 @@ still shared for data); only *victim selection* is partition-aware:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.config import CacheConfig
 from repro.errors import ConfigError
 from repro.sim.address import CacheGeometry
@@ -51,9 +49,7 @@ class WayPartitionedCache:
         self.quotas = quotas
         self._set_mask = config.n_sets - 1
         #: per set: line -> dirty, in eviction order per insertion/use
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.n_sets)
-        ]
+        self._sets: list[dict[int, bool]] = [{} for _ in range(config.n_sets)]
         #: per set: line -> owning core
         self._owners: list[dict[int, int]] = [
             {} for _ in range(config.n_sets)
@@ -69,7 +65,7 @@ class WayPartitionedCache:
         cache_set = self._sets[line_addr & self._set_mask]
         if line_addr in cache_set:
             if update_lru:
-                cache_set.move_to_end(line_addr)
+                cache_set[line_addr] = cache_set.pop(line_addr)
             self.n_hits += 1
             return True
         self.n_misses += 1
@@ -137,8 +133,7 @@ class WayPartitionedCache:
         cache_set = self._sets[index]
         owners = self._owners[index]
         if line_addr in cache_set:
-            cache_set.move_to_end(line_addr)
-            cache_set[line_addr] = cache_set[line_addr] or dirty
+            cache_set[line_addr] = cache_set.pop(line_addr) or dirty
             owners[line_addr] = owner
             return None
 
@@ -171,7 +166,7 @@ class WayPartitionedCache:
         cache_set = self._sets[index]
         if line_addr in cache_set:
             if promote:
-                cache_set.move_to_end(line_addr)
+                cache_set[line_addr] = cache_set.pop(line_addr)
             return None
         owners = self._owners[index]
         victim = None

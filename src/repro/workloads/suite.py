@@ -234,7 +234,9 @@ def sweep_cells(
         specs = [by_name(name) for name in benchmarks]
     for n in thread_counts:
         if n < 1:
-            raise ValueError(f"thread count must be >= 1: {n}")
+            raise ConfigError(
+                f"thread_counts: must be >= 1: {n}", field="thread_counts"
+            )
     return [(spec, n) for spec in specs for n in thread_counts]
 
 

@@ -151,3 +151,154 @@ class TestProperties:
             victim = cache.fill(line)
             if victim is not None:
                 assert victim[0] % 4 == line % 4
+
+
+class _ModelTagStore:
+    """Reference tag store: per set, a list of lines in eviction order
+    (front evicts) and one dirty map over all lines."""
+
+    def __init__(self, n_sets: int, assoc: int, promote_on_hit: bool):
+        self.n_sets = n_sets
+        self.assoc = assoc
+        self.promote_on_hit = promote_on_hit
+        self.reset()
+
+    def reset(self):
+        self.sets = [[] for _ in range(self.n_sets)]
+        self.dirty = {}
+        self.n_hits = self.n_misses = self.n_evictions = 0
+
+    def _to_back(self, lines, line):
+        lines.remove(line)
+        lines.append(line)
+
+    def _insert(self, line, dirty):
+        lines = self.sets[line % self.n_sets]
+        victim = None
+        if len(lines) >= self.assoc:
+            evicted = lines.pop(0)
+            victim = (evicted, self.dirty.pop(evicted))
+            self.n_evictions += 1
+        lines.append(line)
+        self.dirty[line] = dirty
+        return victim
+
+    def lookup(self, line, update_lru):
+        lines = self.sets[line % self.n_sets]
+        if line in lines:
+            if update_lru and self.promote_on_hit:
+                self._to_back(lines, line)
+            self.n_hits += 1
+            return True
+        self.n_misses += 1
+        return False
+
+    def fill(self, line, dirty):
+        lines = self.sets[line % self.n_sets]
+        if line in lines:
+            # a refill moves the line to the back under every policy
+            # and never clears its dirty bit
+            self._to_back(lines, line)
+            self.dirty[line] = self.dirty[line] or dirty
+            return None
+        return self._insert(line, dirty)
+
+    def warm_fill(self, line, promote):
+        lines = self.sets[line % self.n_sets]
+        if line in lines:
+            if promote and self.promote_on_hit:
+                self._to_back(lines, line)
+            return None
+        return self._insert(line, False)
+
+    def invalidate(self, line):
+        lines = self.sets[line % self.n_sets]
+        if line in lines:
+            lines.remove(line)
+            del self.dirty[line]
+            return True
+        return False
+
+    def mark_dirty(self, line):
+        if line in self.sets[line % self.n_sets]:
+            self.dirty[line] = True
+
+
+def _dirty_bits(cache: SetAssocCache) -> dict[int, bool]:
+    return {
+        line: dirty
+        for _, lines, bits in cache.state_dict()["sets"]
+        for line, dirty in zip(lines, bits)
+    }
+
+
+#: ``(name, line, flag)`` operations; ``flag`` is ``update_lru``,
+#: ``dirty`` or ``promote``.  ``reset`` is listed once and the others
+#: twice, so sets fill up between resets.
+_OP_NAMES = (
+    "lookup", "fill", "warm_fill", "invalidate", "mark_dirty",
+    "lookup", "fill", "warm_fill", "invalidate", "mark_dirty", "reset",
+)
+
+
+def _ops(n_lines: int):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(_OP_NAMES),
+            st.integers(min_value=0, max_value=n_lines - 1),
+            st.booleans(),
+        ),
+        min_size=20, max_size=100,
+    )
+
+
+def _apply(target, op):
+    name, line, flag = op
+    if name == "lookup":
+        return target.lookup(line, update_lru=flag)
+    if name == "fill":
+        return target.fill(line, dirty=flag)
+    if name == "warm_fill":
+        return target.warm_fill(line, promote=flag)
+    if name == "reset":
+        return target.reset()
+    return getattr(target, name)(line)
+
+
+class TestAgainstModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(["lru", "fifo"]),
+        sparse=st.booleans(),
+        n_sets=st.sampled_from([1, 2, 4]),
+        assoc=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_random_operations_match_model(
+        self, policy, sparse, n_sets, assoc, data
+    ):
+        # one line more per set than it has ways: hits, promotes and
+        # evictions all stay likely
+        ops = data.draw(_ops(n_sets * (assoc + 1)), label="ops")
+        config = CacheConfig(
+            size_bytes=n_sets * assoc * 64, assoc=assoc, line_bytes=64,
+            replacement=policy,
+        )
+        cache = SetAssocCache(config, sparse=sparse)
+        model = _ModelTagStore(n_sets, assoc, promote_on_hit=policy == "lru")
+        restore_at = data.draw(
+            st.integers(0, len(ops) - 1), label="restore_at"
+        )
+        for step, op in enumerate(ops):
+            if step == restore_at:
+                # continue on a copy restored from the checkpoint state
+                copy = SetAssocCache(config, sparse=sparse)
+                copy.load_state_dict(cache.state_dict())
+                cache = copy
+            assert _apply(cache, op) == _apply(model, op), (step, op)
+            assert (cache.n_hits, cache.n_misses, cache.n_evictions) == (
+                model.n_hits, model.n_misses, model.n_evictions
+            ), (step, op)
+            for set_index in range(n_sets):
+                assert cache.lines_in_set(set_index) == model.sets[set_index]
+            assert _dirty_bits(cache) == model.dirty

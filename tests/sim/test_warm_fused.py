@@ -12,6 +12,8 @@ per-line loop.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,29 @@ def test_regions_warm_like_their_address_lists(name, loop):
     assert states[0] == states[1]
 
 
+#: first 16 hex digits of the sha256 of the warmed ``state_dict()`` in
+#: the checkpoint body encoding, at scale 0.3: (benchmark, cores,
+#: accounted, digest)
+PINNED_WARM_STATES = [
+    ("canneal_medium", 4, True, "bc441e9819b07328"),
+    ("fft", 2, True, "4a93beb63e532ba2"),
+    ("bfs", 4, False, "9a1f8f23a0234ddb"),
+]
+
+
+@pytest.mark.parametrize("name,n_cores,accounted,digest", PINNED_WARM_STATES)
+@pytest.mark.parametrize("loop", ["_warm_fused", "_warm_per_line"])
+def test_warmed_state_is_pinned(name, n_cores, accounted, digest, loop):
+    """The two loops agree with each other above; this pins what they
+    both leave, so a change to the set container under both still
+    writes byte-identical checkpoints."""
+    program = build_program(by_name(name), n_cores, scale=0.3)
+    sim = _sim(MachineConfig(n_cores=n_cores), program, accounted)
+    getattr(sim, loop)(program.warmup)
+    body = json.dumps(sim.state_dict(), separators=(",", ":"))
+    assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
+
+
 @st.composite
 def _tiny_cases(draw):
     n_cores = draw(st.integers(1, 3))
@@ -121,8 +146,8 @@ def test_random_address_lists_warm_identically(case):
 
 def test_tiny_machine_fires_every_eviction_path():
     """Both cores hold line 0 when core 0 pushes it out of its LLC set,
-    so the inclusive drop empties two L1s; core 0 then fills past its
-    L1 and ATD ways."""
+    so the warm-up drop of its L1 copies empties two L1s; core 0 then
+    fills past its L1 and ATD ways."""
     lines = [[0, 4, 8, 12, 1, 3, 5, 7, 9], [0, 2, 6, 10]]
     warmup = [[line * LINE for line in thread] for thread in lines]
     per_line, fused, sim = _warm_both(

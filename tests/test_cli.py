@@ -149,6 +149,16 @@ class TestSweep:
             main(["sweep", "--benchmarks", "choleski", "-n", "2"])
 
 
+def _python_m_repro(argv, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a child process, output captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--benchmarks", "nosuch"],
     ["stack", "nosuch"],
@@ -157,16 +167,43 @@ class TestSweep:
 def test_config_error_exits_2_with_one_line(argv):
     """``python -m repro`` turns a ConfigError into one ``error:`` line
     and exit code 2, never a traceback."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _python_m_repro(argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    *(
+        [command, "fft", "-n", "0"]
+        for command in ("stack", "trace", "timeline", "cpi", "regions",
+                        "sync", "session")
+    ),
+    ["sweep", "--benchmarks", "fft", "-n", "0"],
+    ["bench", "--benchmarks", "fft", "-n", "0"],
+    ["stack", "fft", "-n", "2", "--llc-mb", "3"],
+    ["stack", "fft", "--llc-mb", "0"],
+    ["stack", "fft", "--scale", "0"],
+    ["stack", "fft", "--scale", "-1"],
+    ["stack", "fft", "--scale", "nan"],
+    ["stack", "fft", "--scale", "inf"],
+    ["sweep", "--benchmarks", "fft", "--scale", "0"],
+    ["sweep", "--benchmarks", "fft", "-n", "abc"],
+    ["sweep", "--benchmarks", "fft", "-n", "2", "--jobs", "0"],
+    ["sweep", "--benchmarks", "fft", "-n", "2", "--jobs", "2",
+     "--chunk-cells", "0"],
+    ["run-trace", "missing.trace"],
+], ids=" ".join)
+def test_bad_numbers_exit_2_without_traceback(argv, tmp_path):
+    """A bad count, size or path is one error message and exit 2:
+    no traceback, and no simulation run on a value the config layer
+    would reject."""
+    proc = _python_m_repro(argv, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
+    assert proc.stdout == ""
 
 
 class TestTrace:

@@ -28,6 +28,8 @@ from repro.config import (
     machine_to_dict,
 )
 from repro.errors import ConfigError
+from repro.parallel import ChunkingPolicy
+from repro.workloads.suite import sweep_cells
 
 
 class TestCacheConfig:
@@ -150,6 +152,50 @@ class TestRunConfig:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             RunConfig(jobs=0)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: CacheConfig(size_bytes=100_000, assoc=4), "size_bytes"),
+    (lambda: CacheConfig(size_bytes=48 * 4 * 256, assoc=4, line_bytes=48),
+     "line_bytes"),
+    (lambda: CacheConfig(size_bytes=3 * 64 * KB, assoc=4), "size_bytes"),
+    (lambda: DramConfig(n_banks=6), "n_banks"),
+    (lambda: DramConfig(page_bytes=5000), "page_bytes"),
+    (lambda: AccountingConfig(atd_sample_period=0), "atd_sample_period"),
+    (lambda: MachineConfig(n_cores=0), "n_cores"),
+    (lambda: MachineConfig(
+        llc=CacheConfig(size_bytes=2 * MB, assoc=16, line_bytes=128),
+    ), "llc.line_bytes"),
+    (lambda: MachineConfig(n_cores=2, llc_quotas=(8,)), "llc_quotas"),
+    (lambda: MachineConfig(n_cores=2, llc_quotas=(16, 16)), "llc_quotas"),
+    (lambda: WorkloadConfig(thread_counts=()), "thread_counts"),
+    (lambda: WorkloadConfig(thread_counts=(0,)), "thread_counts"),
+    (lambda: WorkloadConfig(scale=0.0), "scale"),
+    (lambda: WorkloadConfig(scale=float("nan")), "scale"),
+    (lambda: WorkloadConfig(scale=float("inf")), "scale"),
+    (lambda: RunConfig(max_retries=-1), "max_retries"),
+    (lambda: RunConfig(backoff_s=-1), "backoff_s"),
+    (lambda: RunConfig(backoff_factor=0.5), "backoff_factor"),
+    (lambda: RunConfig(backoff_max_s=-1), "backoff_max_s"),
+    (lambda: RunConfig(jobs=0), "jobs"),
+    (lambda: RunConfig(checkpoint_every=0), "checkpoint_every"),
+    (lambda: sweep_cells(("fft",), (2, 0)), "thread_counts"),
+    (lambda: ChunkingPolicy(chunk_cells=0), "chunk_cells"),
+    (lambda: ChunkingPolicy(chunks_per_job=0), "chunks_per_job"),
+    (lambda: ChunkingPolicy(max_chunk_cells=0), "max_chunk_cells"),
+])
+def test_range_checks_raise_config_error_naming_the_field(build, field):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert exc.value.field == field
+    assert str(exc.value).startswith(f"{field}: ")
+
+
+def test_nested_range_check_names_the_full_path():
+    doc = {"machine": {"llc": {"size_bytes": 3 * MB, "assoc": 16}}}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(doc)
+    assert exc.value.field == "machine.llc.size_bytes"
 
 
 # ----------------------------------------------------------------------
