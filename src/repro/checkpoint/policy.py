@@ -52,6 +52,11 @@ class CheckpointPolicy:
 class CheckpointHook:
     """One run's checkpoint target: path + descriptor + policy."""
 
+    #: every save writes the simulation's state (a drain-only
+    #: :class:`~repro.robustness.drain.DrainableHook` writes none, so
+    #: the engine may still run ahead under it)
+    saves_state = True
+
     def __init__(
         self,
         path: str | Path,

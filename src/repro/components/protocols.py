@@ -149,7 +149,7 @@ class PagePolicy(Protocol):
 class Scheduler(Protocol):
     """The engine's core-pick policy.
 
-    Called once per engine step to choose which core acts next.  The
+    Called once per engine pick to choose which core acts next.  The
     conservative discrete-event invariant — shared state is only
     touched at a step's start time, steps execute in global start-time
     order — holds only for earliest-first selection, so alternative
@@ -163,6 +163,8 @@ class Scheduler(Protocol):
         """Return ``(core, avail_time, horizon)``: the core to step
         (``None`` when every core is idle with an empty queue — the
         deadlock signal), the time at which it can act, and the
-        earliest instant any *other* core could act (the engine's
-        fast-forward horizon)."""
+        earliest instant any *other* core could act.  That horizon
+        bounds the engine's fast-forward: the picked core runs any op
+        that starts before it, and past it only ops on its own state
+        (run-ahead), holding the next shared op for its next pick."""
         ...

@@ -1,10 +1,11 @@
 """Engine core-pick schedulers (extracted from ``sim.engine``).
 
 The scheduler decides which core the conservative discrete-event loop
-steps next.  It is consulted once per step, returns the chosen core,
+steps next.  It is consulted once per pick, returns the chosen core,
 the time at which that core can act, and the *horizon* — the earliest
-instant any other core could act — which bounds the engine's
-instruction-block fast-forward.
+instant any other core could act — up to which the engine's
+instruction-block fast-forward runs any op, and past which it runs
+only ops on the core's own state.
 """
 
 from __future__ import annotations

@@ -140,6 +140,7 @@ def run_multiprogram(
             )
         )
         warmups.append(program.warmup[0] if program.warmup else [])
+    # No private declaration: every program uses thread 0's base.
     co_program = Program(
         "multiprogram", bodies, warmup=warmups
     )

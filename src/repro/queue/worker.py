@@ -94,6 +94,10 @@ class _KillAfterSaveHook:
     def last_header(self):
         return self.inner.last_header
 
+    @property
+    def saves_state(self) -> bool:
+        return self.inner.saves_state
+
     def due(self, now: int) -> bool:
         return self.inner.due(now)
 

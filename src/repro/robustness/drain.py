@@ -166,6 +166,12 @@ class DrainableHook:
     def last_header(self):
         return self.inner.last_header if self.inner is not None else None
 
+    @property
+    def saves_state(self) -> bool:
+        """Without an inner hook a drain stops the run and writes no
+        state, so the run it polls is free to run ahead."""
+        return self.inner is not None and self.inner.saves_state
+
     # engine-facing protocol -------------------------------------------
 
     def due(self, now: int) -> bool:

@@ -166,7 +166,11 @@ def _rebuild(
     transform: Callable,
     spin_threshold_override: int | None = None,
 ) -> Program:
-    """New program with per-thread bodies passed through ``transform``."""
+    """New program with per-thread bodies passed through ``transform``.
+
+    It declares no ``private`` ranges: the transforms draw from one RNG
+    shared by all threads, so each thread's ops depend on the order in
+    which the engine pulls them, which only the per-step order keeps."""
     bodies = [
         transform(body, tid)
         for tid, body in enumerate(program.thread_bodies)

@@ -8,6 +8,15 @@ state — the memory hierarchy, lock/barrier state, run queues — is only
 touched at a step's start time, and steps execute in global start-time
 order, the simulation is causally consistent and fully deterministic.
 
+Past that horizon a core may *run ahead*: it keeps executing ops that
+touch only its own state (``Compute`` ops, and loads that hit its L1 on
+a line its thread declared private in :attr:`Program.private`) and
+holds its first other op until its next pick, where that op runs in
+the usual (start time, core id) order.  Core-local ops commute with
+every other core's ops, so the simulated run is unchanged; the engine
+just makes one scheduling decision per shared op instead of one per
+op.  :meth:`Simulation.run` lists when it runs ahead.
+
 The engine also embodies the OS model: per-core run queues, round-robin
 thread placement, timeslice preemption, and futex-style block/wakeup
 used by the spin-then-yield synchronization library.  Yield intervals
@@ -19,6 +28,7 @@ system do it.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -30,6 +40,7 @@ from repro.components.replacement import FifoPolicy, LruPolicy
 from repro.config import MachineConfig
 from repro.errors import (
     CheckpointError,
+    ConfigError,
     DeadlockError,
     LivelockError,
     SimulationError,
@@ -79,6 +90,10 @@ _INFINITY = float("inf")
 #: during checkpoint-restore op replay
 _EXHAUSTED = object()
 
+#: a core's ``held`` slot when it holds no op (a held None is the end
+#: of its thread's stream)
+_NOTHING = object()
+
 logger = logging.getLogger(__name__)
 
 #: steps between watchdog progress checks (cheap: amortized O(1/step))
@@ -92,7 +107,7 @@ _FRONT_EVICTING = (LruPolicy, FifoPolicy)
 class _CoreRuntime:
     """Per-core scheduling state."""
 
-    __slots__ = ("core_id", "now", "current", "queue", "busy_cycles")
+    __slots__ = ("core_id", "now", "current", "queue", "busy_cycles", "held")
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
@@ -100,6 +115,9 @@ class _CoreRuntime:
         self.current: SoftwareThread | None = None
         self.queue: deque[SoftwareThread] = deque()
         self.busy_cycles = 0
+        #: the op a run-ahead block pulled but may not run past the
+        #: horizon; it starts at ``now`` and runs at the core's next pick
+        self.held = _NOTHING
 
 
 @dataclass
@@ -184,9 +202,10 @@ class Simulation:
         #: ``is not None`` and sits on scheduling-frequency paths only,
         #: so the disabled run pays nothing on the per-op hot loop
         self.bus = bus
-        #: instruction-block fast-forward through quiescent regions; off
-        #: switches back to the one-op-per-iteration reference loop (the
-        #: two must produce identical results — see tests/parallel/)
+        #: instruction-block fast-forward to the horizon, and run-ahead
+        #: past it when run() allows; off keeps the one-op-per-pick
+        #: reference loop for tests, which must give identical results
+        #: (see tests/parallel/test_property_fastpaths.py)
         self.fast_forward = fast_forward
         self.chip = Chip(machine, accountant, bus=bus)
         self.sync = SyncManager(
@@ -204,6 +223,23 @@ class Simulation:
             core.queue.append(thread)
         self._n_finished = 0
         self._ff_limit = _INFINITY
+        #: per thread, the (start, stop) of its declared private range;
+        #: None when the program declares none
+        self._private = self._private_spans(machine, program)
+        #: the declared ranges as (start, stop, tid), sorted by start
+        self._guard_spans = sorted(
+            (start, stop, tid)
+            for tid, (start, stop) in enumerate(self._private or ())
+            if start < stop
+        )
+        self._guard_starts = [span[0] for span in self._guard_spans]
+        #: set by run(): whether cores run ahead, and whether in-order
+        #: loads and stores then go through :meth:`_check_access` (a
+        #: flag, not a bound method: that would make the simulation a
+        #: reference cycle, freed only by the cyclic collector; and only
+        #: with two threads, as a thread cannot break its own declaration)
+        self._run_ahead = False
+        self._guarded = False
         # Watchdog progress state lives on the instance (not as run()
         # locals) so a checkpoint restored mid-run resumes the stride
         # and livelock bookkeeping byte-identically.
@@ -280,6 +316,19 @@ class Simulation:
         contract is "pause at the first loop-top boundary at or after
         this cycle", not an exact cut.
         When both fire, the ``max_cycles`` watchdog wins over a pause.
+
+        Cores run ahead of the horizon (see :meth:`_fast_forward_block`)
+        only when nothing can observe the global interleaving of ops:
+        the program declares :attr:`Program.private`, which also makes
+        its op streams independent of one another; there are no more
+        threads than cores, so nothing preempts a running thread; no
+        ``max_cycles``, ``livelock_window``, ``pause_at`` or checkpoint
+        hook that saves state, which act at step boundaries (a
+        drain-only hook saves nothing: a drain discards the run); no
+        event bus, trace recorder or barrier observer, which see events
+        in global order; and no accountant but the per-core
+        :class:`CycleAccountant`.
+        Any other run takes the same loop without running ahead.
         """
         if on_timeout not in ("raise", "truncate"):
             raise ValueError(f"on_timeout must be raise|truncate: {on_timeout!r}")
@@ -290,6 +339,12 @@ class Simulation:
             self._last_progress = self._progress_metric()
         n_threads = len(self.threads)
         fast_forward = self.fast_forward
+        self._run_ahead = fast_forward and self._can_run_ahead(
+            max_cycles, livelock_window, checkpoint, pause_at
+        )
+        self._guarded = (
+            self._run_ahead and bool(self._guard_spans) and n_threads > 1
+        )
         if self.bus is not None and not self._sim_started:
             self.bus.emit(SimStarted(n_threads, self.machine.n_cores))
         self._sim_started = True
@@ -355,6 +410,57 @@ class Simulation:
             sync=self.sync,
             total_cycles=total,
         )
+
+    def _can_run_ahead(
+        self, max_cycles, livelock_window, checkpoint, pause_at
+    ) -> bool:
+        """The run-ahead conditions listed in :meth:`run`."""
+        accountant = self.accountant
+        return (
+            self._private is not None
+            and len(self.threads) <= self.machine.n_cores
+            and max_cycles is None
+            and livelock_window is None
+            and (checkpoint is None or not checkpoint.saves_state)
+            and pause_at is None
+            and self.bus is None
+            and self.trace is None
+            and self.barrier_observer is None
+            and (not accountant.enabled
+                 or type(accountant) is CycleAccountant)
+        )
+
+    def _private_spans(
+        self, machine: MachineConfig, program: Program
+    ) -> list[tuple[int, int]] | None:
+        """Each thread's declared private range as ``(start, stop)``,
+        checked to cover whole lines of this machine's L1 (the
+        coherence unit), or None when the program declares none."""
+        private = getattr(program, "private", None)
+        if private is None:
+            return None
+        line = machine.l1d.line_bytes
+        for tid, region in enumerate(private):
+            if region and (region.start % line or region.stop % line):
+                raise ConfigError(
+                    f"private[{tid}] [0x{region.start:x}, "
+                    f"0x{region.stop:x}) is not aligned to this machine's "
+                    f"{line}-byte lines", field="private",
+                )
+        return [(region.start, region.stop) for region in private]
+
+    def _check_access(self, thread: SoftwareThread, addr: int) -> None:
+        """The run-ahead guard: an in-order load or store by ``thread``
+        must not touch a line another thread declared private."""
+        index = bisect_right(self._guard_starts, addr) - 1
+        if index < 0:
+            return
+        _, stop, owner = self._guard_spans[index]
+        if addr < stop and owner != thread.tid:
+            raise self._error(SimulationError(
+                f"thread {thread.tid} accessed 0x{addr:x}, which thread "
+                f"{owner} declared private"
+            ))
 
     def _progress_metric(self) -> tuple[int, int]:
         """Forward progress: finishes plus non-spin instructions retired.
@@ -690,13 +796,16 @@ class Simulation:
         """Execute a block of ops on ``core`` without returning to the
         global scheduling loop, and return the updated step count.
 
-        This is purely an optimization: an op is executed here only when
-        the serial reference loop would inevitably execute exactly that
-        op next.  The preconditions guarantee it:
+        This is purely an optimization: the block executes exactly the
+        ops the per-op reference loop would, with the same effects.  Up
+        to the horizon ``self._ff_limit`` it runs any op, because the
+        preconditions make each one the op the reference loop would
+        execute next:
 
         * ``core`` is *strictly* the earliest-available core (it stays
-          that way while its clock is below ``limit``, since plain
-          compute/memory ops never change another core's availability);
+          that way while its clock is below the horizon, since plain
+          compute/memory ops never change another core's availability,
+          and :meth:`_wake` lowers the horizon to a woken core's);
         * its thread is running and not spinning, and the local run
           queue is empty — so there is no dispatch, preemption, or spin
           state machine to consult between ops;
@@ -705,48 +814,92 @@ class Simulation:
           watchdog progress checks fire on exactly the same step index
           and engine state as in the reference loop;
         * any synchronization op is executed through the same handler
-          the reference loop uses, and then ends the block (sync can
-          wake threads, invalidating the cached ``limit``).
+          the reference loop uses, and then ends the block.
+
+        Past the horizon, on a run-ahead run (see :meth:`run`), it runs
+        only ops that touch nothing but this core's and its thread's
+        own state: ``Compute`` ops, and loads that hit the core's L1 on
+        a line of the thread's private range.  No other thread touches
+        that line, so no other core's op can change the hit, and the
+        load reads and updates only this core's L1 set, counters, miss
+        window and spin detector.  These ops commute with every other
+        core's ops.  The first op that is not core-local (a store, any
+        other load, a sync op, or the end of the stream) is held in
+        ``core.held``; the core's clock then reads that op's start
+        time, and the op runs at the core's next pick, in the reference
+        loop's (start time, core id) order.
 
         Differential and property tests assert that a run with
-        ``fast_forward`` off is identical, component for component.
+        ``fast_forward`` off is identical down to its ``state_dict()``.
         """
         limit = self._ff_limit
         thread = core.current
-        if (core.now >= limit or thread is None or thread.spin is not None
-                or core.queue):
+        if thread is None or thread.spin is not None or core.queue:
+            return steps
+        run_ahead = self._run_ahead
+        if core.now >= limit and not run_ahead:
             return steps
         chip = self.chip
         stats = chip.stats[core.core_id]
         cid = core.core_id
         width = self._width
         body = thread.body
+        guarded = self._guarded
+        if run_ahead:
+            start, stop = self._private[thread.tid]
+            l1 = chip.l1d[cid]
+            l1_sets = l1._sets
+            l1_mask = l1._set_mask
+            shift = chip._l1_line_shift
+        else:
+            start = stop = 0
         block_start = core.now
-        while core.now < limit:
-            if max_cycles is not None and core.now > max_cycles:
-                break
-            if (livelock_window is not None
-                    and (steps + 1) % _WATCHDOG_STRIDE == 0):
-                break
-            op = next(body, None)
-            steps += 1
-            if op is None:
-                self._finish_thread(core, thread)
-                break
-            thread.ops_taken += 1
-            tag = op.TAG
+        while True:
             now = core.now
+            if now < limit:
+                if max_cycles is not None and now > max_cycles:
+                    break
+                if (livelock_window is not None
+                        and (steps + 1) % _WATCHDOG_STRIDE == 0):
+                    break
+                op = next(body, None)
+                if op is None:
+                    steps += 1
+                    self._finish_thread(core, thread)
+                    break
+                tag = op.TAG
+            elif run_ahead:
+                # past the horizon only core-local ops run; hold the next
+                op = next(body, None)
+                if op is None:
+                    core.held = None  # the next pick finishes the thread
+                    break
+                tag = op.TAG
+                if tag != TAG_COMPUTE and not (
+                        tag == TAG_LOAD and start <= op.addr < stop
+                        and (line := op.addr >> shift)
+                        in l1_sets[line & l1_mask]):
+                    core.held = op
+                    break
+            else:
+                break
+            steps += 1
+            thread.ops_taken += 1
             if tag == TAG_COMPUTE:
                 n = op.n
                 thread.instrs += n
                 core.now = now + (-(-n // width)) + chip.compute(cid, n, now)
             elif tag == TAG_LOAD:
+                if guarded and not start <= op.addr < stop:
+                    self._check_access(thread, op.addr)
                 thread.instrs += 1
                 core.now = now + 1 + chip.load(
                     cid, op.addr, op.pc, now,
                     overlappable=op.overlappable, dependent=op.dependent,
                 )
             elif tag == TAG_STORE:
+                if guarded and not start <= op.addr < stop:
+                    self._check_access(thread, op.addr)
                 thread.instrs += 1
                 core.now = now + 1 + chip.store(cid, op.addr, op.pc, now)
             else:
@@ -795,7 +948,11 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _execute_next_op(self, core: _CoreRuntime, thread: SoftwareThread) -> None:
-        op = next(thread.body, None)
+        op = core.held
+        if op is _NOTHING:
+            op = next(thread.body, None)
+        else:
+            core.held = _NOTHING
         if op is None:
             self._finish_thread(core, thread)
             return
@@ -809,6 +966,8 @@ class Simulation:
             thread.instrs += n
             core.now = now + (-(-n // self._width)) + chip.compute(cid, n, now)
         elif tag == TAG_LOAD:
+            if self._guarded:
+                self._check_access(thread, op.addr)
             thread.instrs += 1
             stall = chip.load(
                 cid, op.addr, op.pc, now,
@@ -816,6 +975,8 @@ class Simulation:
             )
             core.now = now + 1 + stall
         elif tag == TAG_STORE:
+            if self._guarded:
+                self._check_access(thread, op.addr)
             thread.instrs += 1
             core.now = now + 1 + chip.store(cid, op.addr, op.pc, now)
         else:
@@ -1083,7 +1244,13 @@ class Simulation:
     def _wake(self, thread: SoftwareThread, now: int) -> None:
         thread.state = READY
         thread.ready_time = now + self.machine.sched.wakeup_latency_cycles
-        self.cores[thread.core_id].queue.append(thread)
+        core = self.cores[thread.core_id]
+        core.queue.append(thread)
+        # The woken core may now act before the horizon picked for the
+        # waker: the waker's fast-forward block must stop there.
+        available = max(thread.ready_time, core.now)
+        if available < self._ff_limit:
+            self._ff_limit = available
 
     # ------------------------------------------------------------------
     # checkpointing (Snapshotable)

@@ -17,6 +17,9 @@ from collections.abc import Sequence
 from itertools import chain
 from typing import Callable, Iterator, overload
 
+from repro.errors import ConfigError
+from repro.sync.primitives import SYNC_REGION_BASE
+
 # Op tags (engine dispatch).
 TAG_COMPUTE = 0
 TAG_LOAD = 1
@@ -223,6 +226,20 @@ class Program:
     measurement starts, so results reflect the steady state of the
     parallel fraction (the paper measures after the sequential
     initialization has run).
+
+    ``private`` optionally declares, per thread, one byte-address
+    ``range`` that no *other* thread's ops load or store (an empty
+    range declares nothing).  A declaration also promises that each
+    thread body draws its ops from that thread's own state only, so
+    pulling an op earlier cannot change it; bodies that share Python
+    state, like the pipeline's queue counter, must declare nothing.
+    With it, the engine lets a core run ``Compute`` ops, and loads that
+    hit its L1 on its declared lines, ahead of the other cores (see
+    :meth:`~repro.sim.engine.Simulation.run`).  Ranges must not overlap
+    and must end below the sync region; the engine also requires them
+    to be line-aligned for its machine, and raises
+    :class:`~repro.errors.SimulationError` on a run-ahead run when
+    another thread loads or stores a declared line.
     """
 
     def __init__(
@@ -232,11 +249,14 @@ class Program:
         warmup: list[Sequence[int]] | None = None,
         lock_fifo_handoff: bool = False,
         spin_threshold_override: int | None = None,
+        private: list[range] | None = None,
     ) -> None:
         if not thread_bodies:
             raise ValueError("a program needs at least one thread")
         if warmup is not None and len(warmup) != len(thread_bodies):
             raise ValueError("warmup must have one address list per thread")
+        if private is not None:
+            _check_private(private, len(thread_bodies))
         self.name = name
         self.thread_bodies = thread_bodies
         self.warmup = warmup
@@ -244,6 +264,7 @@ class Program:
         #: override of the sync library's spin budget (SPLASH-2-style
         #: spinlocks spin much longer before yielding than pthreads)
         self.spin_threshold_override = spin_threshold_override
+        self.private = private
 
     @property
     def n_threads(self) -> int:
@@ -255,3 +276,40 @@ class Program:
     ) -> "Program":
         """Build a program by calling ``factory(thread_id)`` per thread."""
         return cls(name, [factory(tid) for tid in range(n_threads)])
+
+
+def _check_private(private: list[range], n_threads: int) -> None:
+    """Reject a ``private`` declaration the engine could not trust:
+    not one step-1 ``range`` per thread, overlapping between threads,
+    or reaching the sync region."""
+    if len(private) != n_threads:
+        raise ConfigError(
+            f"private must have one range per thread: {len(private)} "
+            f"for {n_threads} threads", field="private",
+        )
+    for tid, region in enumerate(private):
+        if not isinstance(region, range) or region.step != 1:
+            raise ConfigError(
+                f"private[{tid}] must be a step-1 range of byte "
+                f"addresses, not {region!r}", field="private",
+            )
+        if region and (region.start < 0 or region.stop > SYNC_REGION_BASE):
+            raise ConfigError(
+                f"private[{tid}] {_hex_range(region)} must lie in "
+                f"[0, 0x{SYNC_REGION_BASE:x}), below the sync region",
+                field="private",
+            )
+    declared = sorted(
+        (region.start, tid) for tid, region in enumerate(private) if region
+    )
+    for (_, before), (start, after) in zip(declared, declared[1:]):
+        if private[before].stop > start:
+            raise ConfigError(
+                f"private ranges of threads {before} and {after} overlap: "
+                f"{_hex_range(private[before])} and "
+                f"{_hex_range(private[after])}", field="private",
+            )
+
+
+def _hex_range(region: range) -> str:
+    return f"[0x{region.start:x}, 0x{region.stop:x})"

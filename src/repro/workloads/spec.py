@@ -35,6 +35,9 @@ from repro.workloads.program import (
     Store,
 )
 
+#: offset of a thread's cold region from its private base
+COLD_OFFSET = 0x100_0000
+
 #: Synthetic PC used by workload (non-synchronization) memory accesses.
 PC_WORK_LOAD = 0x2000
 PC_WORK_STORE = 0x2004
@@ -161,7 +164,22 @@ def build_program(
         scaled.full_name, bodies, warmup=warmup,
         lock_fifo_handoff=scaled.lock_fifo,
         spin_threshold_override=scaled.spin_threshold,
+        private=_private_ranges(scaled, n_threads),
     )
+
+
+def _private_ranges(spec: BenchmarkSpec, n_threads: int) -> list[range] | None:
+    """Each thread's private working set as one byte range: the lines
+    only that thread's private stream loads and stores.  None when a
+    working set reaches past the next thread's base, where the layout
+    no longer keeps the threads' regions apart."""
+    size = spec.private_ws_kb * 1024
+    if max(size, COLD_OFFSET + spec.cold_ws_kb * 1024) > g.PRIVATE_STRIDE:
+        return None
+    return [
+        range(g.private_base(tid), g.private_base(tid) + size)
+        for tid in range(n_threads)
+    ]
 
 
 def _warmup_addrs(spec: BenchmarkSpec, tid: int) -> AddressRegions:
@@ -173,7 +191,7 @@ def _warmup_addrs(spec: BenchmarkSpec, tid: int) -> AddressRegions:
     """
     regions = []
     if spec.cold_fraction > 0:
-        cold_base = g.private_base(tid) + 0x100_0000
+        cold_base = g.private_base(tid) + COLD_OFFSET
         regions.append(
             range(cold_base, cold_base + spec.cold_ws_kb * 1024, g.LINE)
         )
@@ -239,7 +257,7 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
     cold = None
     if spec.cold_ws_kb > 0 and spec.cold_fraction > 0:
         cold = g.AddressStream(
-            g.private_base(tid) + 0x100_0000,
+            g.private_base(tid) + COLD_OFFSET,
             spec.cold_ws_kb * 1024,
             rng,
             stride_fraction=spec.cold_stride_fraction,

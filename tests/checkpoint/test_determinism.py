@@ -5,7 +5,10 @@ For any checkpoint cycle C: *run-to-completion* and *save-at-C → load
 speedup stacks, and identical scalar metrics — for every replacement
 policy, DRAM page policy and spin detector, and with an injected
 fault replayed on resume.  An armed checkpoint hook must also never
-perturb the run it observes.
+perturb the run it observes.  The clean run is unarmed (no watchdog, no
+hook), so it runs core-local ops ahead of the horizon while the
+observed and resumed runs keep to the per-step order: every comparison
+is also one across the two engine paths.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ def _machine(replacement="lru", page_policy="open", spin_detector="tian"):
     )
 
 
-def _run(machine, hook=None, fault_kind=None, fault_seed=0):
-    """One accounted run of the keystone cell; returns (sim, result)."""
+def _run(machine, hook=None, fault_kind=None, fault_seed=0, armed=True):
+    """One accounted run of the keystone cell; returns (sim, result).
+    ``armed=False`` runs with no watchdog (the one-shot clean run)."""
     spec = by_name(BENCH)
     program = build_program(spec, N, scale=SCALE)
     if fault_kind is not None:
@@ -67,6 +71,8 @@ def _run(machine, hook=None, fault_kind=None, fault_seed=0):
             program, machine
         )
     sim = Simulation(machine, program, CycleAccountant(machine))
+    if not armed:
+        return sim, sim.run(checkpoint=hook)
     result = sim.run(
         max_cycles=MAX_CYCLES, on_timeout="truncate", checkpoint=hook,
     )
@@ -96,7 +102,7 @@ def test_keystone_across_policies(
     tmp_path, replacement, page_policy, spin_detector
 ):
     machine = _machine(replacement, page_policy, spin_detector)
-    clean_sim, clean_result = _run(machine)
+    clean_sim, clean_result = _run(machine, armed=False)
     clean_state = canon(clean_sim.state_dict())
 
     descriptor = cell_descriptor(
@@ -130,6 +136,17 @@ def test_keystone_across_policies(
         clean_sim, clean_result
     )
 
+    # continued with no watchdog, the restored run runs ahead from the
+    # checkpoint and lands on the same state
+    unarmed_sim, _header = resume_simulation(
+        hook.path, expected_descriptor=descriptor
+    )
+    unarmed_result = unarmed_sim.run()
+    assert canon(unarmed_sim.state_dict()) == clean_state
+    assert _stack_text(unarmed_sim, unarmed_result) == _stack_text(
+        clean_sim, clean_result
+    )
+
 
 def test_keystone_under_injected_fault(tmp_path):
     """A mem-spike fault (machine transform, seeded) is recorded in the
@@ -137,7 +154,9 @@ def test_keystone_under_injected_fault(tmp_path):
     same degraded experiment."""
     kind, seed = "mem-spike", 11
     machine = _machine()
-    clean_sim, clean_result = _run(machine, fault_kind=kind, fault_seed=seed)
+    clean_sim, clean_result = _run(
+        machine, fault_kind=kind, fault_seed=seed, armed=False,
+    )
     clean_state = canon(clean_sim.state_dict())
 
     descriptor = cell_descriptor(
@@ -169,7 +188,7 @@ def test_every_interval_checkpoint_resumes_to_same_end(tmp_path):
     """Not just the last save: *each* periodic checkpoint along the run
     is a valid resume point converging on the same final state."""
     machine = _machine()
-    clean_sim, clean_result = _run(machine)
+    clean_sim, clean_result = _run(machine, armed=False)
     clean_state = canon(clean_sim.state_dict())
 
     descriptor = cell_descriptor(
@@ -194,12 +213,13 @@ def test_every_interval_checkpoint_resumes_to_same_end(tmp_path):
     _run(machine, hook=hook)
     assert len(saved_paths) >= 2
 
+    # each checkpoint is resumed both armed and unarmed (run-ahead)
     for path in saved_paths:
-        resumed_sim, _ = resume_simulation(
-            path, expected_descriptor=descriptor
-        )
-        result = resumed_sim.run(
-            max_cycles=MAX_CYCLES, on_timeout="truncate"
-        )
-        assert canon(resumed_sim.state_dict()) == clean_state, path
-        assert result.total_cycles == clean_result.total_cycles
+        for watchdog in ({"max_cycles": MAX_CYCLES, "on_timeout": "truncate"},
+                         {}):
+            resumed_sim, _ = resume_simulation(
+                path, expected_descriptor=descriptor
+            )
+            result = resumed_sim.run(**watchdog)
+            assert canon(resumed_sim.state_dict()) == clean_state, path
+            assert result.total_cycles == clean_result.total_cycles

@@ -7,7 +7,10 @@ The keystone guarantee of the ISSUE-10 refactor —
 — holds for *arbitrary* partitions, including a snapshot/restore onto a
 fresh session mid-run.  Hypothesis drives the partition; the comparison
 is the canonical JSON of the full engine state tree plus the accounting
-report, so a single diverging counter anywhere fails.
+report, so a single diverging counter anywhere fails.  The expected
+side is an unarmed one-shot run, which runs core-local ops ahead of the
+horizon, while the stepped side pauses (and arms ``max_cycles``), which
+keeps to the per-step order: the two engine paths must agree.
 """
 
 from __future__ import annotations
@@ -32,15 +35,16 @@ def canon(state: dict) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
-def _one_shot() -> Session:
-    return Session.from_config(
-        BENCH, N_THREADS, scale=SCALE, max_cycles=MAX_CYCLES,
-    ).run()
-
-
 @pytest.fixture(scope="module")
 def one_shot():
-    session = _one_shot()
+    """The unarmed one-shot run, and a check that arming the watchdog
+    does not change it."""
+    session = Session.from_config(BENCH, N_THREADS, scale=SCALE).run()
+    armed = Session.from_config(
+        BENCH, N_THREADS, scale=SCALE, max_cycles=MAX_CYCLES,
+    ).run()
+    assert canon(armed.snapshot()) == canon(session.snapshot())
+    assert armed.stack() == session.stack()
     return canon(session.snapshot()), session.stack()
 
 
@@ -51,11 +55,16 @@ def one_shot():
 @given(
     steps=st.lists(st.integers(500, 50_000), min_size=1, max_size=6),
     restore_at=st.integers(0, 5),
+    armed=st.booleans(),
 )
-def test_any_partition_matches_one_shot(one_shot, steps, restore_at):
+def test_any_partition_matches_one_shot(one_shot, steps, restore_at, armed):
+    """Stepped (and restored) sessions end where the one-shot run does,
+    whether the final ``run()`` keeps the watchdog armed or runs
+    ahead from the last pause."""
     expected_state, expected_stack = one_shot
+    max_cycles = MAX_CYCLES if armed else None
     session = Session.from_config(
-        BENCH, N_THREADS, scale=SCALE, max_cycles=MAX_CYCLES,
+        BENCH, N_THREADS, scale=SCALE, max_cycles=max_cycles,
     )
     for i, n_cycles in enumerate(steps):
         if i == restore_at % len(steps):
@@ -63,7 +72,7 @@ def test_any_partition_matches_one_shot(one_shot, steps, restore_at):
             # invisible
             state = session.snapshot()
             session = Session.from_config(
-                BENCH, N_THREADS, scale=SCALE, max_cycles=MAX_CYCLES,
+                BENCH, N_THREADS, scale=SCALE, max_cycles=max_cycles,
             ).load(state)
         session.step(n_cycles)
     session.run()
