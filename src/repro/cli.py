@@ -15,7 +15,7 @@ Commands:
 * ``trace``     — Chrome/Perfetto trace of one cell (observability bus)
 * ``sweep``     — hardened suite sweep (journal, retries, fault injection)
 * ``worker``    — one durable-work-queue worker (``sweep --backend queue``)
-* ``bench``     — time the sweep serial vs ``--jobs N`` (BENCH_sweep.json)
+* ``bench``     — the overhead and ``--jobs`` speedup gates CI runs
 * ``report``    — self-contained HTML health report of a sweep
 * ``inspect``   — partial speedup stack of an engine checkpoint file
 
@@ -75,7 +75,12 @@ from repro.errors import (
     ReproError,
     TraceParseError,
 )
-from repro.experiments.bench import render_bench, run_bench, write_bench
+from repro.experiments.bench import (
+    gate_verdicts,
+    render_bench,
+    run_bench,
+    write_bench,
+)
 from repro.experiments.runner import (
     BatchRunner,
     ON_ERROR_MODES,
@@ -123,17 +128,28 @@ from repro.workloads.tracefile import load_trace
 logger = logging.getLogger(__name__)
 
 
-def _positive_int(text: str) -> int:
-    """``type=`` for ``-n``/``--threads`` and ``--jobs``: an integer >= 1."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer, got {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {minimum}, got {value}"
+        )
     return value
+
+
+def _positive_int(text: str) -> int:
+    """``type=`` for counts, sizes and cycle budgets: an integer >= 1."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """``type=`` for ``--retries``: an integer >= 0."""
+    return _int_at_least(text, 0)
 
 
 def _positive_ints(text: str) -> tuple[int, ...]:
@@ -141,19 +157,39 @@ def _positive_ints(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(part) for part in text.split(","))
 
 
-def _positive_float(text: str) -> float:
-    """``type=`` for ``--scale`` and ``--llc-mb``: finite and > 0."""
+def _finite_float(text: str, positive: bool) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number, got {text!r}"
         ) from None
-    if not (math.isfinite(value) and value > 0):
+    if not math.isfinite(value) or value < 0 or positive and value == 0:
         raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text}"
+            f"must be a finite number {'> 0' if positive else '>= 0'}, "
+            f"got {text}"
         )
     return value
+
+
+def _positive_float(text: str) -> float:
+    """``type=`` for ``--scale`` and ``--llc-mb``: finite and > 0."""
+    return _finite_float(text, positive=True)
+
+
+def _non_negative_float(text: str) -> float:
+    """``type=`` for backoffs and overhead budgets: finite and >= 0."""
+    return _finite_float(text, positive=False)
+
+
+def _speedup_gate(text: str) -> tuple[int, float]:
+    """``type=`` for ``--min-warm-speedup JOBS:FACTOR``."""
+    jobs, colon, factor = text.partition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError(
+            f"expected JOBS:FACTOR, got {text!r}"
+        )
+    return _positive_int(jobs), _positive_float(factor)
 
 
 def _machine(args) -> MachineConfig:
@@ -745,10 +781,7 @@ def cmd_worker(args) -> int:
 
 def cmd_bench(args) -> int:
     experiment = _load_experiment(args)
-    if args.jobs_list:
-        jobs_list = tuple(int(j) for j in args.jobs_list.split(","))
-    else:
-        jobs_list = (1, os.cpu_count() or 1)
+    cpu_count = os.cpu_count() or 1
     # bench keeps its own (smaller) fallback defaults when neither the
     # flag nor a config file specifies the value
     benchmarks = (
@@ -778,7 +811,7 @@ def cmd_bench(args) -> int:
         benchmarks=benchmarks,
         thread_counts=thread_counts,
         scale=scale,
-        jobs_list=jobs_list,
+        jobs_list=args.jobs_list or (1, cpu_count),
         repeats=args.repeats,
         max_cycles=max_cycles,
         profile=profile,
@@ -796,7 +829,18 @@ def cmd_bench(args) -> int:
     if args.out:
         write_bench(doc, args.out)
         print(f"written to {args.out}")
-    return 0
+    failures, notes = gate_verdicts(
+        doc,
+        max_observability_overhead=args.max_observability_overhead,
+        max_checkpoint_overhead=args.max_checkpoint_overhead,
+        min_warm_speedup=args.min_warm_speedup,
+        cpu_count=cpu_count,
+    )
+    for note in notes:
+        print(note)
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_report(args) -> int:
@@ -902,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, configurable=True)
     p.add_argument("--checkpoint", metavar="PATH", default=None,
                    help="save engine checkpoints to this file")
-    p.add_argument("--checkpoint-every", type=int, default=None,
+    p.add_argument("--checkpoint-every", type=_positive_int, default=None,
                    metavar="CYCLES",
                    help="periodic save interval in simulated cycles")
     p.add_argument("--resume-from", metavar="CKPT", default=None,
@@ -924,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timeline", help="scheduling timeline")
     common(p)
-    p.add_argument("--width", type=int, default=72)
+    p.add_argument("--width", type=_positive_int, default=72)
     p.add_argument("--out", help="write Chrome trace JSON here")
     p.set_defaults(func=cmd_timeline)
 
@@ -945,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--threads", type=_positive_int, default=None,
                    help="cores (default: one per trace thread)")
     p.add_argument("--timeline", action="store_true")
-    p.add_argument("--max-cycles", type=int, default=None,
+    p.add_argument("--max-cycles", type=_positive_int, default=None,
                    help="truncate (don't crash) past this simulated time")
     p.set_defaults(func=cmd_run_trace)
 
@@ -958,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads == cores (default 16)")
     p.add_argument("--scale", type=_positive_float, default=1.0,
                    help="workload scale factor")
-    p.add_argument("--max-cycles", type=int, default=None,
+    p.add_argument("--max-cycles", type=_positive_int, default=None,
                    help="watchdog: truncate runs past this simulated time")
     p.add_argument("--out", default="trace.json",
                    help="trace-event JSON output path (default trace.json)")
@@ -983,16 +1027,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip cells the journal already records as ok")
     p.add_argument("--on-error", choices=ON_ERROR_MODES, default=None,
                    help="failing cell policy (default: skip)")
-    p.add_argument("--retries", type=int, default=None,
+    p.add_argument("--retries", type=_non_negative_int, default=None,
                    help="extra attempts per cell with --on-error retry")
-    p.add_argument("--backoff", type=float, default=None,
+    p.add_argument("--backoff", type=_non_negative_float, default=None,
                    help="initial retry backoff in seconds")
-    p.add_argument("--backoff-max", type=float, default=None,
+    p.add_argument("--backoff-max", type=_non_negative_float, default=None,
                    help="hard cap on any single retry delay in seconds "
                         "(default 60; growth is jittered)")
-    p.add_argument("--max-cycles", type=int, default=None,
+    p.add_argument("--max-cycles", type=_positive_int, default=None,
                    help="watchdog: truncate runs past this simulated time")
-    p.add_argument("--livelock-window", type=int, default=None,
+    p.add_argument("--livelock-window", type=_positive_int, default=None,
                    help="watchdog: truncate after this many cycles without "
                         "forward progress")
     p.add_argument("--inject", action="append", metavar="KIND@BENCH:N",
@@ -1025,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="save per-cell engine checkpoints under this "
                         "directory; crashed or truncated cells resume "
                         "from them on the next attempt")
-    p.add_argument("--checkpoint-every", type=int, default=None,
+    p.add_argument("--checkpoint-every", type=_positive_int, default=None,
                    metavar="CYCLES",
                    help="periodic save interval in simulated cycles "
                         "(needs --checkpoint-dir)")
@@ -1063,7 +1107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="time the sweep serial vs parallel; emit BENCH_sweep.json",
+        help="time the sweep serial vs parallel and the overhead A/Bs; "
+             "gate on them",
     )
     p.add_argument("--config", metavar="FILE", default=None,
                    help="experiment config file (TOML or JSON); explicit "
@@ -1074,12 +1119,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated thread counts (default 2,4)")
     p.add_argument("--scale", type=_positive_float, default=None,
                    help="workload scale factor (default 0.25)")
-    p.add_argument("--jobs-list", default=None,
+    p.add_argument("--jobs-list", type=_positive_ints, default=None,
                    help="comma-separated --jobs levels "
                         "(default: 1,<cpu_count>)")
-    p.add_argument("--repeats", type=int, default=1,
+    p.add_argument("--repeats", type=_positive_int, default=1,
                    help="repetitions per configuration (best-of)")
-    p.add_argument("--max-cycles", type=int, default=None,
+    p.add_argument("--max-cycles", type=_positive_int, default=None,
                    help="watchdog for every benchmark run "
                         "(default 20,000,000)")
     p.add_argument("--profile", action="store_true",
@@ -1091,6 +1136,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "profile_collapsed.txt; implies --profile)")
     p.add_argument("--out", default=None,
                    help="also write the JSON document here")
+    p.add_argument("--max-observability-overhead", type=_non_negative_float,
+                   default=None, metavar="PCT",
+                   help="fail (exit 1) when enabled-instrumentation "
+                        "overhead exceeds this percentage")
+    p.add_argument("--max-checkpoint-overhead", type=_non_negative_float,
+                   default=None, metavar="PCT",
+                   help="fail (exit 1) when periodic-checkpointing "
+                        "overhead exceeds this percentage")
+    p.add_argument("--min-warm-speedup", type=_speedup_gate, action="append",
+                   default=[], metavar="JOBS:FACTOR",
+                   help="fail (exit 1) when the --jobs JOBS sweep "
+                        "speedup vs serial is below FACTOR; skipped "
+                        "with a note when the host has fewer than "
+                        "JOBS CPUs (repeatable)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -1143,9 +1202,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads == cores (default: config's first count)")
     p.add_argument("--scale", type=_positive_float, default=None,
                    help="workload scale factor")
-    p.add_argument("--max-cycles", type=int, default=None,
+    p.add_argument("--max-cycles", type=_positive_int, default=None,
                    help="watchdog budget in simulated cycles")
-    p.add_argument("--livelock-window", type=int, default=None,
+    p.add_argument("--livelock-window", type=_positive_int, default=None,
                    help="no-progress watchdog window in scheduling steps")
     p.add_argument("--from-checkpoint", metavar="CKPT", default=None,
                    help="start from a saved checkpoint instead of cycle 0")

@@ -378,31 +378,38 @@ class RunConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.on_error not in ON_ERROR_MODES:
-            raise ConfigError(
-                f"on_error: unknown mode {self.on_error!r}; "
-                f"valid modes: {', '.join(ON_ERROR_MODES)}",
-                field="on_error",
-                choices=ON_ERROR_MODES,
-            )
-        if self.max_retries < 0:
-            raise ConfigError("max_retries: must be >= 0", field="max_retries")
-        if self.backoff_s < 0:
-            raise ConfigError("backoff_s: must be >= 0", field="backoff_s")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(
-                "backoff_factor: must be >= 1", field="backoff_factor"
-            )
-        if self.backoff_max_s is not None and self.backoff_max_s < 0:
-            raise ConfigError(
-                "backoff_max_s: must be >= 0", field="backoff_max_s"
-            )
+        check_run_fields(self)
         if self.jobs < 1:
             raise ConfigError("jobs: must be >= 1", field="jobs")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ConfigError(
-                "checkpoint_every: must be >= 1", field="checkpoint_every"
-            )
+
+
+#: the smallest valid value of each numeric run field (None = unset)
+_RUN_FIELD_MINIMUMS = (
+    ("max_retries", 0),
+    ("backoff_s", 0),
+    ("backoff_factor", 1),
+    ("backoff_max_s", 0),
+    ("max_cycles", 1),
+    ("livelock_window", 1),
+    ("checkpoint_every", 1),
+)
+
+
+def check_run_fields(run: Any) -> None:
+    """The range checks :class:`RunConfig` and
+    :class:`~repro.experiments.runner.RunPolicy` share: a
+    :class:`ConfigError` naming the first invalid field."""
+    if run.on_error not in ON_ERROR_MODES:
+        raise ConfigError(
+            f"on_error: unknown mode {run.on_error!r}; "
+            f"valid modes: {', '.join(ON_ERROR_MODES)}",
+            field="on_error",
+            choices=ON_ERROR_MODES,
+        )
+    for name, minimum in _RUN_FIELD_MINIMUMS:
+        value = getattr(run, name)
+        if value is not None and value < minimum:
+            raise ConfigError(f"{name}: must be >= {minimum}", field=name)
 
 
 @dataclass(frozen=True)

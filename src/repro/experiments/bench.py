@@ -1,16 +1,21 @@
-"""Sweep wall-clock benchmark harness.
+"""The gates ``repro bench`` runs: what the repository benchmark cannot.
 
-Times the hardened suite sweep end-to-end — serial and at one or more
-``--jobs`` levels — plus the engine-level fast paths in isolation
-(instruction-block fast-forward on vs. off), the observability layer
-wide open vs disabled, and periodic checkpointing on vs off (with
-explicit save/restore round-trip timings), and emits a JSON document
-(``BENCH_sweep.json``) suitable for checking into the repo or uploading
-as a CI artifact.
+perfbench (``perfbench/run.py``) is the one measurement of this
+repository: fresh processes, medians, bounds from ten-seed spreads.
+The committed ``BENCH_sweep.json`` is the summary of its records
+(``tools/bench_summary.py``).  This module times, on the host that
+runs it, what no perfbench workload does:
 
-All numbers are *measured on the machine that ran the harness*; the
-document records the host's CPU count precisely so a 1-core CI runner's
-parallel numbers are not mistaken for a workstation's.
+* the sweep serially and at each ``--jobs`` level (best of
+  ``repeats``), the input of the ``--min-warm-speedup`` gates;
+* one accounted cell with the observability layer wide open vs
+  disabled, and with periodic checkpointing on vs off;
+* on request, one cell under the deterministic profiler.
+
+:func:`gate_verdicts` turns the document and the gate thresholds into
+``FAIL:`` and ``note:`` lines.  The document records the host's CPU
+count, so a 1-core runner's parallel numbers are not mistaken for a
+workstation's.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import os
 import platform
 import tempfile
 import time
+from collections.abc import Sequence
 
 from repro.checkpoint import (
     CheckpointHook,
@@ -34,14 +40,8 @@ from repro.observability import MetricsRegistry, TimelineRecorder
 from repro.observability.events import EventBus
 from repro.observability.profiling import DeterministicProfiler
 from repro.observability.spans import SpanRecorder
-from repro.parallel import (
-    ChunkingPolicy,
-    cells_from_sweep,
-    plan_chunks,
-    run_parallel_sweep,
-)
+from repro.parallel import cells_from_sweep, run_parallel_sweep
 from repro.robustness.journal import SweepJournal
-from repro.sim.engine import Simulation
 from repro.config import MachineConfig
 from repro.workloads.spec import build_program
 from repro.workloads.suite import by_name, sweep_cells
@@ -52,9 +52,9 @@ DEFAULT_THREADS = (2, 4)
 DEFAULT_SCALE = 0.25
 DEFAULT_MAX_CYCLES = 20_000_000
 
-#: representative cell for the fast-forward on/off micro-benchmark
-FF_BENCHMARK = "cholesky"
-FF_THREADS = 4
+#: the one cell the observability, checkpoint and profile sections run
+CELL_BENCHMARK = "cholesky"
+CELL_THREADS = 4
 
 #: the checkpoint overhead benchmark runs its cell at full scale (the
 #: workloads that need checkpointing are the long ones) and saves once
@@ -64,13 +64,6 @@ FF_THREADS = 4
 CKPT_SCALE = 1.0
 CKPT_INTERVAL = 50_000
 
-#: the warm-worker acceptance gate: parallel sweeps must beat serial by
-#: this factor at this jobs level — but only on hosts with enough cores
-#: to make the comparison meaningful (a 1-core container physically
-#: cannot show a parallel speedup; the doc records the gate as
-#: unenforced there instead of reporting a bogus failure)
-WARM_GATE_JOBS = 4
-WARM_GATE_MIN_SPEEDUP = 1.5
 
 def _timed_sweep(cells, scale, policy, jobs, repeats):
     """Best-of-``repeats`` wall-clock for one sweep configuration."""
@@ -97,36 +90,6 @@ def _timed_sweep(cells, scale, policy, jobs, repeats):
     }
 
 
-def _bench_fast_forward(scale, max_cycles, repeats):
-    """Same accountant-less run with the engine fast-forward on vs off."""
-    spec = by_name(FF_BENCHMARK)
-    machine = MachineConfig(n_cores=FF_THREADS)
-    timings = {}
-    cycles = {}
-    for enabled in (True, False):
-        best = None
-        for _ in range(repeats):
-            program = build_program(spec, FF_THREADS, scale=scale)
-            start = time.perf_counter()
-            result = Simulation(
-                machine, program, fast_forward=enabled
-            ).run(max_cycles=max_cycles, on_timeout="truncate")
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-            cycles[enabled] = result.total_cycles
-        timings[enabled] = best
-    assert cycles[True] == cycles[False], (
-        "fast-forward changed simulated time — fast path is unsound"
-    )
-    return {
-        "cell": f"{FF_BENCHMARK}:{FF_THREADS}",
-        "wall_s_on": round(timings[True], 4),
-        "wall_s_off": round(timings[False], 4),
-        "speedup": round(timings[False] / timings[True], 3),
-        "total_cycles": cycles[True],
-    }
-
-
 def _bench_observability(scale, max_cycles, repeats):
     """One accounted cell instrumented wide open vs fully disabled.
 
@@ -139,7 +102,7 @@ def _bench_observability(scale, max_cycles, repeats):
     Simulated cycles must be identical either way (instrumentation
     observes, never perturbs); CI gates on ``overhead_pct``.
     """
-    spec = by_name(FF_BENCHMARK)
+    spec = by_name(CELL_BENCHMARK)
     policy = RunPolicy(on_error="skip", max_cycles=max_cycles)
     timings = {}
     cycles = {}
@@ -159,7 +122,7 @@ def _bench_observability(scale, max_cycles, repeats):
                 spans=spans,
             )
             start = time.perf_counter()
-            outcome = runner.run_cell(spec, FF_THREADS)
+            outcome = runner.run_cell(spec, CELL_THREADS)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
             cycles[enabled] = outcome.result.mt_result.total_cycles
@@ -173,7 +136,7 @@ def _bench_observability(scale, max_cycles, repeats):
         "observation-only"
     )
     return {
-        "cell": f"{FF_BENCHMARK}:{FF_THREADS}",
+        "cell": f"{CELL_BENCHMARK}:{CELL_THREADS}",
         "wall_s_disabled": round(timings[False], 4),
         "wall_s_enabled": round(timings[True], 4),
         "overhead_pct": round(
@@ -194,16 +157,16 @@ def _bench_profile(scale, max_cycles, top_n=15):
     (callers write it to a ``.collapsed`` artifact and usually pop it
     from the JSON document, where it would dwarf everything else).
     """
-    spec = by_name(FF_BENCHMARK)
+    spec = by_name(CELL_BENCHMARK)
     policy = RunPolicy(on_error="skip", max_cycles=max_cycles)
     runner = BatchRunner(policy=policy, scale=scale)
     profiler = DeterministicProfiler()
     start = time.perf_counter()
     with profiler:
-        outcome = runner.run_cell(spec, FF_THREADS)
+        outcome = runner.run_cell(spec, CELL_THREADS)
     elapsed = time.perf_counter() - start
     section = {
-        "cell": f"{FF_BENCHMARK}:{FF_THREADS}",
+        "cell": f"{CELL_BENCHMARK}:{CELL_THREADS}",
         "wall_s": round(elapsed, 4),
         "total_cycles": outcome.result.mt_result.total_cycles,
     }
@@ -224,8 +187,8 @@ def _bench_checkpoint(max_cycles, repeats):
     time one explicit :func:`save_checkpoint` write and one full
     :func:`resume_simulation` rebuild of the same mid-run state.
     """
-    spec = by_name(FF_BENCHMARK)
-    machine = MachineConfig(n_cores=FF_THREADS)
+    spec = by_name(CELL_BENCHMARK)
+    machine = MachineConfig(n_cores=CELL_THREADS)
     timings = {False: None, True: None}
     cycles = {}
     n_saves = 0
@@ -233,12 +196,12 @@ def _bench_checkpoint(max_cycles, repeats):
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         path = os.path.join(tmp, "bench.ckpt")
         descriptor = cell_descriptor(
-            machine, spec.full_name, FF_THREADS, CKPT_SCALE,
+            machine, spec.full_name, CELL_THREADS, CKPT_SCALE,
             max_cycles=max_cycles,
         )
         for _ in range(repeats):
             for enabled in (False, True):
-                program = build_program(spec, FF_THREADS, scale=CKPT_SCALE)
+                program = build_program(spec, CELL_THREADS, scale=CKPT_SCALE)
                 hook = None
                 if enabled:
                     hook = CheckpointHook(
@@ -281,7 +244,7 @@ def _bench_checkpoint(max_cycles, repeats):
                     elapsed if load_best is None else min(load_best, elapsed)
                 )
     return {
-        "cell": f"{FF_BENCHMARK}:{FF_THREADS}",
+        "cell": f"{CELL_BENCHMARK}:{CELL_THREADS}",
         "scale": CKPT_SCALE,
         "every_cycles": CKPT_INTERVAL,
         "wall_s_disabled": round(timings[False], 4),
@@ -297,72 +260,6 @@ def _bench_checkpoint(max_cycles, repeats):
             None if load_best is None else round(load_best * 1000, 3)
         ),
         "total_cycles": cycles[True],
-    }
-
-
-def _chunk_plan_stats(cells, scale, jobs) -> dict:
-    """Describe the deterministic chunk plan a ``--jobs N`` sweep uses.
-
-    Pure planning — no timing — so the doc shows how the dispatcher
-    groups this sweep's cells (how much per-task overhead amortizes,
-    how balanced the estimated costs are) on any host.
-    """
-    pending = list(enumerate(cells_from_sweep(cells, scale=scale)))
-    chunks = plan_chunks(pending, jobs, ChunkingPolicy())
-    sizes = [len(chunk.cells) for chunk in chunks]
-    costs = [chunk.est_cost for chunk in chunks]
-    return {
-        "jobs": jobs,
-        "n_chunks": len(chunks),
-        "cells_per_chunk_min": min(sizes),
-        "cells_per_chunk_max": max(sizes),
-        "cells_per_chunk_mean": round(sum(sizes) / len(sizes), 2),
-        "est_cost_imbalance": round(
-            max(costs) / (sum(costs) / len(costs)), 3
-        ),
-    }
-
-
-def _warm_workers_section(cells, scale, runs) -> dict:
-    """Summarize the warm-worker results already measured in ``runs``
-    and evaluate the speedup gate (no extra timing).
-
-    ``gate.enforced`` is False when the host has fewer cores than the
-    gate's jobs level; ``gate.met`` is None in that case (unknowable
-    here), so downstream checks (``tools/bench_sweep.py --min-warm-
-    speedup``) can distinguish "failed" from "host can't tell".
-    """
-    cpu_count = os.cpu_count() or 1
-    parallel_runs = [r for r in runs if r["jobs"] > 1]
-    gate_run = next(
-        (r for r in parallel_runs if r["jobs"] == WARM_GATE_JOBS), None
-    )
-    enforced = cpu_count >= WARM_GATE_JOBS and gate_run is not None
-    return {
-        "dispatch": "persistent pool, chunked cells, canonical-JSON "
-                    "results, per-worker warm caches",
-        "runs": [
-            {
-                "jobs": r["jobs"],
-                "speedup_vs_serial": r["speedup_vs_serial"],
-                "chunk_plan": _chunk_plan_stats(cells, scale, r["jobs"]),
-            }
-            for r in parallel_runs
-        ],
-        "gate": {
-            "jobs": WARM_GATE_JOBS,
-            "min_speedup": WARM_GATE_MIN_SPEEDUP,
-            "enforced": enforced,
-            "met": (
-                gate_run["speedup_vs_serial"] >= WARM_GATE_MIN_SPEEDUP
-                if enforced else None
-            ),
-            "note": (
-                None if cpu_count >= WARM_GATE_JOBS else
-                f"host has {cpu_count} CPU(s); gate needs "
-                f">= {WARM_GATE_JOBS} to be meaningful"
-            ),
-        },
     }
 
 
@@ -392,7 +289,6 @@ def run_bench(
     for run in runs:
         run["speedup_vs_serial"] = round(serial_wall / run["wall_s"], 3)
     doc = {
-        "bench": "sweep-wall-clock",
         "host": {
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
@@ -407,10 +303,6 @@ def run_bench(
             "repeats": repeats,
         },
         "sweep": runs,
-        "warm_workers": _warm_workers_section(cells, scale, runs),
-        "engine_fast_forward": _bench_fast_forward(
-            scale, max_cycles, repeats
-        ),
         "observability": _bench_observability(scale, max_cycles, repeats),
         "checkpoint": _bench_checkpoint(max_cycles, repeats),
     }
@@ -435,45 +327,18 @@ def render_bench(doc: dict) -> str:
             f"{run['speedup_vs_serial']:>9.2f}x {run['cells_ok']:>4d} "
             f"{run['cells_failed']:>7d}"
         )
-    warm = doc.get("warm_workers")
-    if warm is not None:
-        gate = warm["gate"]
-        if gate["enforced"]:
-            status = "met" if gate["met"] else "NOT met"
-            verdict = (
-                f"gate >= {gate['min_speedup']}x at --jobs "
-                f"{gate['jobs']}: {status}"
-            )
-        else:
-            verdict = f"gate not enforced ({gate['note']})"
-        for run in warm["runs"]:
-            plan = run["chunk_plan"]
-            lines.append(
-                f"warm workers --jobs {run['jobs']}: "
-                f"{run['speedup_vs_serial']:.2f}x vs serial, "
-                f"{plan['n_chunks']} chunks "
-                f"(~{plan['cells_per_chunk_mean']:.1f} cells each)"
-            )
-        lines.append(f"warm workers: {verdict}")
-    ff = doc["engine_fast_forward"]
-    lines.append(
-        f"engine fast-forward ({ff['cell']}): "
-        f"{ff['wall_s_off']:.3f}s -> {ff['wall_s_on']:.3f}s "
-        f"({ff['speedup']:.2f}x, cycles identical)"
+    obs = doc["observability"]
+    spans_txt = (
+        f", {obs['spans_recorded']} spans"
+        if obs.get("spans_recorded") else ""
     )
-    obs = doc.get("observability")
-    if obs is not None:
-        spans_txt = (
-            f", {obs['spans_recorded']} spans"
-            if obs.get("spans_recorded") else ""
-        )
-        lines.append(
-            f"observability ({obs['cell']}): "
-            f"{obs['wall_s_disabled']:.3f}s -> "
-            f"{obs['wall_s_enabled']:.3f}s enabled "
-            f"({obs['overhead_pct']:+.1f}%, {obs['events_emitted']} "
-            f"events{spans_txt}, cycles identical)"
-        )
+    lines.append(
+        f"observability ({obs['cell']}): "
+        f"{obs['wall_s_disabled']:.3f}s -> "
+        f"{obs['wall_s_enabled']:.3f}s enabled "
+        f"({obs['overhead_pct']:+.1f}%, {obs['events_emitted']} "
+        f"events{spans_txt}, cycles identical)"
+    )
     prof = doc.get("profile")
     if prof is not None:
         top = prof["top_functions"][:3]
@@ -487,23 +352,70 @@ def render_bench(doc: dict) -> str:
             f"{prof['engine_inner_loop_pct']:.0f}% in engine inner loop; "
             f"top self-time: {top_txt}"
         )
-    ckpt = doc.get("checkpoint")
-    if ckpt is not None:
-        save_ms = ckpt["save_ms"]
-        load_ms = ckpt["load_ms"]
-        roundtrip = (
-            "no saves triggered" if save_ms is None
-            else f"save {save_ms:.1f}ms / restore {load_ms:.1f}ms"
-        )
-        lines.append(
-            f"checkpoint ({ckpt['cell']}): "
-            f"{ckpt['wall_s_disabled']:.3f}s -> "
-            f"{ckpt['wall_s_enabled']:.3f}s saving every "
-            f"{ckpt['every_cycles']} cycles "
-            f"({ckpt['overhead_pct']:+.1f}%, {ckpt['n_saves']} saves, "
-            f"{roundtrip}, cycles identical)"
-        )
+    ckpt = doc["checkpoint"]
+    roundtrip = (
+        "no saves triggered" if ckpt["save_ms"] is None
+        else f"save {ckpt['save_ms']:.1f}ms / restore "
+        f"{ckpt['load_ms']:.1f}ms"
+    )
+    lines.append(
+        f"checkpoint ({ckpt['cell']}): "
+        f"{ckpt['wall_s_disabled']:.3f}s -> "
+        f"{ckpt['wall_s_enabled']:.3f}s saving every "
+        f"{ckpt['every_cycles']} cycles "
+        f"({ckpt['overhead_pct']:+.1f}%, {ckpt['n_saves']} saves, "
+        f"{roundtrip}, cycles identical)"
+    )
     return "\n".join(lines)
+
+
+def gate_verdicts(
+    doc: dict,
+    *,
+    max_observability_overhead: float | None = None,
+    max_checkpoint_overhead: float | None = None,
+    min_warm_speedup: Sequence[tuple[int, float]] = (),
+    cpu_count: int,
+) -> tuple[list[str], list[str]]:
+    """``(failures, notes)``: one ``FAIL:`` line per gate ``doc``
+    misses, and one ``note:`` line per speedup gate this host cannot
+    judge.
+
+    An overhead gate fails above its percentage budget.  A
+    ``(jobs, factor)`` speedup gate fails when the ``--jobs`` level's
+    speedup vs serial is below ``factor`` or was not timed.  It is
+    skipped when ``cpu_count < jobs``: a host without the cores cannot
+    show the speedup, which is "can't tell", not "failed".
+    """
+    failures, notes = [], []
+    for label, section, budget in (
+        ("instrumentation", "observability", max_observability_overhead),
+        ("checkpoint", "checkpoint", max_checkpoint_overhead),
+    ):
+        overhead = doc[section]["overhead_pct"]
+        if budget is not None and overhead > budget:
+            failures.append(
+                f"FAIL: {label} overhead {overhead:.1f}% exceeds the "
+                f"{budget:.1f}% budget"
+            )
+    speedups = {run["jobs"]: run["speedup_vs_serial"] for run in doc["sweep"]}
+    for jobs, factor in min_warm_speedup:
+        gate = f"--min-warm-speedup {jobs}:{factor:g}"
+        if cpu_count < jobs:
+            notes.append(
+                f"note: skipping {gate} (host has {cpu_count} CPU(s), "
+                f"needs >= {jobs})"
+            )
+        elif jobs not in speedups:
+            failures.append(
+                f"FAIL: {gate} but --jobs {jobs} was not in the jobs list"
+            )
+        elif speedups[jobs] < factor:
+            failures.append(
+                f"FAIL: --jobs {jobs} speedup {speedups[jobs]:.2f}x vs "
+                f"serial is below the {factor:g}x gate"
+            )
+    return failures, notes
 
 
 def write_bench(doc: dict, path: str) -> None:

@@ -49,6 +49,7 @@ from repro.config import (
     ExperimentConfig,
     MachineConfig,
     RunConfig,
+    check_run_fields,
 )
 from repro.core.stack import SpeedupStack, build_stack
 from repro.errors import CheckpointError, ExperimentError, ReproError
@@ -318,20 +319,7 @@ class RunPolicy:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.on_error not in ON_ERROR_MODES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_MODES}: {self.on_error!r}"
-            )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.backoff_max_s is not None and self.backoff_max_s < 0:
-            raise ValueError("backoff_max_s must be >= 0")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        check_run_fields(self)
 
     def backoff_delay(self, attempt: int, key: str = "") -> float:
         """Seconds to sleep before ``attempt`` (the second attempt is

@@ -161,7 +161,7 @@ class DeterministicProfiler:
         return round(100.0 * inside / total, 2)
 
     def profile_section(self, top_n: int = 15) -> dict[str, Any]:
-        """The ``profile`` section for ``BENCH_sweep.json``."""
+        """The ``profile`` section of a ``repro bench`` document."""
         return {
             "profiler": "deterministic (sys.setprofile)",
             "total_self_us": self.total_us(),

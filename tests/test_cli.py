@@ -194,11 +194,38 @@ def test_config_error_exits_2_with_one_line(argv):
     ["sweep", "--benchmarks", "fft", "-n", "2", "--jobs", "2",
      "--chunk-cells", "0"],
     ["run-trace", "missing.trace"],
+    *(
+        ["bench", "--benchmarks", "fft", "-n", "2", *SCALE, *flags]
+        for flags in (["--repeats", "0"], ["--jobs-list", "x"],
+                      ["--jobs-list", "0"], ["--max-cycles", "-1"])
+    ),
+    *(
+        ["sweep", "--benchmarks", "fft", "-n", "2", *SCALE, flag, value]
+        for flag, value in (("--retries", "-1"), ("--backoff", "-1"),
+                            ("--backoff-max", "-1"),
+                            ("--checkpoint-every", "0"),
+                            ("--max-cycles", "-1"),
+                            ("--livelock-window", "0"))
+    ),
+    ["stack", "fft", "-n", "2", *SCALE, "--checkpoint", "x.ckpt",
+     "--checkpoint-every", "0"],
+    ["trace", "fft", "-n", "2", *SCALE, "--max-cycles", "-1"],
+    ["session", "fft", "-n", "2", *SCALE, "--max-cycles", "-1",
+     "--run", "run; stack"],
+    ["session", "fft", "-n", "2", *SCALE, "--livelock-window", "0",
+     "--run", "run; stack"],
+    ["config", "validate", "negative_max_cycles.toml"],
+    ["stack", "fft", "-n", "2", *SCALE,
+     "--config", "negative_max_cycles.toml"],
+    ["timeline", "fft", "-n", "2", *SCALE, "--width", "0"],
 ], ids=" ".join)
 def test_bad_numbers_exit_2_without_traceback(argv, tmp_path):
     """A bad count, size or path is one error message and exit 2:
     no traceback, and no simulation run on a value the config layer
     would reject."""
+    (tmp_path / "negative_max_cycles.toml").write_text(
+        "[run]\nmax_cycles = -1\n"
+    )
     proc = _python_m_repro(argv, cwd=tmp_path)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr

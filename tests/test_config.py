@@ -28,6 +28,7 @@ from repro.config import (
     machine_to_dict,
 )
 from repro.errors import ConfigError
+from repro.experiments.runner import RunPolicy
 from repro.parallel import ChunkingPolicy
 from repro.workloads.suite import sweep_cells
 
@@ -179,6 +180,13 @@ class TestRunConfig:
     (lambda: RunConfig(backoff_max_s=-1), "backoff_max_s"),
     (lambda: RunConfig(jobs=0), "jobs"),
     (lambda: RunConfig(checkpoint_every=0), "checkpoint_every"),
+    (lambda: RunConfig(max_cycles=0), "max_cycles"),
+    (lambda: RunConfig(livelock_window=0), "livelock_window"),
+    # RunPolicy shares RunConfig's check of the run fields
+    pytest.param(lambda: RunPolicy(max_retries=-1), "max_retries",
+                 id="RunPolicy-max_retries"),
+    pytest.param(lambda: RunPolicy(max_cycles=-1), "max_cycles",
+                 id="RunPolicy-max_cycles"),
     (lambda: sweep_cells(("fft",), (2, 0)), "thread_counts"),
     (lambda: ChunkingPolicy(chunk_cells=0), "chunk_cells"),
     (lambda: ChunkingPolicy(chunks_per_job=0), "chunks_per_job"),
