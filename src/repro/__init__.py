@@ -114,7 +114,6 @@ from repro.experiments.runner import (
     BatchRunner,
     CellOutcome,
     ExperimentResult,
-    RunPolicy,
     SweepReport,
     accounted_snapshot,
     run_accounted,
@@ -313,7 +312,6 @@ __all__ = [
     "run_region_experiment",
     "RunConfig",
     "RunInterval",
-    "RunPolicy",
     "save_checkpoint",
     "scaling_class",
     "SchedConfig",

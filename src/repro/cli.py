@@ -40,6 +40,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 from repro._version import repro_version
 from repro.accounting.hardware_cost import estimate_cost
@@ -54,6 +55,7 @@ from repro.checkpoint import (
 from repro.components import available, kinds
 from repro.config import (
     MB,
+    ON_ERROR_MODES,
     ExperimentConfig,
     MachineConfig,
     dumps_toml,
@@ -61,7 +63,6 @@ from repro.config import (
 )
 from repro.core.cpi import cpi_stacks, render_cpi_stacks
 from repro.core.regions import run_region_experiment
-from repro.core.stack import build_stack
 from repro.core.rendering import (
     render_speedup_curve,
     render_stack,
@@ -83,10 +84,8 @@ from repro.experiments.bench import (
 )
 from repro.experiments.runner import (
     BatchRunner,
-    ON_ERROR_MODES,
-    RunPolicy,
-    run_experiment,
-    run_reference,
+    ReferenceMemo,
+    finish_experiment,
 )
 from repro.experiments.scenarios import (
     ExperimentCache,
@@ -118,6 +117,7 @@ from repro.robustness.drain import (
 )
 from repro.robustness.faults import FAULT_KINDS, make_fault
 from repro.robustness.journal import SweepJournal
+from repro.session.kernel import SimulationKernel, watchdog_mode
 from repro.sim.engine import Simulation
 from repro.sim.trace import TraceRecorder
 from repro.sync.profile import render_sync_profile
@@ -274,24 +274,19 @@ def _stack_run(args, spec, experiment, drain) -> int:
         hook = CheckpointHook(args.checkpoint, descriptor, CheckpointPolicy(
             every_cycles=args.checkpoint_every, on_fault=True,
         ))
-    result = run_experiment(
-        spec.full_name, machine,
-        build_program(spec, n_threads, scale=scale),
-        build_program(spec, 1, scale=scale),
+    st_result = ReferenceMemo().get(
+        spec, scale, machine, run.max_cycles, run.livelock_window
+    )
+    kernel = SimulationKernel(
+        machine, build_program(spec, n_threads, scale=scale),
         max_cycles=run.max_cycles,
         livelock_window=run.livelock_window,
-        on_timeout=(
-            "truncate"
-            if run.max_cycles is not None or run.livelock_window is not None
-            else "raise"
-        ),
+        on_timeout=watchdog_mode(run.max_cycles, run.livelock_window),
         # the drain wrapper turns the engine's checkpoint poll into the
         # SIGINT/SIGTERM drain point (saving first when --checkpoint)
         checkpoint=DrainableHook(hook, drain),
     )
-    print(render_stack(result.stack))
-    print()
-    print(advice(result.stack))
+    _print_stack(finish_experiment(spec.full_name, kernel, st_result).stack)
     if hook is not None and hook.n_saves:
         print()
         print(f"checkpoint: {hook.n_saves} save(s), last at cycle "
@@ -340,29 +335,24 @@ def _stack_resume(args, spec, experiment, drain) -> int:
         )
     print(f"resuming {spec.full_name} n={descriptor['n_threads']} from "
           f"cycle {header['cycle']} (saved on {header['reason']})")
-    mt_result = sim.run(
+    st_result = ReferenceMemo().get(
+        spec, descriptor["scale"], sim.machine, max_cycles, livelock_window
+    )
+    kernel = SimulationKernel.from_simulation(
+        sim,
         max_cycles=max_cycles,
         livelock_window=livelock_window,
-        on_timeout=(
-            "truncate"
-            if max_cycles is not None or livelock_window is not None
-            else "raise"
-        ),
+        on_timeout=watchdog_mode(max_cycles, livelock_window),
         checkpoint=DrainableHook(hook, drain),
     )
-    report = sim.accountant.report(mt_result)
-    st_result = run_reference(
-        sim.machine, build_program(spec, 1, scale=descriptor["scale"]),
-        max_cycles=max_cycles,
-        livelock_window=livelock_window,
-        on_timeout="truncate" if max_cycles is not None else "raise",
-    )
-    ts = None if st_result.truncated else st_result.total_cycles
-    stack = build_stack(spec.full_name, report, ts_cycles=ts)
+    _print_stack(finish_experiment(spec.full_name, kernel, st_result).stack)
+    return 0
+
+
+def _print_stack(stack) -> None:
     print(render_stack(stack))
     print()
     print(advice(stack))
-    return 0
 
 
 def cmd_inspect(args) -> int:
@@ -591,7 +581,6 @@ def cmd_sweep(args) -> int:
         else workload.thread_counts
     )
     scale = args.scale if args.scale is not None else workload.scale
-    jobs = args.jobs if args.jobs is not None else run.jobs
     backend = args.backend
     if backend == "queue" and not args.queue_dir:
         print("error: --backend queue needs --queue-dir", file=sys.stderr)
@@ -602,44 +591,27 @@ def cmd_sweep(args) -> int:
     #: config file supplies one
     machine = experiment.machine if args.config else None
     cells = sweep_cells(benchmarks, thread_counts)
-    checkpoint_dir = (
-        args.checkpoint_dir if args.checkpoint_dir is not None
-        else run.checkpoint_dir
-    )
-    if backend == "queue" and checkpoint_dir is None:
+    # the flags that were given override the config's run section
+    run = replace(run, **{
+        name: value for name, value in (
+            ("on_error", args.on_error),
+            ("max_retries", args.retries),
+            ("backoff_s", args.backoff),
+            ("backoff_max_s", args.backoff_max),
+            ("max_cycles", args.max_cycles),
+            ("livelock_window", args.livelock_window),
+            ("jobs", args.jobs),
+            ("checkpoint_every", args.checkpoint_every),
+            ("checkpoint_dir", args.checkpoint_dir),
+        ) if value is not None
+    })
+    if backend == "queue" and run.checkpoint_dir is None:
         # queue sweeps always checkpoint: mid-cell crash-resume is the
         # point of the lease protocol
-        checkpoint_dir = os.path.join(args.queue_dir, "checkpoints")
-    policy = RunPolicy(
-        on_error=(
-            args.on_error if args.on_error is not None else run.on_error
-        ),
-        max_retries=(
-            args.retries if args.retries is not None else run.max_retries
-        ),
-        backoff_s=(
-            args.backoff if args.backoff is not None else run.backoff_s
-        ),
-        backoff_factor=run.backoff_factor,
-        backoff_max_s=(
-            args.backoff_max if args.backoff_max is not None
-            else run.backoff_max_s
-        ),
-        backoff_jitter=run.backoff_jitter,
-        max_cycles=(
-            args.max_cycles if args.max_cycles is not None
-            else run.max_cycles
-        ),
-        livelock_window=(
-            args.livelock_window if args.livelock_window is not None
-            else run.livelock_window
-        ),
-        checkpoint_every=(
-            args.checkpoint_every if args.checkpoint_every is not None
-            else run.checkpoint_every
-        ),
-        checkpoint_dir=checkpoint_dir,
-    )
+        run = replace(
+            run, checkpoint_dir=os.path.join(args.queue_dir, "checkpoints")
+        )
+    jobs = run.jobs
     fault_plan = _parse_injections(args.inject)
     journal = SweepJournal(args.journal)
     metrics = MetricsRegistry() if args.emit_metrics else None
@@ -659,14 +631,14 @@ def cmd_sweep(args) -> int:
     drain = DrainController().install()
     try:
         if backend == "queue":
-            os.makedirs(policy.checkpoint_dir, exist_ok=True)
+            os.makedirs(run.checkpoint_dir, exist_ok=True)
             report = run_queue_sweep(
                 cells_from_sweep(
                     cells, scale=scale, fault_kinds=fault_plan,
                     machine=machine,
                 ),
                 workers=jobs,
-                policy=policy,
+                policy=run,
                 journal=journal,
                 resume=args.resume,
                 bus=bus,
@@ -684,7 +656,7 @@ def cmd_sweep(args) -> int:
                     machine=machine,
                 ),
                 jobs=jobs,
-                policy=policy,
+                policy=run,
                 journal=journal,
                 resume=args.resume,
                 bus=bus,
@@ -698,7 +670,7 @@ def cmd_sweep(args) -> int:
             )
         else:
             runner = BatchRunner(
-                policy=policy,
+                policy=run,
                 scale=scale,
                 journal=journal,
                 fault_plan=fault_plan,

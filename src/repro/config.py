@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -38,8 +40,7 @@ from repro.errors import ConfigError
 KB = 1024
 MB = 1024 * KB
 
-#: valid ``RunConfig.on_error`` / ``--on-error`` policies (re-exported by
-#: ``repro.experiments.runner`` for backward compatibility)
+#: valid ``RunConfig.on_error`` / ``--on-error`` policies
 ON_ERROR_MODES = ("abort", "skip", "retry")
 
 
@@ -347,10 +348,30 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """How to execute: error policy, watchdog limits, parallelism.
+    """How to execute a sweep: error policy, retries, watchdogs,
+    checkpoints and parallelism.
 
-    Mirrors :class:`repro.experiments.runner.RunPolicy` (which stays the
-    runner's internal type) plus the worker count for parallel sweeps.
+    ``on_error``:
+
+    * ``"abort"`` — re-raise as :class:`~repro.errors.ExperimentError`
+      (the first failure kills the sweep);
+    * ``"skip"``  — record the failure and move on (default);
+    * ``"retry"`` — re-run the cell up to ``max_retries`` extra times
+      with exponential backoff (:meth:`backoff_delay`), then record the
+      failure and move on.
+
+    ``max_cycles`` / ``livelock_window`` arm the engine watchdog for
+    every run of the sweep; watchdog hits *truncate* (flagged partial
+    results) rather than fail.
+
+    ``checkpoint_dir`` arms per-cell engine checkpoints: each cell's
+    multi-threaded run saves its state to
+    ``<dir>/<benchmark>_n<threads>.ckpt`` every ``checkpoint_every``
+    simulated cycles (plus on watchdog fires and engine faults), and a
+    cell that finds a matching checkpoint on disk — same config hash —
+    resumes from it instead of starting over.  Resumed cells produce
+    byte-identical results to uninterrupted ones, so crash recovery
+    never changes a sweep's numbers.
     """
 
     on_error: str = "skip"
@@ -378,9 +399,40 @@ class RunConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self) -> None:
-        check_run_fields(self)
-        if self.jobs < 1:
-            raise ConfigError("jobs: must be >= 1", field="jobs")
+        if self.on_error not in ON_ERROR_MODES:
+            raise ConfigError(
+                f"on_error: unknown mode {self.on_error!r}; "
+                f"valid modes: {', '.join(ON_ERROR_MODES)}",
+                field="on_error",
+                choices=ON_ERROR_MODES,
+            )
+        for name, minimum in _RUN_FIELD_MINIMUMS:
+            value = getattr(self, name)
+            if value is not None and value < minimum:
+                raise ConfigError(f"{name}: must be >= {minimum}", field=name)
+
+    def backoff_delay(self, attempt: int, key: str = "") -> float:
+        """Seconds to sleep before ``attempt`` (the second attempt is
+        ``attempt=2``) of the cell identified by ``key``.
+
+        The delay grows geometrically from ``backoff_s`` by
+        ``backoff_factor`` per attempt, capped at ``backoff_max_s``.
+        With ``backoff_jitter`` it is drawn uniformly from
+        ``[0, capped]``, from an RNG seeded with ``(key, attempt)``: a
+        retried cell backs off identically in a serial sweep, a
+        ``--jobs N`` worker and a queue worker, which keeps the
+        differential suites and event streams stable while still
+        decorrelating *different* cells retrying at once.
+        """
+        if attempt <= 1 or self.backoff_s <= 0:
+            return 0.0
+        delay = self.backoff_s * self.backoff_factor ** (attempt - 2)
+        if self.backoff_max_s is not None:
+            delay = min(delay, self.backoff_max_s)
+        if self.backoff_jitter:
+            seed = zlib.crc32(f"{key}:{attempt}".encode())
+            delay = random.Random(seed).uniform(0.0, delay)
+        return delay
 
 
 #: the smallest valid value of each numeric run field (None = unset)
@@ -391,25 +443,9 @@ _RUN_FIELD_MINIMUMS = (
     ("backoff_max_s", 0),
     ("max_cycles", 1),
     ("livelock_window", 1),
+    ("jobs", 1),
     ("checkpoint_every", 1),
 )
-
-
-def check_run_fields(run: Any) -> None:
-    """The range checks :class:`RunConfig` and
-    :class:`~repro.experiments.runner.RunPolicy` share: a
-    :class:`ConfigError` naming the first invalid field."""
-    if run.on_error not in ON_ERROR_MODES:
-        raise ConfigError(
-            f"on_error: unknown mode {run.on_error!r}; "
-            f"valid modes: {', '.join(ON_ERROR_MODES)}",
-            field="on_error",
-            choices=ON_ERROR_MODES,
-        )
-    for name, minimum in _RUN_FIELD_MINIMUMS:
-        value = getattr(run, name)
-        if value is not None and value < minimum:
-            raise ConfigError(f"{name}: must be >= {minimum}", field=name)
 
 
 @dataclass(frozen=True)

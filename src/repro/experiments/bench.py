@@ -35,7 +35,8 @@ from repro.checkpoint import (
     resume_simulation,
     save_checkpoint,
 )
-from repro.experiments.runner import BatchRunner, RunPolicy, run_accounted
+from repro.config import RunConfig
+from repro.experiments.runner import BatchRunner, run_accounted
 from repro.observability import MetricsRegistry, TimelineRecorder
 from repro.observability.events import EventBus
 from repro.observability.profiling import DeterministicProfiler
@@ -103,7 +104,7 @@ def _bench_observability(scale, max_cycles, repeats):
     observes, never perturbs); CI gates on ``overhead_pct``.
     """
     spec = by_name(CELL_BENCHMARK)
-    policy = RunPolicy(on_error="skip", max_cycles=max_cycles)
+    policy = RunConfig(on_error="skip", max_cycles=max_cycles)
     timings = {}
     cycles = {}
     n_events = 0
@@ -158,7 +159,7 @@ def _bench_profile(scale, max_cycles, top_n=15):
     from the JSON document, where it would dwarf everything else).
     """
     spec = by_name(CELL_BENCHMARK)
-    policy = RunPolicy(on_error="skip", max_cycles=max_cycles)
+    policy = RunConfig(on_error="skip", max_cycles=max_cycles)
     runner = BatchRunner(policy=policy, scale=scale)
     profiler = DeterministicProfiler()
     start = time.perf_counter()
@@ -279,7 +280,7 @@ def run_bench(
     popped into a separate artifact file by the caller.
     """
     cells = sweep_cells(benchmarks, tuple(thread_counts))
-    policy = RunPolicy(on_error="skip", max_cycles=max_cycles)
+    policy = RunConfig(on_error="skip", max_cycles=max_cycles)
     jobs_list = sorted(set(jobs_list) | {1})
     runs = [
         _timed_sweep(cells, scale, policy, jobs, repeats)

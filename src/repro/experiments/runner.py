@@ -21,18 +21,21 @@ watchdog-truncated partial results, and a failure-report aggregator —
 one bad (benchmark, N) cell never kills a sweep.  See
 ``docs/robustness.md``.
 
-Every run path here drives its engine through the steppable
-:class:`~repro.session.kernel.SimulationKernel` (the batch lifecycle is
-its no-pause degenerate case), so the batch protocol and interactive
-:class:`~repro.session.Session`\\ s share one simulation host.
+The protocol itself exists once: :class:`ReferenceMemo` measures
+``Ts`` (each reference run once per spec, scale, machine and watchdog
+limits) and :func:`finish_experiment` finishes any
+:class:`~repro.session.kernel.SimulationKernel` — fresh, restored from
+a checkpoint, or the one behind an interactive
+:class:`~repro.session.Session` — and builds its stack.  Every entry point, from ``repro stack`` to the
+queue workers, runs a cell through those two.  On the sweep side,
+:func:`completed_outcome` and :func:`record_outcome` are the one resume
+skip and the one journal writer of all three sweep backends.
 """
 
 from __future__ import annotations
 
 import logging
-import random
 import time
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,13 +47,7 @@ from repro.checkpoint import (
     fault_descriptor,
     resume_simulation,
 )
-from repro.config import (
-    ON_ERROR_MODES,
-    ExperimentConfig,
-    MachineConfig,
-    RunConfig,
-    check_run_fields,
-)
+from repro.config import ExperimentConfig, MachineConfig, RunConfig
 from repro.core.stack import SpeedupStack, build_stack
 from repro.errors import CheckpointError, ExperimentError, ReproError
 from repro.observability.events import (
@@ -67,7 +64,7 @@ from repro.robustness.drain import DrainableHook, DrainRequested
 from repro.robustness.faults import CellFault, make_fault
 from repro.robustness.journal import SweepJournal
 from repro.session.kernel import SimulationKernel
-from repro.sim.engine import SimResult, Simulation
+from repro.sim.engine import SimResult
 from repro.workloads.program import Program
 from repro.workloads.spec import BenchmarkSpec, build_program
 
@@ -93,6 +90,16 @@ class ExperimentResult:
     @property
     def estimated_speedup(self) -> float:
         return self.stack.estimated_speedup
+
+    @property
+    def total_cycles(self) -> int:
+        """``Tp`` of the accounted run (what the sweep journal records)."""
+        return self.mt_result.total_cycles
+
+    @property
+    def truncated(self) -> bool:
+        """True when a watchdog cut the accounted run short."""
+        return self.mt_result.truncated
 
     @property
     def parallelization_overhead(self) -> float | None:
@@ -203,6 +210,92 @@ def run_reference(
     return kernel.finish()
 
 
+class ReferenceMemo:
+    """Single-threaded reference runs (``Ts``), each measured once.
+
+    A reference run depends only on the benchmark spec, the scale, the
+    single-core view of the (post-fault) machine and the watchdog
+    limits, so that tuple keys the memo: ``bench:2`` and ``bench:16``
+    share one ``Ts`` measurement exactly as the paper's protocol
+    intends.  Runs are kept without their machine — only ``Ts`` and the
+    instruction count are read from them.  Watchdog hits truncate (a
+    truncated reference yields no actual speedup) rather than raise.
+    """
+
+    def __init__(self) -> None:
+        self._runs: dict[tuple, SimResult] = {}
+
+    def get(
+        self,
+        spec: BenchmarkSpec,
+        scale: float,
+        machine: MachineConfig,
+        max_cycles: int | None = None,
+        livelock_window: int | None = None,
+    ) -> SimResult:
+        key = (spec, scale, machine.with_cores(1), max_cycles, livelock_window)
+        st_result = self._runs.get(key)
+        if st_result is None:
+            st_result = self.measure(
+                machine, build_program(spec, 1, scale=scale),
+                max_cycles, livelock_window,
+            )
+            self._runs[key] = st_result
+        return st_result
+
+    @staticmethod
+    def measure(
+        machine: MachineConfig,
+        program: Program,
+        max_cycles: int | None = None,
+        livelock_window: int | None = None,
+        on_timeout: str = "truncate",
+    ) -> SimResult:
+        """One unmemoized reference run of a ready-built single-threaded
+        program (for callers that hold a program rather than a spec)."""
+        return run_reference(
+            machine, program,
+            max_cycles=max_cycles,
+            livelock_window=livelock_window,
+            on_timeout=on_timeout,
+        ).without_machine()
+
+
+def finish_experiment(
+    name: str,
+    kernel: SimulationKernel,
+    st_result: SimResult | None,
+    spans=None,
+) -> ExperimentResult:
+    """Finish ``kernel``'s accounted run and build its speedup stack.
+
+    The one step from a kernel to a stack: ``kernel`` may be fresh,
+    restored from a checkpoint, or partly stepped by a session.
+    ``st_result`` is the reference run (from :class:`ReferenceMemo`);
+    None, or a truncated run, gives an estimate-only stack.  ``spans``
+    (a :class:`~repro.observability.spans.SpanRecorder`) times the
+    engine advance and the stack build.
+    """
+    with maybe_span(spans, "engine.advance", cat="cell"):
+        mt_result = kernel.finish()
+        report = kernel.report()
+    with maybe_span(spans, "harvest", cat="cell"):
+        ts = (
+            None if st_result is None or st_result.truncated
+            else st_result.total_cycles
+        )
+        stack = build_stack(name, report, ts_cycles=ts)
+    return ExperimentResult(
+        name=name,
+        n_threads=kernel.program.n_threads,
+        machine=kernel.machine,
+        stack=stack,
+        report=report,
+        mt_result=mt_result,
+        st_result=st_result,
+    )
+
+
 def run_experiment(
     name: str,
     machine: MachineConfig,
@@ -225,139 +318,31 @@ def run_experiment(
     times the harness phases — ST reference, engine advance, harvest.
     """
     st_result = None
-    ts = None
     if st_program is not None:
         with maybe_span(spans, "st.reference", cat="cell"):
-            st_result = run_reference(
-                machine, st_program,
-                max_cycles=max_cycles,
-                livelock_window=livelock_window,
-                on_timeout=on_timeout,
+            st_result = ReferenceMemo.measure(
+                machine, st_program, max_cycles, livelock_window, on_timeout,
             )
-        ts = None if st_result.truncated else st_result.total_cycles
-    with maybe_span(spans, "engine.advance", cat="cell"):
-        mt_result, report = run_accounted(
-            machine, mt_program,
-            max_cycles=max_cycles,
-            livelock_window=livelock_window,
-            on_timeout=on_timeout,
-            bus=bus,
-            checkpoint=checkpoint,
-        )
-    with maybe_span(spans, "harvest", cat="cell"):
-        stack = build_stack(name, report, ts_cycles=ts)
-    return ExperimentResult(
-        name=name,
-        n_threads=mt_program.n_threads,
-        machine=machine,
-        stack=stack,
-        report=report,
-        mt_result=mt_result,
-        st_result=st_result,
+    kernel = SimulationKernel(
+        machine, mt_program,
+        accounted=True,
+        max_cycles=max_cycles,
+        livelock_window=livelock_window,
+        on_timeout=on_timeout,
+        bus=bus,
+        checkpoint=checkpoint,
     )
+    return finish_experiment(name, kernel, st_result, spans)
 
 
 # ----------------------------------------------------------------------
 # hardened batch runner
 # ----------------------------------------------------------------------
 
-# ON_ERROR_MODES now lives in repro.config (RunConfig validates against
-# it) and is re-exported above for existing importers.
-
 CELL_OK = "ok"
 CELL_FAILED = "failed"
 #: cell skipped because the journal says it already succeeded
 CELL_RESUMED = "resumed"
-
-
-@dataclass(frozen=True)
-class RunPolicy:
-    """How the batch runner reacts to failing cells.
-
-    ``on_error``:
-
-    * ``"abort"`` — re-raise as :class:`~repro.errors.ExperimentError`
-      (old behaviour: first failure kills the sweep);
-    * ``"skip"``  — record the failure and move on (default);
-    * ``"retry"`` — re-run the cell up to ``max_retries`` extra times
-      with exponential backoff, then record the failure and move on.
-
-    Retry backoff grows geometrically from ``backoff_s`` by
-    ``backoff_factor`` per attempt, capped at ``backoff_max_s`` (the
-    uncapped growth of earlier versions was a footgun: ten retries at
-    factor 2 sleep for 17 minutes).  With ``backoff_jitter`` (default)
-    each delay is drawn uniformly from ``[0, capped]`` — *full jitter*,
-    which decorrelates many workers retrying concurrently (the
-    thundering-herd fix) — seeded from the cell key and attempt number
-    so every delay is still deterministic and reproducible.
-
-    ``max_cycles`` / ``livelock_window`` arm the engine watchdog for
-    every run of the sweep; watchdog hits *truncate* (flagged partial
-    results) rather than fail.
-
-    ``checkpoint_dir`` arms per-cell engine checkpoints: each cell's
-    multi-threaded run saves its state to
-    ``<dir>/<benchmark>_n<threads>.ckpt`` every ``checkpoint_every``
-    simulated cycles (plus on watchdog fires and engine faults), and a
-    cell that finds a matching checkpoint on disk — same config hash —
-    resumes from it instead of starting over.  Resumed cells produce
-    byte-identical results to uninterrupted ones, so crash recovery
-    never changes a sweep's numbers.
-    """
-
-    on_error: str = "skip"
-    max_retries: int = 2
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    #: hard ceiling on any single retry delay; None = uncapped
-    backoff_max_s: float | None = 60.0
-    #: full jitter: draw each delay uniformly from [0, capped delay]
-    backoff_jitter: bool = True
-    max_cycles: int | None = None
-    livelock_window: int | None = None
-    checkpoint_every: int | None = None
-    checkpoint_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        check_run_fields(self)
-
-    def backoff_delay(self, attempt: int, key: str = "") -> float:
-        """Seconds to sleep before ``attempt`` (the second attempt is
-        ``attempt=2``) of the cell identified by ``key``.
-
-        Deterministic: the jitter RNG is seeded from ``(key, attempt)``,
-        so a retried cell backs off identically in a serial sweep, a
-        ``--jobs N`` worker, and a queue worker — which keeps the
-        differential suites and the observability event streams stable
-        while still decorrelating *different* cells retrying at once.
-        """
-        if attempt <= 1 or self.backoff_s <= 0:
-            return 0.0
-        delay = self.backoff_s * self.backoff_factor ** (attempt - 2)
-        if self.backoff_max_s is not None:
-            delay = min(delay, self.backoff_max_s)
-        if self.backoff_jitter:
-            seed = zlib.crc32(f"{key}:{attempt}".encode())
-            delay = random.Random(seed).uniform(0.0, delay)
-        return delay
-
-    @classmethod
-    def from_run(cls, run: RunConfig) -> "RunPolicy":
-        """Project the serializable :class:`~repro.config.RunConfig`
-        onto the runner's internal policy (drops ``jobs``, which the
-        execution layer consumes)."""
-        return cls(
-            on_error=run.on_error,
-            max_retries=run.max_retries,
-            backoff_s=run.backoff_s,
-            backoff_factor=run.backoff_factor,
-            backoff_max_s=run.backoff_max_s,
-            backoff_jitter=run.backoff_jitter,
-            max_cycles=run.max_cycles,
-            livelock_window=run.livelock_window,
-            checkpoint_every=run.checkpoint_every,
-            checkpoint_dir=run.checkpoint_dir,
-        )
 
 
 @dataclass
@@ -379,6 +364,22 @@ class CellOutcome:
     @property
     def key(self) -> str:
         return f"{self.name}:{self.n_threads}"
+
+    @classmethod
+    def from_result(cls, result) -> "CellOutcome":
+        """The outcome of a worker-executed cell, from its finished-cell
+        record (a :class:`~repro.parallel.cells.CellResult`)."""
+        return cls(
+            name=result.name,
+            n_threads=result.n_threads,
+            status=result.status,
+            attempts=result.attempts,
+            result=result if result.status == CELL_OK else None,
+            error=result.error,
+            error_type=result.error_type,
+            snapshot=result.snapshot,
+            metrics=result.metrics,
+        )
 
 
 @dataclass
@@ -446,6 +447,69 @@ class SweepReport:
         return "\n".join(lines)
 
 
+def completed_outcome(
+    journal: SweepJournal, name: str, n_threads: int, resume: bool,
+    bus=None,
+) -> CellOutcome | None:
+    """The ``resumed`` outcome of a cell a ``--resume`` sweep skips
+    because its journal already records it as ok (None: run the cell).
+    Failed and unseen cells always run."""
+    if not (resume and journal.completed(name, n_threads)):
+        return None
+    logger.info("resume: skipping completed cell %s:%d", name, n_threads)
+    if bus is not None:
+        bus.emit(CellFinished(f"{name}:{n_threads}", CELL_RESUMED, 0))
+    return CellOutcome(name=name, n_threads=n_threads, status=CELL_RESUMED)
+
+
+def absorb_outcome(metrics, outcome: CellOutcome) -> None:
+    """Fold a finished cell into a metrics registry (None: nothing): its
+    ``sim.*`` metrics, and ``runtime.cells_ok`` / ``runtime.cells_failed``."""
+    if metrics is None:
+        return
+    if outcome.status == CELL_OK:
+        if outcome.metrics is not None:
+            metrics.absorb(outcome.metrics)
+        metrics.counter("runtime.cells_ok").inc()
+    else:
+        metrics.counter("runtime.cells_failed").inc()
+
+
+def record_outcome(
+    report: SweepReport,
+    journal: SweepJournal,
+    outcome: CellOutcome,
+    metrics=None,
+    spans=None,
+) -> None:
+    """Finish one cell of a sweep, whichever backend ran it: journal
+    it, absorb its metrics and append it to ``report``.
+
+    Every backend calls this in sweep order, so the journal file is
+    byte-identical across backends and ``--jobs`` values.
+    """
+    with maybe_span(spans, "journal.write", cat="sweep"):
+        if outcome.status == CELL_OK:
+            assert outcome.result is not None
+            journal.record_ok(
+                outcome.name, outcome.n_threads,
+                attempts=outcome.attempts,
+                total_cycles=outcome.result.total_cycles,
+                truncated=outcome.result.truncated,
+                metrics=outcome.metrics,
+            )
+        else:
+            journal.record_failure(
+                outcome.name, outcome.n_threads,
+                attempts=outcome.attempts,
+                error=outcome.error or "",
+                error_type=outcome.error_type or "",
+                snapshot=outcome.snapshot,
+            )
+    absorb_outcome(metrics, outcome)
+    report.outcomes.append(outcome)
+
+
 class BatchRunner:
     """Run many (benchmark, N) cells with isolation, retries and resume.
 
@@ -458,15 +522,13 @@ class BatchRunner:
     via :func:`~repro.robustness.faults.make_fault` when the cell runs
     (strings pickle; closures do not — see ``repro.parallel``).
 
-    The single-threaded reference run of a cell depends only on the
-    benchmark spec, scale and (post-fault) machine, so it is memoized
-    across the sweep: ``bench:2`` and ``bench:16`` share one ``Ts``
-    measurement exactly as the paper's protocol intends.
+    The runner's :class:`ReferenceMemo` measures each reference run
+    once across the sweep.
     """
 
     def __init__(
         self,
-        policy: RunPolicy | None = None,
+        policy: RunConfig | None = None,
         scale: float | None = None,
         journal: SweepJournal | None = None,
         fault_plan: dict[str, CellFault | str] | None = None,
@@ -493,21 +555,21 @@ class BatchRunner:
         it from its checkpoint.
         """
         if experiment is not None:
-            policy = policy or RunPolicy.from_run(experiment.run)
+            policy = policy or experiment.run
             if scale is None:
                 scale = experiment.workload.scale
             machine_factory = machine_factory or experiment.machine.with_cores
         self.experiment = experiment
-        self.policy = policy or RunPolicy()
+        self.policy = policy or RunConfig()
         self.scale = 1.0 if scale is None else scale
         self.journal = journal or SweepJournal(None)
         self.fault_plan = fault_plan or {}
         #: optional observability EventBus for sweep/cell lifecycle
         #: events (also threaded into each cell's engine + accountant)
         self.bus = bus
-        #: optional MetricsRegistry; when set, each ok cell's harvested
-        #: ``sim.*`` metrics are absorbed here and journaled, and
-        #: ``runtime.*`` wall-time/retry metrics accumulate alongside
+        #: optional MetricsRegistry; when set, each cell's harvested
+        #: ``sim.*`` metrics are absorbed here (and journaled by a
+        #: sweep), and ``runtime.*`` counts and wall times accumulate
         self.metrics = metrics
         #: optional DrainController: polled between cells and (via the
         #: checkpoint hook) once per engine scheduling step mid-cell
@@ -522,18 +584,22 @@ class BatchRunner:
             lambda n_threads: MachineConfig(n_cores=n_threads)
         )
         self._sleep = sleep
-        self._st_cache: dict[tuple, SimResult] = {}
+        self._references = ReferenceMemo()
 
     # ------------------------------------------------------------------
     # one cell
     # ------------------------------------------------------------------
 
     def run_cell(self, spec: BenchmarkSpec, n_threads: int) -> CellOutcome:
-        """One isolated cell: build programs, run, classify the outcome."""
-        spans = self.spans
-        if spans is None:
-            return self._run_cell_inner(spec, n_threads)
-        with spans.span(f"{spec.full_name}:{n_threads}", cat="cell"):
+        """One isolated cell: build programs, run, classify the outcome
+        (absorbed into the runner's metrics registry, if any)."""
+        outcome = self._run_cell(spec, n_threads)
+        absorb_outcome(self.metrics, outcome)
+        return outcome
+
+    def _run_cell(self, spec: BenchmarkSpec, n_threads: int) -> CellOutcome:
+        key = f"{spec.full_name}:{n_threads}"
+        with maybe_span(self.spans, key, cat="cell"):
             return self._run_cell_inner(spec, n_threads)
 
     def _run_cell_inner(
@@ -605,8 +671,6 @@ class BatchRunner:
             cell_metrics = None
             if metrics is not None:
                 cell_metrics = harvest_cell_metrics(result)
-                metrics.absorb(cell_metrics)
-                metrics.counter("runtime.cells_ok").inc()
                 metrics.histogram("runtime.cell_wall_s").observe(
                     time.monotonic() - t_cell
                 )
@@ -626,7 +690,6 @@ class BatchRunner:
                 name, n_threads, str(last_error)
             ) from last_error
         if metrics is not None:
-            metrics.counter("runtime.cells_failed").inc()
             metrics.histogram("runtime.cell_wall_s").observe(
                 time.monotonic() - t_cell
             )
@@ -648,6 +711,7 @@ class BatchRunner:
         fault_info=None, attempt: int = 1,
     ) -> ExperimentResult:
         spans = self.spans
+        policy = self.policy
         machine = self._machine_factory(n_threads)
         hook = self._cell_checkpoint(
             spec, n_threads, machine, fault_info, attempt
@@ -662,48 +726,38 @@ class BatchRunner:
             if fault is not None:
                 mt_program, machine = fault(mt_program, machine)
         with maybe_span(spans, "st.reference", cat="cell"):
-            st_result = self._st_reference(spec, machine)
-        ts = None if st_result.truncated else st_result.total_cycles
+            st_result = self._references.get(
+                spec, self.scale, machine,
+                policy.max_cycles, policy.livelock_window,
+            )
         sim = None
         if hook is not None and hook.path is not None and hook.path.exists():
             sim = self._try_resume(hook, spec)
-        with maybe_span(spans, "engine.advance", cat="cell"):
-            if sim is not None:
-                kernel = SimulationKernel.from_simulation(
-                    sim,
-                    max_cycles=self.policy.max_cycles,
-                    livelock_window=self.policy.livelock_window,
-                    on_timeout="truncate",
-                    checkpoint=hook,
-                )
-            else:
-                kernel = SimulationKernel(
-                    machine, mt_program,
-                    accounted=True,
-                    max_cycles=self.policy.max_cycles,
-                    livelock_window=self.policy.livelock_window,
-                    on_timeout="truncate",
-                    bus=self.bus,
-                    checkpoint=hook,
-                )
-            mt_result = kernel.finish()
-            report = kernel.report()
-        if hook is not None and hook.path is not None and not mt_result.truncated:
+        if sim is not None:
+            kernel = SimulationKernel.from_simulation(
+                sim,
+                max_cycles=policy.max_cycles,
+                livelock_window=policy.livelock_window,
+                on_timeout="truncate",
+                checkpoint=hook,
+            )
+        else:
+            kernel = SimulationKernel(
+                machine, mt_program,
+                accounted=True,
+                max_cycles=policy.max_cycles,
+                livelock_window=policy.livelock_window,
+                on_timeout="truncate",
+                bus=self.bus,
+                checkpoint=hook,
+            )
+        result = finish_experiment(spec.full_name, kernel, st_result, spans)
+        if hook is not None and hook.path is not None and not result.truncated:
             # clean completion: the checkpoint has nothing left to
             # resume (truncated runs keep theirs for inspect/resume
             # under raised watchdog limits)
             hook.path.unlink(missing_ok=True)
-        with maybe_span(spans, "harvest", cat="cell"):
-            stack = build_stack(spec.full_name, report, ts_cycles=ts)
-        return ExperimentResult(
-            name=spec.full_name,
-            n_threads=mt_program.n_threads,
-            machine=machine,
-            stack=stack,
-            report=report,
-            mt_result=mt_result,
-            st_result=st_result,
-        )
+        return result
 
     def _cell_checkpoint(
         self, spec: BenchmarkSpec, n_threads: int,
@@ -774,33 +828,6 @@ class BatchRunner:
         )
         return sim
 
-    def _st_reference(
-        self, spec: BenchmarkSpec, machine: MachineConfig
-    ) -> SimResult:
-        """Memoized single-threaded reference run for one cell.
-
-        The key covers everything the run depends on — the spec, the
-        scale, the single-core view of the (post-fault) machine, and
-        the watchdog limits — all frozen dataclasses or scalars.  The
-        memo stores (and returns) the run without its machine: only
-        ``Ts`` and the instruction count are read from it.
-        """
-        key = (
-            spec, self.scale, machine.with_cores(1),
-            self.policy.max_cycles, self.policy.livelock_window,
-        )
-        st_result = self._st_cache.get(key)
-        if st_result is None:
-            st_program = build_program(spec, 1, scale=self.scale)
-            st_result = run_reference(
-                machine, st_program,
-                max_cycles=self.policy.max_cycles,
-                livelock_window=self.policy.livelock_window,
-                on_timeout="truncate",
-            ).without_machine()
-            self._st_cache[key] = st_result
-        return st_result
-
     # ------------------------------------------------------------------
     # the sweep
     # ------------------------------------------------------------------
@@ -840,22 +867,15 @@ class BatchRunner:
                     len(cells) - len(report.outcomes),
                 )
                 break
-            if resume and self.journal.completed(name, n_threads):
-                logger.info("resume: skipping completed cell %s:%d",
-                            name, n_threads)
-                report.outcomes.append(CellOutcome(
-                    name=name,
-                    n_threads=n_threads,
-                    status=CELL_RESUMED,
-                ))
-                if self.bus is not None:
-                    self.bus.emit(CellFinished(
-                        f"{name}:{n_threads}", CELL_RESUMED, 0
-                    ))
+            skipped = completed_outcome(
+                self.journal, name, n_threads, resume, self.bus
+            )
+            if skipped is not None:
+                report.outcomes.append(skipped)
                 continue
             logger.info("running cell %s:%d", name, n_threads)
             try:
-                outcome = self.run_cell(spec, n_threads)
+                outcome = self._run_cell(spec, n_threads)
             except DrainRequested as exc:
                 # nothing is journaled for the interrupted cell: its
                 # checkpoint (when armed) carries the partial run, and
@@ -867,29 +887,13 @@ class BatchRunner:
                     " after a checkpoint save" if exc.saved else "",
                 )
                 break
-            with maybe_span(self.spans, "journal.write", cat="sweep"):
-                if outcome.status == CELL_OK:
-                    assert outcome.result is not None
-                    self.journal.record_ok(
-                        name, n_threads,
-                        attempts=outcome.attempts,
-                        total_cycles=outcome.result.mt_result.total_cycles,
-                        truncated=outcome.result.mt_result.truncated,
-                        metrics=outcome.metrics,
-                    )
-                else:
-                    self.journal.record_failure(
-                        name, n_threads,
-                        attempts=outcome.attempts,
-                        error=outcome.error or "",
-                        error_type=outcome.error_type or "",
-                        snapshot=outcome.snapshot,
-                    )
+            record_outcome(
+                report, self.journal, outcome, self.metrics, self.spans
+            )
             if outcome.result is not None:
                 # journaled and its stack built: nothing reads this
                 # cell's machine again, so the sweep does not keep it
                 outcome.result = outcome.result.without_machine()
-            report.outcomes.append(outcome)
         if self.bus is not None:
             self.bus.emit(SweepFinished(
                 len(report.completed), len(report.failures),

@@ -32,8 +32,13 @@ from repro.core.analysis import (
 from repro.core.classification import ClassificationTree, classify_stack
 from repro.core.stack import SpeedupStack
 from repro.core.validation import ValidationRow, errors_by_thread_count
-from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.sim.engine import SimResult, Simulation
+from repro.experiments.runner import (
+    ExperimentResult,
+    ReferenceMemo,
+    finish_experiment,
+)
+from repro.session.kernel import SimulationKernel
+from repro.sim.engine import Simulation
 from repro.workloads.pipeline import build_pipeline_program
 from repro.workloads.spec import BenchmarkSpec, build_program
 from repro.workloads.suite import FIG5_BENCHMARKS, FIG8_BENCHMARKS, SUITE, by_name
@@ -66,31 +71,18 @@ class ExperimentCache:
     scale: float = 1.0
     machine: MachineConfig | None = None
     _results: dict[tuple, ExperimentResult] = field(default_factory=dict)
-    _references: dict[tuple, SimResult] = field(default_factory=dict)
+    _references: ReferenceMemo = field(default_factory=ReferenceMemo)
 
     @classmethod
     def from_experiment(cls, experiment: ExperimentConfig) -> "ExperimentCache":
         """Cache whose runs use the experiment's machine and scale."""
         return cls(scale=experiment.workload.scale, machine=experiment.machine)
 
-    def _reference(self, spec: BenchmarkSpec, machine: MachineConfig):
-        """Single-threaded reference run (cached per spec + machine)."""
-        key = (spec.full_name, machine.with_cores(1), self.scale)
-        if key not in self._references:
-            logger.debug("reference run: %s (scale %.3g)",
-                         spec.full_name, self.scale)
-            program = build_program(spec, 1, scale=self.scale)
-            single = machine.with_cores(1)
-            self._references[key] = (
-                Simulation(single, program).run().without_machine()
-            )
-        return self._references[key]
-
     def reference_cycles(
         self, spec: BenchmarkSpec, machine: MachineConfig
     ) -> int:
         """Single-threaded execution time Ts (cached per spec+machine)."""
-        return self._reference(spec, machine).total_cycles
+        return self._references.get(spec, self.scale, machine).total_cycles
 
     def run(
         self,
@@ -108,19 +100,13 @@ class ExperimentCache:
         key = (spec.full_name, n_threads, machine, self.scale)
         if key not in self._results:
             logger.info("accounted run: %s n=%d", spec.full_name, n_threads)
-            st_result = self._reference(spec, machine)
-            mt_program = build_program(spec, n_threads, scale=self.scale)
-            result = run_experiment(spec.full_name, machine, mt_program)
-            # Attach the cached reference run and rebuild the stack with
-            # the measured single-threaded time.
-            from repro.core.stack import build_stack
-
-            result.st_result = st_result
-            result.stack = build_stack(
-                spec.full_name, result.report,
-                ts_cycles=st_result.total_cycles,
+            st_result = self._references.get(spec, self.scale, machine)
+            kernel = SimulationKernel(
+                machine, build_program(spec, n_threads, scale=self.scale)
             )
-            self._results[key] = result.without_machine()
+            self._results[key] = finish_experiment(
+                spec.full_name, kernel, st_result
+            ).without_machine()
         return self._results[key]
 
 

@@ -12,7 +12,7 @@ HTML file with everything a post-mortem needs in one place:
 * a worker utilization strip built from the heartbeat JSONL history,
   with idle gaps visible as blanks;
 * the speedup stacks themselves — the paper's artifact, rendered from
-  the per-cell component breakdowns queue records carry.
+  the full stack each queue cell's finished-cell record carries.
 
 All charts are monospace text built with the same
 :func:`repro.core.rendering._bar` blocks the CLI renders stacks with,
@@ -29,6 +29,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.core.components import STACK_ORDER
 from repro.core.rendering import _bar
 from repro.observability.spans import span_roots
 
@@ -95,6 +96,7 @@ def _load_journal(path: Path) -> dict:
 
 
 def _load_queue(queue_dir: Path) -> dict:
+    from repro.parallel.transport import stack_from_dict
     from repro.queue.store import QueueStore
 
     store = QueueStore(queue_dir)
@@ -103,6 +105,9 @@ def _load_queue(queue_dir: Path) -> dict:
     for key in store.order:
         record = store.result(key) or {}
         spans = record.get("spans")
+        stack = (
+            stack_from_dict(record["stack"]) if record.get("stack") else None
+        )
         cells.append({
             "key": key,
             "status": record.get("status", states.get(key, "pending")),
@@ -112,9 +117,9 @@ def _load_queue(queue_dir: Path) -> dict:
             "error_type": record.get("error_type"),
             "wall_s": _queue_run_wall_s(spans),
             "spans": spans,
-            "actual_speedup": record.get("actual_speedup"),
-            "estimated_speedup": record.get("estimated_speedup"),
-            "stack_segments": record.get("stack_segments"),
+            "actual_speedup": stack.actual_speedup if stack else None,
+            "estimated_speedup": stack.estimated_speedup if stack else None,
+            "stack_segments": _segments(stack) if stack else None,
             "resumed_from_cycle": record.get("resumed_from_cycle"),
         })
     return {
@@ -123,6 +128,12 @@ def _load_queue(queue_dir: Path) -> dict:
         "cells": cells,
         "heartbeats": store.worker_heartbeat_history(),
     }
+
+
+def _segments(stack) -> dict[str, float]:
+    """A stack's component breakdown, labelled, in stack order."""
+    segments = stack.segments()
+    return {comp.label: segments[comp] for comp in STACK_ORDER}
 
 
 def _queue_run_wall_s(spans) -> float | None:

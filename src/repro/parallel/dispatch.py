@@ -37,14 +37,15 @@ import tempfile
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
+from repro.config import RunConfig
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     CELL_FAILED,
     CELL_OK,
-    CELL_RESUMED,
     CellOutcome,
-    RunPolicy,
     SweepReport,
+    completed_outcome,
+    record_outcome,
 )
 from repro.observability.events import (
     CellFinished,
@@ -55,7 +56,6 @@ from repro.observability.events import (
     SweepStarted,
     WorkerCrashed,
 )
-from repro.observability.spans import maybe_span
 from repro.parallel.cells import WORKER_CRASH, CellResult, CellSpec
 from repro.parallel.chunking import Chunk, ChunkingPolicy, plan_chunks
 from repro.parallel.transport import decode_chunk_payload, read_spill
@@ -77,7 +77,7 @@ def _crashed_result(cell: CellSpec, attempts: int) -> CellResult:
 
 
 def _run_quarantined(
-    index: int, cell: CellSpec, policy: RunPolicy, max_attempts: int,
+    index: int, cell: CellSpec, policy: RunConfig, max_attempts: int,
     collect_metrics: bool = False, collect_spans: bool = False,
 ) -> CellResult:
     """Re-run one crash suspect alone in single-worker pools.
@@ -108,7 +108,7 @@ def _run_quarantined(
 def _execute_cells(
     pending: list[tuple[int, CellSpec]],
     jobs: int,
-    policy: RunPolicy,
+    policy: RunConfig,
     collect_metrics: bool = False,
     bus=None,
     drain=None,
@@ -328,7 +328,7 @@ def _execute_cells(
 def run_parallel_sweep(
     cells: list[CellSpec],
     jobs: int,
-    policy: RunPolicy | None = None,
+    policy: RunConfig | None = None,
     journal: SweepJournal | None = None,
     resume: bool = False,
     bus=None,
@@ -377,7 +377,7 @@ def run_parallel_sweep(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    policy = policy or RunPolicy()
+    policy = policy or RunConfig()
     journal = journal or SweepJournal(None)
 
     outcomes: list[CellOutcome | None] = []
@@ -385,17 +385,10 @@ def run_parallel_sweep(
     if bus is not None:
         bus.emit(SweepStarted(len(cells), jobs))
     for index, cell in enumerate(cells):
-        if resume and journal.completed(cell.name, cell.n_threads):
-            logger.info("resume: skipping completed cell %s", cell.key)
-            outcomes.append(CellOutcome(
-                name=cell.name,
-                n_threads=cell.n_threads,
-                status=CELL_RESUMED,
-            ))
-            if bus is not None:
-                bus.emit(CellFinished(cell.key, CELL_RESUMED, 0))
-        else:
-            outcomes.append(None)
+        outcomes.append(completed_outcome(
+            journal, cell.name, cell.n_threads, resume, bus
+        ))
+        if outcomes[-1] is None:
             pending.append((index, cell))
 
     results, interrupted = _execute_cells(
@@ -422,41 +415,11 @@ def run_parallel_sweep(
                 result.name, result.n_threads,
                 result.error or "cell failed",
             )
-        if result.status == CELL_OK:
-            with maybe_span(spans, "journal.write", cat="sweep"):
-                journal.record_ok(
-                    result.name, result.n_threads,
-                    attempts=result.attempts,
-                    total_cycles=result.total_cycles,
-                    truncated=result.truncated,
-                    metrics=result.metrics,
-                )
-            if metrics is not None and result.metrics is not None:
-                metrics.absorb(result.metrics)
-                metrics.counter("runtime.cells_ok").inc()
-        else:
-            with maybe_span(spans, "journal.write", cat="sweep"):
-                journal.record_failure(
-                    result.name, result.n_threads,
-                    attempts=result.attempts,
-                    error=result.error or "",
-                    error_type=result.error_type or "",
-                    snapshot=result.snapshot,
-                )
-            if metrics is not None:
-                metrics.counter("runtime.cells_failed").inc()
-                if result.error_type == WORKER_CRASH:
-                    metrics.counter("runtime.worker_crashes").inc()
-        report.outcomes.append(CellOutcome(
-            name=result.name,
-            n_threads=result.n_threads,
-            status=result.status,
-            attempts=result.attempts,
-            result=result if result.status == CELL_OK else None,
-            error=result.error,
-            error_type=result.error_type,
-            snapshot=result.snapshot,
-        ))
+        record_outcome(
+            report, journal, CellOutcome.from_result(result), metrics, spans
+        )
+        if metrics is not None and result.error_type == WORKER_CRASH:
+            metrics.counter("runtime.worker_crashes").inc()
     if bus is not None:
         bus.emit(SweepFinished(
             len(report.completed), len(report.failures),

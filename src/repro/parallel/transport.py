@@ -182,10 +182,6 @@ def decode_chunk_payload(
     )
 
 
-def decode_chunk_results(payload: bytes) -> list[tuple[int, CellResult]]:
-    return decode_chunk_payload(payload)[0]
-
-
 # ----------------------------------------------------------------------
 # spill protocol (crash recovery)
 # ----------------------------------------------------------------------

@@ -33,13 +33,8 @@ import json
 import os
 from dataclasses import replace
 
-from repro.config import machine_from_dict
-from repro.experiments.runner import (
-    BatchRunner,
-    CELL_FAILED,
-    CELL_OK,
-    RunPolicy,
-)
+from repro.config import RunConfig, machine_from_dict
+from repro.experiments.runner import BatchRunner, CELL_FAILED, CELL_OK
 from repro.observability.metrics import harvest_cell_metrics
 from repro.observability.spans import SpanRecorder
 from repro.parallel.cells import KILL_ENV, CellResult, CellSpec
@@ -72,7 +67,7 @@ class WorkerCaches:
 
     def runner(
         self,
-        policy: RunPolicy,
+        policy: RunConfig,
         scale: float,
         machine_json: str | None,
         runner_cls: type[BatchRunner] = BatchRunner,
@@ -119,95 +114,101 @@ def span_origin() -> str:
     return f"worker-{os.getpid()}"
 
 
+def execute_cell(
+    runner: BatchRunner,
+    cell: CellSpec,
+    collect_metrics: bool = False,
+    spans: SpanRecorder | None = None,
+) -> CellResult:
+    """Run one cell on a warm runner and reduce its outcome to the
+    finished-cell record both worker kinds ship.
+
+    Runs the standard ``BatchRunner.run_cell`` protocol — fault
+    application, retry-with-backoff, outcome classification.  Faults
+    travel as (kind, seed), not closures: ``run_cell`` rebuilds the
+    fault itself and can then describe it in checkpoint descriptors for
+    crash-resume (a closure would be opaque and non-resumable).
+
+    With ``collect_metrics`` the cell's flat ``sim.*`` metrics dict is
+    harvested here, with the same
+    :func:`~repro.observability.metrics.harvest_cell_metrics` the
+    serial runner uses (the live ``chip``/``threads`` objects it reads
+    do not pickle) — which keeps serial, pool and queue journals
+    byte-identical with metrics enabled.
+
+    ``spans`` is pointed at the runner for just this cell (the cell's
+    phase spans land in it); ``runner.spans`` is a mutable attribute
+    *outside* the :class:`WorkerCaches` key on purpose — cache keys may
+    only hold frozen inputs.  The caller attaches the rows.
+    """
+    if cell.fault is not None:
+        runner.fault_plan = {cell.key: (cell.fault, cell.fault_seed)}
+    else:
+        runner.fault_plan = {}
+    runner.spans = spans
+    try:
+        outcome = runner.run_cell(cell.spec, cell.n_threads)
+    finally:
+        runner.spans = None
+    if outcome.status != CELL_OK:
+        return CellResult(
+            name=outcome.name,
+            n_threads=outcome.n_threads,
+            status=CELL_FAILED,
+            attempts=outcome.attempts,
+            error=outcome.error,
+            error_type=outcome.error_type,
+            snapshot=outcome.snapshot,
+        )
+    result = outcome.result
+    assert result is not None
+    return CellResult(
+        name=outcome.name,
+        n_threads=outcome.n_threads,
+        status=CELL_OK,
+        attempts=outcome.attempts,
+        stack=result.stack,
+        report=result.report,
+        total_cycles=result.total_cycles,
+        truncated=result.truncated,
+        mt_instrs=result.mt_result.total_instrs,
+        mt_spin_instrs=result.mt_result.total_spin_instrs,
+        st_instrs=result.st_result.total_instrs if result.st_result else 0,
+        metrics=harvest_cell_metrics(result) if collect_metrics else None,
+    )
+
+
 def run_cell_task(
     cell: CellSpec,
-    policy: RunPolicy,
+    policy: RunConfig,
     collect_metrics: bool = False,
     collect_spans: bool = False,
 ) -> CellResult:
-    """Execute one cell in the current process.
+    """Execute one cell in a pool worker (see :func:`execute_cell`).
 
-    Runs the standard ``BatchRunner.run_cell`` protocol — fault
-    application, retry-with-backoff, outcome classification — against
-    this process's warm caches and reduces the outcome to a
-    :class:`CellResult`.  ``abort`` is enforced by the parent (a worker
-    must never raise across the pipe), so it is downgraded to ``skip``
-    here.
-
-    With ``collect_metrics`` the worker harvests the cell's flat
-    ``sim.*`` metrics dict (the live ``chip``/``threads`` objects the
-    harvest reads do not pickle, so harvesting must happen on this side
-    of the process boundary) using the same
-    :func:`~repro.observability.metrics.harvest_cell_metrics` the
-    serial runner uses — which is what makes serial and parallel
-    journals byte-identical even with metrics enabled.
-
-    With ``collect_spans`` a fresh per-cell
-    :class:`~repro.observability.spans.SpanRecorder` is pointed at the
-    warm runner for just this cell, and the resulting rows travel on
-    ``CellResult.spans`` — so they ride the spill protocol too, and a
-    spill-recovered cell keeps its spans exactly once.  A per-cell
-    recorder (rather than a per-worker one) is what makes that work:
-    the result is self-contained.  ``runner.spans`` is a mutable
-    attribute *outside* the :class:`WorkerCaches` key on purpose —
-    cache keys may only hold frozen inputs.
+    ``abort`` is enforced by the parent (a worker must never raise
+    across the pipe), so it is downgraded to ``skip`` here.  With
+    ``collect_spans`` a fresh per-cell
+    :class:`~repro.observability.spans.SpanRecorder` times the cell and
+    its rows travel on ``CellResult.spans`` — so they ride the spill
+    protocol too, and a spill-recovered cell keeps its spans exactly
+    once.
     """
     if os.environ.get(KILL_ENV) == cell.key:
         os._exit(17)  # simulated hard worker death (test hook)
     if policy.on_error == "abort":
         policy = replace(policy, on_error="skip")
     runner = _CACHES.runner(policy, cell.scale, cell.machine_json)
-    if cell.fault is not None:
-        # ship (kind, seed), not a closure: run_cell rebuilds the fault
-        # itself and can then describe it in checkpoint descriptors for
-        # crash-resume (a closure would be opaque and non-resumable)
-        runner.fault_plan = {cell.key: (cell.fault, cell.fault_seed)}
-    else:
-        runner.fault_plan = {}
     recorder = SpanRecorder(origin=span_origin()) if collect_spans else None
-    runner.spans = recorder
-    try:
-        outcome = runner.run_cell(cell.spec, cell.n_threads)
-    finally:
-        runner.spans = None
-    span_rows = recorder.to_dicts() if recorder is not None else None
-    if outcome.status == CELL_OK:
-        result = outcome.result
-        assert result is not None
-        return CellResult(
-            name=outcome.name,
-            n_threads=outcome.n_threads,
-            status=CELL_OK,
-            attempts=outcome.attempts,
-            stack=result.stack,
-            report=result.report,
-            total_cycles=result.mt_result.total_cycles,
-            truncated=result.mt_result.truncated,
-            mt_instrs=result.mt_result.total_instrs,
-            mt_spin_instrs=result.mt_result.total_spin_instrs,
-            st_instrs=(
-                result.st_result.total_instrs if result.st_result else 0
-            ),
-            metrics=(
-                harvest_cell_metrics(result) if collect_metrics else None
-            ),
-            spans=span_rows,
-        )
-    return CellResult(
-        name=outcome.name,
-        n_threads=outcome.n_threads,
-        status=CELL_FAILED,
-        attempts=outcome.attempts,
-        error=outcome.error,
-        error_type=outcome.error_type,
-        snapshot=outcome.snapshot,
-        spans=span_rows,
-    )
+    result = execute_cell(runner, cell, collect_metrics, recorder)
+    if recorder is None:
+        return result
+    return replace(result, spans=recorder.to_dicts())
 
 
 def run_chunk_task(
     chunk_cells: tuple[tuple[int, CellSpec], ...],
-    policy: RunPolicy,
+    policy: RunConfig,
     collect_metrics: bool = False,
     spill_path: str | None = None,
     collect_spans: bool = False,

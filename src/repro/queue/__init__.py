@@ -15,11 +15,7 @@ queue layout, the lease state machine, and the failure matrix.
   spawns workers and merges the byte-identical journal.
 """
 
-from repro.queue.driver import (
-    QueueCellResult,
-    StackView,
-    run_queue_sweep,
-)
+from repro.queue.driver import run_queue_sweep
 from repro.queue.store import (
     DONE,
     FAILED,
@@ -32,7 +28,7 @@ from repro.queue.store import (
     QueueStore,
     ReclaimEvent,
 )
-from repro.queue.worker import QueueWorker, result_record, run_worker
+from repro.queue.worker import QueueWorker, run_worker
 
 __all__ = [
     "DONE",
@@ -42,13 +38,10 @@ __all__ = [
     "POISON_CELL",
     "QUARANTINED",
     "Lease",
-    "QueueCellResult",
     "QueueCounts",
     "QueueStore",
     "QueueWorker",
     "ReclaimEvent",
-    "StackView",
-    "result_record",
     "run_queue_sweep",
     "run_worker",
 ]

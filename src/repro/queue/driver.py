@@ -12,13 +12,16 @@ The parent process behind ``repro sweep --backend queue``:
    standard sweep event stream (``CellStarted`` / ``CellFinished`` /
    ``LeaseExpired`` / ``CellRequeued`` / ``CellQuarantined``) and
    ``runtime.*`` metrics, so ``--progress`` / ``--heartbeat`` work
-   unchanged;
-4. once every cell is terminal, merge the results into the
-   :class:`~repro.robustness.journal.SweepJournal` **in canonical
-   (manifest) order** — the journal file is byte-identical to a serial
-   sweep's no matter how many workers ran, died, or stalled, because
-   cells are deterministic and journal fields come from the same
-   in-cell values serial writes.
+   unchanged.  Lease expiries are read from the reclaim history the
+   cells' records carry, so an expiry an idle worker reclaimed is
+   reported exactly like one the driver reclaimed itself;
+4. once every cell is terminal, merge the finished-cell records into
+   the :class:`~repro.robustness.journal.SweepJournal` **in canonical
+   (manifest) order**, through the same
+   :func:`~repro.experiments.runner.record_outcome` the other backends
+   use — the journal file is byte-identical to a serial sweep's no
+   matter how many workers ran, died, or stalled, because cells are
+   deterministic.
 
 A drain signal (SIGINT/SIGTERM via the attached
 :class:`~repro.robustness.drain.DrainController`) forwards SIGTERM to
@@ -36,17 +39,17 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro.config import RunConfig
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.runner import (
     CELL_FAILED,
     CELL_OK,
-    CELL_RESUMED,
     CellOutcome,
-    RunPolicy,
     SweepReport,
+    completed_outcome,
+    record_outcome,
 )
 from repro.observability.events import (
     CellFinished,
@@ -59,8 +62,8 @@ from repro.observability.events import (
     WorkerCrashed,
     WorkerHeartbeat,
 )
-from repro.observability.spans import maybe_span
-from repro.parallel import CellSpec
+from repro.parallel import CellResult, CellSpec
+from repro.parallel.transport import result_from_dict
 from repro.queue.store import (
     DONE,
     LEASED,
@@ -73,26 +76,6 @@ from repro.queue.store import (
 from repro.robustness.journal import SweepJournal
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class StackView:
-    """The slice of a SpeedupStack the sweep CLI renders for an ok
-    cell; rebuilt from the done record (the full stack stays with the
-    worker that computed it)."""
-
-    actual_speedup: float | None
-    truncated: bool
-
-
-@dataclass(frozen=True)
-class QueueCellResult:
-    """Display shim standing in for ``ExperimentResult`` in queue-sweep
-    outcomes (same ``.stack`` surface the CLI reads)."""
-
-    name: str
-    n_threads: int
-    stack: StackView
 
 
 def _spawn_worker(queue_dir: Path, index: int) -> subprocess.Popen:
@@ -179,7 +162,7 @@ class _WorkerFleet:
 def run_queue_sweep(
     cells: list[CellSpec],
     workers: int,
-    policy: RunPolicy | None = None,
+    policy: RunConfig | None = None,
     journal: SweepJournal | None = None,
     resume: bool = False,
     bus=None,
@@ -199,23 +182,18 @@ def run_queue_sweep(
     The drop-in queue counterpart of
     :func:`~repro.parallel.run_parallel_sweep`: same resume semantics,
     same journal records (written by the parent, in canonical order),
-    same :class:`SweepReport` shape — ok outcomes carry a
-    :class:`QueueCellResult` display shim instead of a full result.
+    same :class:`SweepReport` shape — ok outcomes carry the
+    :class:`~repro.parallel.cells.CellResult` their worker shipped.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    policy = policy or RunPolicy()
+    policy = policy or RunConfig()
     journal = journal or SweepJournal(None)
     queue_dir = Path(queue_dir)
     if max_respawns is None:
         max_respawns = 3 * workers
 
-    resumed_keys = {
-        cell.key for cell in cells
-        if resume and journal.completed(cell.name, cell.n_threads)
-    }
-    live_cells = [cell for cell in cells if cell.key not in resumed_keys]
-
+    store = None
     if (queue_dir / MANIFEST_NAME).exists():
         if not resume:
             raise ConfigError(
@@ -223,8 +201,19 @@ def run_queue_sweep(
                 "attach to it or choose a fresh --queue-dir"
             )
         store = QueueStore(queue_dir)
-        expected = [cell.key for cell in live_cells]
-        unknown = [key for key in store.order if key not in set(expected)]
+
+    if bus is not None:
+        bus.emit(SweepStarted(len(cells), workers))
+    skipped = [
+        completed_outcome(journal, cell.name, cell.n_threads, resume, bus)
+        for cell in cells
+    ]
+    live_cells = [
+        cell for cell, outcome in zip(cells, skipped) if outcome is None
+    ]
+    if store is not None:
+        expected = {cell.key for cell in live_cells}
+        unknown = [key for key in store.order if key not in expected]
         if unknown:
             raise ConfigError(
                 f"queue at {queue_dir} holds cells not in this sweep: "
@@ -239,11 +228,6 @@ def run_queue_sweep(
             collect_spans=spans is not None,
         )
 
-    if bus is not None:
-        bus.emit(SweepStarted(len(cells), workers))
-        for key in resumed_keys:
-            bus.emit(CellFinished(key, CELL_RESUMED, 0))
-
     interrupted = False
     if store.order and not store.all_terminal():
         interrupted = _supervise(
@@ -253,9 +237,8 @@ def run_queue_sweep(
         )
 
     report = _merge(
-        store, cells, resumed_keys, journal,
-        bus=bus, metrics=metrics, spans=spans,
-        interrupted=interrupted, policy=policy,
+        store, cells, skipped, journal,
+        metrics=metrics, spans=spans, interrupted=interrupted,
     )
     if bus is not None:
         bus.emit(SweepFinished(
@@ -268,6 +251,91 @@ def run_queue_sweep(
         len(report.failures), " [interrupted]" if report.interrupted else "",
     )
     return report
+
+
+class QueueWatch:
+    """The driver's view of a queue: one :meth:`poll` reclaims expired
+    leases and reports what changed since the last poll as sweep events
+    and ``runtime.*`` counts.
+
+    Each lease expiry is reported once, from the reclaim history the
+    cell's records carry — whoever reclaimed it (this driver, or an
+    idle worker).  A cell's record is read only when its state changes,
+    so an expiry cycle that completes between two polls surfaces with
+    the cell's next visible state at the latest (its terminal record
+    keeps the whole history).
+    """
+
+    def __init__(self, store: QueueStore, bus=None, metrics=None) -> None:
+        self.store = store
+        self.bus = bus
+        self.metrics = metrics
+        self._states: dict[str, str] = {}
+        self._started: set[str] = set()
+        self._expiries: dict[str, int] = {}
+        self._heartbeats: dict[str, float] = {}
+
+    def poll(self) -> None:
+        self.store.reclaim_expired()
+        if self.bus is None and self.metrics is None:
+            return
+        for key, state in self.store.states().items():
+            if state is None or self._states.get(key) == state:
+                continue
+            record = self.store.read(state, key)
+            if record is None:
+                continue  # moved on under us: seen on a later poll
+            self._states[key] = state
+            self._report_expiries(key, state, record)
+            if self.bus is None:
+                continue
+            if state == LEASED and key not in self._started:
+                self._started.add(key)
+                self.bus.emit(CellStarted(key, 1))
+            elif state in TERMINAL_STATES:
+                status = CELL_OK if state == DONE else CELL_FAILED
+                self.bus.emit(CellFinished(
+                    key, status, record.get("attempts", 0)
+                ))
+        self._report_heartbeats()
+
+    def _report_expiries(self, key: str, state: str, record: dict) -> None:
+        expiries = record.get("expiries", 0)
+        reclaims = record.get("reclaims", [])
+        seen = self._expiries.get(key, 0)
+        for n in range(seen + 1, expiries + 1):
+            reclaim = reclaims[n - 1] if n <= len(reclaims) else {}
+            quarantined = state == QUARANTINED and n == expiries
+            if self.metrics is not None:
+                self.metrics.counter("runtime.lease_expiries").inc()
+                if quarantined:
+                    self.metrics.counter("runtime.quarantined").inc()
+                else:
+                    self.metrics.counter("runtime.requeues").inc()
+            if self.bus is None:
+                continue
+            self.bus.emit(LeaseExpired(
+                key, reclaim.get("worker", "unknown"), n
+            ))
+            if quarantined:
+                self.bus.emit(CellQuarantined(key, n))
+            else:
+                self.bus.emit(CellRequeued(key, reclaim.get("delay_s", 0.0)))
+        self._expiries[key] = max(seen, expiries)
+
+    def _report_heartbeats(self) -> None:
+        """Fresh worker heartbeat files as :class:`WorkerHeartbeat`
+        events (one per new timestamp)."""
+        if self.bus is None:
+            return
+        for worker, doc in self.store.worker_heartbeats().items():
+            ts = doc.get("timestamp")
+            if not isinstance(ts, (int, float)) or isinstance(ts, bool):
+                continue
+            if self._heartbeats.get(worker) == ts:
+                continue
+            self._heartbeats[worker] = ts
+            self.bus.emit(WorkerHeartbeat(worker, ts, doc.get("current_cell")))
 
 
 def _supervise(
@@ -285,9 +353,7 @@ def _supervise(
     """Worker fleet + reclaimer + event translation until the queue is
     terminal (returns False) or a drain cuts it short (True)."""
     fleet = _WorkerFleet(queue_dir, workers, max_respawns, spawn)
-    started: set[str] = set()
-    finished: set[str] = set()
-    heartbeats_seen: dict[str, float] = {}
+    watch = QueueWatch(store, bus, metrics)
     grace_s = max(5.0, 2 * store.lease_ttl_s)
     try:
         while True:
@@ -298,10 +364,7 @@ def _supervise(
                 )
                 fleet.terminate(grace_s)
                 return True
-            events = store.reclaim_expired()
-            _emit_reclaims(events, bus, metrics)
-            _emit_transitions(store, started, finished, bus)
-            _emit_heartbeats(store, heartbeats_seen, bus)
+            watch.poll()
             if store.all_terminal():
                 return False
             crashed = fleet.reap_and_respawn()
@@ -330,66 +393,35 @@ def _supervise(
         fleet.terminate(grace_s)
 
 
-def _emit_reclaims(events, bus, metrics) -> None:
-    for event in events:
-        if metrics is not None:
-            metrics.counter("runtime.lease_expiries").inc()
-            if event.quarantined:
-                metrics.counter("runtime.quarantined").inc()
-            else:
-                metrics.counter("runtime.requeues").inc()
-        if bus is None:
-            continue
-        bus.emit(LeaseExpired(event.key, event.worker, event.expiries))
-        if event.quarantined:
-            bus.emit(CellQuarantined(event.key, event.expiries))
-        else:
-            bus.emit(CellRequeued(event.key, event.delay_s))
-
-
-def _emit_heartbeats(store, seen: dict[str, float], bus) -> None:
-    """Translate fresh worker heartbeat files into
-    :class:`WorkerHeartbeat` events (one per new timestamp)."""
-    if bus is None:
-        return
-    for worker, doc in store.worker_heartbeats().items():
-        ts = doc.get("timestamp")
-        if not isinstance(ts, (int, float)) or isinstance(ts, bool):
-            continue
-        if seen.get(worker) == ts:
-            continue
-        seen[worker] = ts
-        bus.emit(WorkerHeartbeat(worker, ts, doc.get("current_cell")))
-
-
-def _emit_transitions(store, started, finished, bus) -> None:
-    if bus is None:
-        return
-    for key, state in store.states().items():
-        if state == LEASED and key not in started:
-            started.add(key)
-            bus.emit(CellStarted(key, 1))
-        elif state in TERMINAL_STATES and key not in finished:
-            finished.add(key)
-            started.add(key)
-            status = CELL_OK if state == DONE else CELL_FAILED
-            record = store.result(key) or {}
-            bus.emit(CellFinished(
-                key, status, record.get("attempts", 0)
-            ))
+def _terminal_result(cell: CellSpec, record: dict) -> CellResult:
+    """The finished-cell record of a terminal queue entry: what the
+    worker shipped, or — for a quarantined poison cell — a failure
+    built from its lease-expiry history."""
+    if record.get("status") != QUARANTINED:
+        return result_from_dict(record)
+    return CellResult(
+        name=cell.name,
+        n_threads=cell.n_threads,
+        status=CELL_FAILED,
+        attempts=record["expiries"],
+        error=(
+            f"poison cell: {record['expiries']} lease expiries "
+            f"(last worker {record.get('last_worker', 'unknown')})"
+        ),
+        error_type=POISON_CELL,
+        snapshot=record.get("postmortem"),
+    )
 
 
 def _merge(
     store: QueueStore,
     cells: list[CellSpec],
-    resumed_keys: set[str],
+    skipped: list[CellOutcome | None],
     journal: SweepJournal,
     *,
-    bus,
     metrics,
     spans=None,
     interrupted: bool,
-    policy: RunPolicy,
 ) -> SweepReport:
     """Fold terminal queue records into the journal in canonical order.
 
@@ -403,120 +435,26 @@ def _merge(
     merge_id = (
         spans.start("queue.merge", cat="queue") if spans is not None else None
     )
+    report = SweepReport(interrupted=interrupted)
     try:
-        return _merge_inner(
-            store, cells, resumed_keys, journal,
-            bus=bus, metrics=metrics, spans=spans, merge_id=merge_id,
-            interrupted=interrupted, policy=policy,
-        )
+        for cell, outcome in zip(cells, skipped):
+            if outcome is not None:  # resumed
+                report.outcomes.append(outcome)
+                continue
+            record = store.result(cell.key)
+            if record is None:
+                # non-terminal (drained mid-sweep): nothing to journal; a
+                # --resume re-run picks the cell up from the queue
+                report.interrupted = True
+                continue
+            if spans is not None and record.get("spans"):
+                spans.absorb(record["spans"], parent=merge_id)
+            record_outcome(
+                report, journal,
+                CellOutcome.from_result(_terminal_result(cell, record)),
+                metrics, spans,
+            )
     finally:
         if spans is not None:
             spans.finish(merge_id)
-
-
-def _merge_inner(
-    store: QueueStore,
-    cells: list[CellSpec],
-    resumed_keys: set[str],
-    journal: SweepJournal,
-    *,
-    bus,
-    metrics,
-    spans,
-    merge_id,
-    interrupted: bool,
-    policy: RunPolicy,
-) -> SweepReport:
-    report = SweepReport(interrupted=interrupted)
-    for cell in cells:
-        key = cell.key
-        if key in resumed_keys:
-            report.outcomes.append(CellOutcome(
-                name=cell.name,
-                n_threads=cell.n_threads,
-                status=CELL_RESUMED,
-            ))
-            continue
-        record = store.result(key)
-        if record is None:
-            # non-terminal (drained mid-sweep): nothing to journal; a
-            # --resume re-run picks the cell up from the queue
-            report.interrupted = True
-            continue
-        if spans is not None and record.get("spans"):
-            spans.absorb(record["spans"], parent=merge_id)
-        if record.get("status") == "ok":
-            with maybe_span(spans, "journal.write", cat="sweep"):
-                journal.record_ok(
-                    cell.name, cell.n_threads,
-                    attempts=record["attempts"],
-                    total_cycles=record["total_cycles"],
-                    truncated=record["truncated"],
-                    metrics=record.get("metrics"),
-                )
-            if metrics is not None:
-                if record.get("metrics") is not None:
-                    metrics.absorb(record["metrics"])
-                metrics.counter("runtime.cells_ok").inc()
-            report.outcomes.append(CellOutcome(
-                name=cell.name,
-                n_threads=cell.n_threads,
-                status=CELL_OK,
-                attempts=record["attempts"],
-                result=QueueCellResult(
-                    name=cell.name,
-                    n_threads=cell.n_threads,
-                    stack=StackView(
-                        actual_speedup=record.get("actual_speedup"),
-                        truncated=record.get(
-                            "stack_truncated", record["truncated"]
-                        ),
-                    ),
-                ),
-                metrics=record.get("metrics"),
-            ))
-        elif record.get("status") == QUARANTINED:
-            error = (
-                f"poison cell: {record['expiries']} lease expiries "
-                f"(last worker {record.get('last_worker', 'unknown')})"
-            )
-            with maybe_span(spans, "journal.write", cat="sweep"):
-                journal.record_failure(
-                    cell.name, cell.n_threads,
-                    attempts=record["expiries"],
-                    error=error,
-                    error_type=POISON_CELL,
-                    snapshot=record.get("postmortem"),
-                )
-            if metrics is not None:
-                metrics.counter("runtime.cells_failed").inc()
-            report.outcomes.append(CellOutcome(
-                name=cell.name,
-                n_threads=cell.n_threads,
-                status=CELL_FAILED,
-                attempts=record["expiries"],
-                error=error,
-                error_type=POISON_CELL,
-                snapshot=record.get("postmortem"),
-            ))
-        else:
-            with maybe_span(spans, "journal.write", cat="sweep"):
-                journal.record_failure(
-                    cell.name, cell.n_threads,
-                    attempts=record["attempts"],
-                    error=record.get("error", ""),
-                    error_type=record.get("error_type", ""),
-                    snapshot=record.get("snapshot"),
-                )
-            if metrics is not None:
-                metrics.counter("runtime.cells_failed").inc()
-            report.outcomes.append(CellOutcome(
-                name=cell.name,
-                n_threads=cell.n_threads,
-                status=CELL_FAILED,
-                attempts=record["attempts"],
-                error=record.get("error"),
-                error_type=record.get("error_type"),
-                snapshot=record.get("snapshot"),
-            ))
     return report

@@ -8,7 +8,7 @@ directory at a time::
       tmp/            # staging for every transition (same filesystem)
       pending/        # claimable cells (may carry a not_before backoff)
       leased/         # cells owned by a worker under a TTL lease
-      done/           # terminal: result record (journal-shaped + extras)
+      done/           # terminal: the finished-cell record (CellResult)
       failed/         # terminal: deterministic in-simulation failure
       quarantined/    # terminal: poison cells (N expired leases)
       workers/        # per-worker liveness heartbeats (advisory)
@@ -56,14 +56,14 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.checkpoint import read_header
+from repro.config import RunConfig
 from repro.errors import CheckpointError, ConfigError
-from repro.experiments.runner import RunPolicy
 from repro.parallel import CellSpec
 from repro.workloads.spec import BenchmarkSpec
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "queue.json"
 
 #: cell states == directory names (terminal: done/failed/quarantined)
@@ -177,7 +177,8 @@ class QueueStore:
         if version != MANIFEST_VERSION:
             raise ConfigError(
                 f"unsupported queue manifest version {version!r} "
-                f"in {self._manifest_path}"
+                f"in {self._manifest_path} (this build reads version "
+                f"{MANIFEST_VERSION}); run the sweep on a fresh --queue-dir"
             )
         self.cells: dict[str, CellSpec] = {}
         self.order: list[str] = []
@@ -185,7 +186,7 @@ class QueueStore:
             cell = cell_from_dict(doc)
             self.cells[cell.key] = cell
             self.order.append(cell.key)
-        self.policy = RunPolicy(**manifest["policy"])
+        self.policy = RunConfig(**manifest["policy"])
         self.lease_ttl_s: float = manifest["lease_ttl_s"]
         self.poison_after: int = manifest["poison_after"]
         self.collect_metrics: bool = manifest.get("collect_metrics", False)
@@ -208,7 +209,7 @@ class QueueStore:
         cls,
         root: str | Path,
         cells: list[CellSpec],
-        policy: RunPolicy,
+        policy: RunConfig,
         *,
         lease_ttl_s: float = 30.0,
         poison_after: int = 3,
@@ -444,6 +445,7 @@ class QueueStore:
         pending = {
             "key": lease.key,
             "expiries": record.get("expiries", 0),
+            "reclaims": record.get("reclaims", []),
             "lease_seq": record.get("lease_seq", lease.token),
             "not_before": now + delay_s,
         }
@@ -452,9 +454,10 @@ class QueueStore:
     def complete(self, lease: Lease, result: dict) -> bool:
         """Commit a terminal result for a leased cell.
 
-        ``result`` must carry ``status`` ("ok" or "failed") plus the
-        journal-shaped fields for it; extra display fields (speedup,
-        resume cycle) ride along and are ignored by the journal merge.
+        ``result`` is a finished-cell record
+        (:func:`~repro.parallel.transport.result_to_dict` plus extras
+        such as the resume cycle) whose ``status`` is "ok" or "failed".
+        The terminal record also keeps the cell's lease-expiry history.
         Returns False when the lease was lost or another worker already
         completed the cell (first completer wins; duplicates are
         byte-identical by determinism).
@@ -466,7 +469,12 @@ class QueueStore:
         if owned is None:
             return False
         record, tmp = owned
-        terminal = {"key": lease.key, **result}
+        terminal = {
+            "key": lease.key,
+            "expiries": record.get("expiries", 0),
+            "reclaims": record.get("reclaims", []),
+            **result,
+        }
         state = DONE if status == "ok" else FAILED
         return self._put(state, lease.key, terminal, consume=tmp)
 
@@ -480,14 +488,19 @@ class QueueStore:
         """Return expired (or corrupt) leases to the queue.
 
         Requeued cells get an exponential-backoff-with-jitter
-        ``not_before`` (the run policy's deterministic
-        :meth:`~repro.experiments.runner.RunPolicy.backoff_delay`,
-        keyed on the cell and its expiry count); a cell that expires
+        ``not_before`` (the run config's deterministic
+        :meth:`~repro.config.RunConfig.backoff_delay`, keyed on the
+        cell and its expiry count); a cell that expires
         ``poison_after`` leases is quarantined with a checkpoint
         post-mortem instead of circulating forever.  Also repairs
         orphans: a cell present in *no* state directory (crash exactly
         between two renames, or a corrupt file deleted by hand) is
         re-enqueued from the manifest after two consecutive sightings.
+
+        Each expiry is also appended to the cell's ``reclaims`` history
+        (worker and backoff), which every later record of the cell
+        carries: the sweep driver reports expiries from that history,
+        whichever process reclaimed them.
         """
         now = time.time() if now is None else now
         events: list[ReclaimEvent] = []
@@ -522,11 +535,13 @@ class QueueStore:
             expiries = record.get("expiries", 0) + 1
             self._expiry_memory[key] = expiries
             worker = record.get("worker", "unknown")
+            reclaims = record.get("reclaims", [])
             if expiries >= self.poison_after:
                 self._put(QUARANTINED, key, {
                     "key": key,
                     "status": QUARANTINED,
                     "expiries": expiries,
+                    "reclaims": reclaims + [{"worker": worker}],
                     "last_worker": worker,
                     "postmortem": self._postmortem(key),
                 }, consume=tmp)
@@ -542,6 +557,9 @@ class QueueStore:
                 self._put(PENDING, key, {
                     "key": key,
                     "expiries": expiries,
+                    "reclaims": reclaims + [
+                        {"worker": worker, "delay_s": delay}
+                    ],
                     "lease_seq": record.get("lease_seq", expiries),
                     "not_before": now + delay,
                 }, consume=tmp)
@@ -637,13 +655,21 @@ class QueueStore:
             state in TERMINAL_STATES for state in self.states().values()
         )
 
+    def read(self, state: str, key: str) -> dict | None:
+        """A cell's record in ``state`` (None when it is not there, or
+        not readable as a record)."""
+        try:
+            with open(self.root / state / _fname(key)) as handle:
+                return json.load(handle)
+        except (json.JSONDecodeError, OSError):
+            return None
+
     def result(self, key: str) -> dict | None:
         """The terminal record of a cell (done/failed/quarantined)."""
         for state in (DONE, FAILED, QUARANTINED):
-            path = self.root / state / _fname(key)
-            if path.exists():
-                with open(path) as handle:
-                    return json.load(handle)
+            record = self.read(state, key)
+            if record is not None:
+                return record
         return None
 
     # ------------------------------------------------------------------

@@ -5,13 +5,15 @@ A :class:`QueueWorker` attaches to a queue directory and loops:
 1. claim the first claimable pending cell (single-winner rename);
 2. start a renewal thread that extends the lease every TTL/3 and
    refreshes the worker's heartbeat file;
-3. run the cell through the standard
-   :class:`~repro.experiments.runner.BatchRunner` protocol — faults,
+3. run the cell exactly as a pool worker does
+   (:func:`~repro.parallel.worker.execute_cell`) — faults,
    retry-with-backoff, and crucially *checkpoint resume*: a cell
    reclaimed from a dead worker picks up that worker's config-hash-
    guarded checkpoint and continues from the saved cycle instead of
    cycle 0;
-4. commit the terminal record with a fencing-token check — a worker
+4. commit the finished-cell record — the pool's
+   :class:`~repro.parallel.cells.CellResult` dict, plus the resume
+   cycle and the cell's spans — with a fencing-token check: a worker
    whose lease expired mid-run (stalled heartbeat, long GC pause)
    discovers it here and discards its result; the new owner recomputes
    the byte-identical record.
@@ -46,13 +48,15 @@ import logging
 import os
 import threading
 import time
+from dataclasses import replace
 
 from repro.checkpoint import read_header
-from repro.core.components import STACK_ORDER
 from repro.errors import CheckpointError
-from repro.experiments.runner import BatchRunner, CELL_OK
+from repro.experiments.runner import BatchRunner
 from repro.observability.spans import SpanRecorder, maybe_span
-from repro.parallel import CellSpec, WorkerCaches
+from repro.parallel import CellResult, WorkerCaches
+from repro.parallel.transport import result_to_dict
+from repro.parallel.worker import execute_cell
 from repro.queue.store import Lease, QueueStore
 from repro.robustness.drain import (
     EXIT_DRAINED,
@@ -73,36 +77,14 @@ KILL_AFTER_SAVE_EXIT = 29
 
 class _KillAfterSaveHook:
     """Checkpoint-hook wrapper that hard-kills the process right after
-    the first successful periodic save (chaos hook)."""
+    the first successful periodic save (chaos hook); everything else
+    is the wrapped hook's."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
 
-    @property
-    def path(self):
-        return self.inner.path
-
-    @property
-    def descriptor(self):
-        return self.inner.descriptor
-
-    @property
-    def n_saves(self):
-        return self.inner.n_saves
-
-    @property
-    def last_header(self):
-        return self.inner.last_header
-
-    @property
-    def saves_state(self) -> bool:
-        return self.inner.saves_state
-
-    def due(self, now: int) -> bool:
-        return self.inner.due(now)
-
-    def wants(self, reason: str) -> bool:
-        return self.inner.wants(reason)
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
 
     def save(self, sim, reason: str):
         header = self.inner.save(sim, reason)
@@ -112,10 +94,13 @@ class _KillAfterSaveHook:
 
 
 class _QueueRunner(BatchRunner):
-    """BatchRunner with the kill-after-save chaos hook spliced into the
-    cell's checkpoint chain (see module doc)."""
+    """BatchRunner that notes the cycle a cell resumed from, with the
+    kill-after-save chaos hook spliced into the cell's checkpoint chain
+    (see module doc)."""
 
     kill_after_save_key: str | None = None
+    #: checkpoint cycle the last cell resumed from (None: fresh run)
+    resumed_from: int | None = None
 
     def _cell_checkpoint(self, spec, n_threads, machine, fault_info, attempt):
         hook = super()._cell_checkpoint(
@@ -125,6 +110,15 @@ class _QueueRunner(BatchRunner):
         if hook is not None and key == self.kill_after_save_key:
             return _KillAfterSaveHook(hook)
         return hook
+
+    def _try_resume(self, hook, spec):
+        sim = super()._try_resume(hook, spec)
+        if sim is not None:
+            try:
+                self.resumed_from = read_header(hook.path)["cycle"]
+            except (CheckpointError, OSError, KeyError):
+                self.resumed_from = None
+        return sim
 
 
 class _LeaseRenewer(threading.Thread):
@@ -176,41 +170,6 @@ class _LeaseRenewer(threading.Thread):
                 return
 
 
-def result_record(outcome, resumed_from_cycle: int | None = None) -> dict:
-    """Reduce a :class:`~repro.experiments.runner.CellOutcome` to the
-    terminal queue record (journal-shaped fields + display extras)."""
-    if outcome.status == CELL_OK:
-        result = outcome.result
-        record = {
-            "status": "ok",
-            "attempts": outcome.attempts,
-            "total_cycles": result.mt_result.total_cycles,
-            "truncated": result.mt_result.truncated,
-        }
-        if outcome.metrics is not None:
-            record["metrics"] = outcome.metrics
-        # display/diagnostic extras: never merged into the journal
-        record["actual_speedup"] = result.stack.actual_speedup
-        record["stack_truncated"] = result.stack.truncated
-        # the full component breakdown (deterministic), so `repro
-        # report` can render the speedup stacks of a queue sweep
-        segments = result.stack.segments()
-        record["estimated_speedup"] = result.stack.estimated_speedup
-        record["stack_segments"] = {
-            comp.label: segments[comp] for comp in STACK_ORDER
-        }
-        if resumed_from_cycle is not None:
-            record["resumed_from_cycle"] = resumed_from_cycle
-        return record
-    return {
-        "status": "failed",
-        "attempts": outcome.attempts,
-        "error": outcome.error or "",
-        "error_type": outcome.error_type or "",
-        "snapshot": outcome.snapshot,
-    }
-
-
 class QueueWorker:
     """One worker process loop over a queue directory."""
 
@@ -220,80 +179,47 @@ class QueueWorker:
         worker_id: str | None = None,
         drain: DrainController | None = None,
         poll_s: float = 0.05,
-        metrics=None,
     ) -> None:
         self.store = store
-        if metrics is None and store.collect_metrics:
-            # the parent sweep runs with a metrics registry: harvest
-            # per-cell sim.* metrics here so the merged journal matches
-            # a serial instrumented run byte for byte
-            from repro.observability.metrics import MetricsRegistry
-
-            metrics = MetricsRegistry()
         self.worker_id = worker_id or f"worker-{os.getpid()}"
         self.drain = drain or DrainController()
         self.poll_s = poll_s
-        self.metrics = metrics
         self.cells_run = 0
         # the same warm-cache layer pool workers use (runner per
         # (policy, scale, machine) family, memoized machine parse), so
         # a queue worker amortizes reference runs and trace decodes
-        # across its claimed cells identically; metrics/drain are
-        # per-worker constants, which is exactly what WorkerCaches
+        # across its claimed cells identically; the drain controller is
+        # a per-worker constant, which is exactly what WorkerCaches
         # requires of runner kwargs
         self._caches = WorkerCaches()
 
     # -- cell execution -------------------------------------------------
 
-    def _runner(self, cell: CellSpec) -> _QueueRunner:
-        return self._caches.runner(
+    def _run_cell(
+        self, lease: Lease, spans: SpanRecorder | None = None
+    ) -> tuple[CellResult, int | None]:
+        """The cell's finished-cell record and the checkpoint cycle it
+        resumed from (None for a fresh run)."""
+        cell = lease.cell
+        runner = self._caches.runner(
             self.store.policy,
             cell.scale,
             cell.machine_json,
             runner_cls=_QueueRunner,
-            metrics=self.metrics,
             drain=self.drain,
         )
-
-    def _run_cell(
-        self, lease: Lease, spans: SpanRecorder | None = None
-    ) -> dict:
-        cell = lease.cell
-        runner = self._runner(cell)
         runner.kill_after_save_key = None
         if os.environ.get(KILL_AFTER_SAVE_ENV) == cell.key:
             if self.store.chaos_armed("kill-after-save", cell.key):
                 runner.kill_after_save_key = cell.key
-        if cell.fault is not None:
-            runner.fault_plan = {cell.key: (cell.fault, cell.fault_seed)}
-        else:
-            runner.fault_plan = {}
-        resumed_from = None
-        original_try_resume = runner._try_resume
-
-        def _noting_try_resume(hook, spec):
-            nonlocal resumed_from
-            sim = original_try_resume(hook, spec)
-            if sim is not None:
-                try:
-                    resumed_from = read_header(hook.path)["cycle"]
-                except (CheckpointError, OSError, KeyError):
-                    resumed_from = None
-            return sim
-
-        runner._try_resume = _noting_try_resume
+        runner.resumed_from = None
         # the cell's own spans (trace.decode, engine.advance, ...) nest
-        # under queue.run via the runner's thread-local span stack;
-        # runner.spans is a mutable attribute outside the WorkerCaches
-        # key, re-pointed per cell exactly like the pool workers do
-        runner.spans = spans
-        try:
-            with maybe_span(spans, "queue.run", cat="queue", key=cell.key):
-                outcome = runner.run_cell(cell.spec, cell.n_threads)
-        finally:
-            runner.spans = None
-            runner._try_resume = original_try_resume
-        return result_record(outcome, resumed_from_cycle=resumed_from)
+        # under queue.run via the runner's thread-local span stack
+        with maybe_span(spans, "queue.run", cat="queue", key=cell.key):
+            result = execute_cell(
+                runner, cell, self.store.collect_metrics, spans
+            )
+        return result, runner.resumed_from
 
     # -- the loop -------------------------------------------------------
 
@@ -359,7 +285,7 @@ class QueueWorker:
             renewer = _LeaseRenewer(store, lease, stall=stall, spans=recorder)
             renewer.start()
             try:
-                record = self._run_cell(lease, spans=recorder)
+                result, resumed_from = self._run_cell(lease, spans=recorder)
             except DrainRequested as exc:
                 renewer.stop()
                 released = store.release(lease)
@@ -374,9 +300,12 @@ class QueueWorker:
             renewer.stop()
             if recorder is not None:
                 # attached after the renewer stops so late lease-renew
-                # rows are included; the driver's merge absorbs this key
-                # and never journals it (spans are wall-clock)
-                record["spans"] = recorder.to_dicts()
+                # rows are included; the driver's merge absorbs them
+                # and never journals them (spans are wall-clock)
+                result = replace(result, spans=recorder.to_dicts())
+            record = result_to_dict(result)
+            if resumed_from is not None:
+                record["resumed_from_cycle"] = resumed_from
             self.cells_run += 1
             if not store.complete(lease, record):
                 logger.warning(

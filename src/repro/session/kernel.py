@@ -1,20 +1,16 @@
 """The steppable simulation kernel every run path is hosted on.
 
-Historically the engine was driven from three near-identical call
-sites — ``run_accounted``, ``run_experiment`` and
-``BatchRunner._run_once`` — each building an accountant and a
-``Simulation``, calling ``Simulation.run`` once and harvesting a
-report.  :class:`SimulationKernel` extracts that lifecycle into one
-object with an explicit state machine::
+:class:`SimulationKernel` owns one simulated run — its accountant, its
+``Simulation`` and its watchdog/checkpoint parameters — behind an
+explicit state machine::
 
     setup/​__init__  →  step(n_cycles)*  →  snapshot()/save()  →  finish()
 
-The batch path is the degenerate case (one ``finish()`` with no
-intermediate steps), so hosting it here is behavior-preserving by
-construction: the kernel issues exactly the calls the old inline code
-issued, in the same order, with the same arguments.  The interactive
-path (``step``/``peek_report``) rides on the engine's non-mutating
-``pause_at`` support, giving the keystone guarantee
+A batch run is the degenerate case (one ``finish()`` with no
+intermediate steps); :func:`~repro.experiments.runner.finish_experiment`
+turns any kernel, however it was advanced, into a speedup stack.  The
+interactive path (``step``/``peek_report``) rides on the engine's
+non-mutating ``pause_at`` support, giving the keystone guarantee
 
     ``step(N) then step(M)  ≡  step(N+M)  ≡  one-shot run``
 
@@ -38,16 +34,24 @@ from repro.workloads.program import Program
 from repro.workloads.spec import build_program
 
 
+def watchdog_mode(max_cycles: int | None, livelock_window: int | None) -> str:
+    """``on_timeout`` for a run under these watchdog limits: an armed
+    watchdog truncates (a flagged partial result), an unarmed run
+    raises on anything unexpected."""
+    if max_cycles is not None or livelock_window is not None:
+        return "truncate"
+    return "raise"
+
+
 class SimulationKernel:
     """One simulated run with an explicit lifecycle.
 
     The kernel owns the accountant, the simulation, and the
     watchdog/checkpoint parameters of a run; the run itself advances
     through :meth:`step` (bounded) or :meth:`finish` (to completion).
-    ``step``/``finish`` pass the *same* arguments to the same
-    ``Simulation.run`` entry point the batch path always used, so a
-    kernel that is never paused is byte-identical to the pre-kernel
-    inline code.
+    Both call the one ``Simulation.run`` entry point with the same
+    arguments, so however a run is partitioned into steps, it ends in
+    the same state as a kernel that is never paused.
     """
 
     def __init__(
@@ -114,12 +118,7 @@ class SimulationKernel:
             accounted=accounted,
             max_cycles=run.max_cycles,
             livelock_window=run.livelock_window,
-            on_timeout=(
-                "truncate"
-                if run.max_cycles is not None
-                or run.livelock_window is not None
-                else "raise"
-            ),
+            on_timeout=watchdog_mode(run.max_cycles, run.livelock_window),
             bus=bus,
             checkpoint=checkpoint,
         )

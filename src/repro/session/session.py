@@ -51,7 +51,7 @@ from repro.core.rendering import render_stack
 from repro.core.stack import SpeedupStack, build_stack
 from repro.errors import ConfigError
 from repro.osmodel.thread import FINISHED
-from repro.session.kernel import SimulationKernel
+from repro.session.kernel import SimulationKernel, watchdog_mode
 from repro.sim.engine import SimResult
 from repro.workloads.spec import BenchmarkSpec, build_program
 
@@ -97,8 +97,10 @@ class Session:
         self.events: list = []
         #: applied perturbations as ``"kind@cycle"`` strings, in order
         self.perturbations: list[str] = []
-        self._ts_cache: int | None = None
-        self._ts_known = False
+        # a local import: the runner imports this package (its kernel)
+        from repro.experiments.runner import ReferenceMemo
+
+        self._references = ReferenceMemo()
         if bus is not None:
             bus.subscribe_all(self.events.append)
 
@@ -220,11 +222,7 @@ class Session:
             sim,
             max_cycles=max_cycles,
             livelock_window=livelock_window,
-            on_timeout=(
-                "truncate"
-                if max_cycles is not None or livelock_window is not None
-                else "raise"
-            ),
+            on_timeout=watchdog_mode(max_cycles, livelock_window),
         )
         session = cls(
             kernel, by_name(saved["benchmark"]), saved["scale"],
@@ -288,10 +286,16 @@ class Session:
         byte-identical to ``run_experiment``; a perturbed run matches
         no measurable reference, so its stack is estimate-only.
         """
-        self.kernel.finish()
-        report = self.kernel.report()
-        ts = None if self.perturbations else self._reference_cycles()
-        return build_stack(self.spec.full_name, report, ts_cycles=ts)
+        from repro.experiments.runner import finish_experiment
+
+        kernel = self.kernel
+        st_result = None
+        if not self.perturbations:
+            st_result = self._references.get(
+                self.spec, self.scale, kernel.machine,
+                kernel.max_cycles, kernel.livelock_window,
+            )
+        return finish_experiment(self.spec.full_name, kernel, st_result).stack
 
     def render_stack(self, width: int = 40) -> str:
         """Rendered stack: partial (with provenance) mid-run, final
@@ -326,25 +330,6 @@ class Session:
             "instrs": sum(t.instrs for t in sim.threads),
             "perturbations": list(self.perturbations),
         }
-
-    def _reference_cycles(self) -> int | None:
-        """Memoized single-threaded reference time Ts (None when the
-        reference run itself hit the watchdog)."""
-        if not self._ts_known:
-            kernel = SimulationKernel(
-                self.kernel.machine.with_cores(1),
-                build_program(self.spec, 1, scale=self.scale),
-                accounted=False,
-                max_cycles=self.kernel.max_cycles,
-                livelock_window=self.kernel.livelock_window,
-                on_timeout=self.kernel.on_timeout,
-            )
-            st_result = kernel.finish()
-            self._ts_cache = (
-                None if st_result.truncated else st_result.total_cycles
-            )
-            self._ts_known = True
-        return self._ts_cache
 
     # ------------------------------------------------------------------
     # snapshot / restore

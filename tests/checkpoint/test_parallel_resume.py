@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.config import RunConfig
+from repro.experiments.runner import BatchRunner
 from repro.parallel import WORKER_CRASH, cells_from_sweep, run_parallel_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
@@ -22,7 +23,7 @@ VICTIM = "cholesky:4"
 
 
 def _policy(tmp_path):
-    return RunPolicy(
+    return RunConfig(
         on_error="skip",
         max_cycles=2_000_000,
         checkpoint_dir=str(tmp_path / "ckpts"),
@@ -98,7 +99,7 @@ def test_fault_plan_ships_resumable_tuples():
 def test_unknown_checkpoint_dir_parent_is_created(tmp_path):
     """checkpoint_dir need not pre-exist — the first save creates it."""
     deep = tmp_path / "does" / "not" / "exist"
-    policy = RunPolicy(
+    policy = RunConfig(
         on_error="skip", max_cycles=10_000,
         checkpoint_dir=str(deep), checkpoint_every=2_000,
     )

@@ -6,8 +6,9 @@ from __future__ import annotations
 import logging
 
 from repro.checkpoint import read_header, save_checkpoint
+from repro.config import RunConfig
 from repro.core.rendering import render_stack
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.experiments.runner import BatchRunner
 from repro.workloads.suite import by_name
 
 BENCH = "cholesky"
@@ -15,7 +16,7 @@ N, SCALE = 4, 0.2
 
 
 def _policy(tmp_path, **kwargs):
-    return RunPolicy(
+    return RunConfig(
         on_error="skip", checkpoint_dir=str(tmp_path), **kwargs
     )
 
@@ -80,7 +81,7 @@ class TestCellCheckpointLifecycle:
 
     def test_no_checkpoint_dir_means_no_files(self, tmp_path):
         runner = BatchRunner(
-            policy=RunPolicy(on_error="skip", max_cycles=10_000),
+            policy=RunConfig(on_error="skip", max_cycles=10_000),
             scale=SCALE,
         )
         runner.run_cell(by_name(BENCH), N)
@@ -89,12 +90,12 @@ class TestCellCheckpointLifecycle:
 
 class TestPolicyPlumbing:
     def test_from_run_maps_checkpoint_fields(self):
-        from repro.config import RunConfig
+        from repro.config import ExperimentConfig
 
         run = RunConfig(checkpoint_every=500, checkpoint_dir="ckpts")
-        policy = RunPolicy.from_run(run)
-        assert policy.checkpoint_every == 500
-        assert policy.checkpoint_dir == "ckpts"
+        runner = BatchRunner(experiment=ExperimentConfig(run=run))
+        assert runner.policy.checkpoint_every == 500
+        assert runner.policy.checkpoint_dir == "ckpts"
 
     def test_policy_stays_hashable(self, tmp_path):
         """The parallel worker cache keys on the policy dataclass."""

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.config import RunConfig
+from repro.experiments.runner import BatchRunner
 from repro.observability.metrics import (
     METRIC_REGISTRY,
     MetricsRegistry,
@@ -91,7 +92,7 @@ class TestRuntimeKeys:
     def harvested(self):
         metrics = MetricsRegistry()
         runner = BatchRunner(
-            policy=RunPolicy(), scale=0.05, metrics=metrics,
+            policy=RunConfig(), scale=0.05, metrics=metrics,
         )
         runner.run_sweep([(by_name("fft"), 2)])
         return metrics
@@ -128,7 +129,7 @@ class TestRuntimeKeys:
     def test_harvest_covers_all_sim_metrics(self, harvested):
         # the flat per-cell payload exercises every sim.* registry entry
         outcome = BatchRunner(
-            policy=RunPolicy(), scale=0.05
+            policy=RunConfig(), scale=0.05
         ).run_cell(by_name("fft"), 2)
         flat = harvest_cell_metrics(outcome.result)
         flat_names = {key.split("{", 1)[0] for key in flat}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.config import RunConfig
+from repro.experiments.runner import BatchRunner
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import SpanRecorder
 from repro.parallel import CellSpec, run_parallel_sweep
@@ -25,7 +26,7 @@ CELLS = [("cholesky", 2), ("fft", 2)]
 def serial_journal(path, metrics=None, spans=None):
     journal = SweepJournal(str(path))
     runner = BatchRunner(
-        policy=RunPolicy(), scale=SCALE, journal=journal, metrics=metrics,
+        policy=RunConfig(), scale=SCALE, journal=journal, metrics=metrics,
         spans=spans,
     )
     runner.run_sweep([(by_name(name), n) for name, n in CELLS])
@@ -36,7 +37,7 @@ def parallel_journal(path, metrics=None, spans=None):
     journal = SweepJournal(str(path))
     run_parallel_sweep(
         [CellSpec(by_name(name), n, scale=SCALE) for name, n in CELLS],
-        jobs=2, policy=RunPolicy(), journal=journal, metrics=metrics,
+        jobs=2, policy=RunConfig(), journal=journal, metrics=metrics,
         spans=spans,
     )
     return path.read_bytes()

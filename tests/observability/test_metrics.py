@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from repro.config import MachineConfig
-from repro.experiments.runner import BatchRunner, RunPolicy, run_experiment
+from repro.config import MachineConfig, RunConfig
+from repro.experiments.runner import BatchRunner, run_experiment
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -143,7 +143,7 @@ class TestSerialParallelEquality:
     CELLS = [("cholesky", 2), ("fft", 2)]
 
     def test_sim_metrics_equal_serial_vs_jobs_2(self):
-        policy = RunPolicy()
+        policy = RunConfig()
         serial = MetricsRegistry()
         runner = BatchRunner(policy=policy, scale=SCALE, metrics=serial)
         for name, n_threads in self.CELLS:

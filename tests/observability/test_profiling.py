@@ -101,10 +101,11 @@ class TestReporting:
     def test_engine_run_dominates_a_real_cell(self):
         # the structural CI assertion: profiling an actual simulation
         # shows the engine package on the hot path
-        from repro.experiments.runner import BatchRunner, RunPolicy
+        from repro.config import RunConfig
+        from repro.experiments.runner import BatchRunner
         from repro.workloads.suite import by_name
 
-        runner = BatchRunner(policy=RunPolicy(), scale=0.05)
+        runner = BatchRunner(policy=RunConfig(), scale=0.05)
         profiler = DeterministicProfiler()
         with profiler:
             runner.run_cell(by_name("fft"), 2)

@@ -141,9 +141,9 @@ class TestJournalSource:
 
 class TestQueueSource:
     def test_real_queue_sweep_report(self, tmp_path):
-        from repro.experiments.runner import RunPolicy
-        from repro.queue import run_queue_sweep
+        from repro.config import RunConfig
         from repro.observability.spans import SpanRecorder
+        from repro.queue import run_queue_sweep
         from repro.parallel import CellSpec
         from repro.robustness.journal import SweepJournal
         from repro.workloads.suite import by_name
@@ -152,7 +152,7 @@ class TestQueueSource:
         report = run_queue_sweep(
             [CellSpec(by_name("fft"), 2, scale=0.05)],
             workers=1,
-            policy=RunPolicy(
+            policy=RunConfig(
                 checkpoint_dir=str(tmp_path / "ckpt"),
             ),
             journal=SweepJournal(str(tmp_path / "journal.json")),

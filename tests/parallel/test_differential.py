@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.config import RunConfig
+from repro.experiments.runner import BatchRunner
 from repro.parallel import (
     WORKER_CRASH,
     CellSpec,
@@ -30,7 +31,7 @@ from repro.workloads.suite import sweep_cells
 BENCHMARKS = ("cholesky", "blackscholes_small", "facesim_small")
 THREADS = (2, 4)
 SCALE = 0.2
-POLICY = RunPolicy(on_error="skip", max_cycles=2_000_000)
+POLICY = RunConfig(on_error="skip", max_cycles=2_000_000)
 
 FAULT_PLAN = {"cholesky:2": "deadlock", "blackscholes_small:2": "mem-spike"}
 

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import RunPolicy
+from repro.config import RunConfig
 from repro.parallel import cells_from_sweep, run_parallel_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
@@ -83,7 +83,7 @@ def test_parallel_journal_states_never_interleave(tmp_path):
     run_parallel_sweep(
         cells_from_sweep(cells, scale=0.2),
         jobs=2,
-        policy=RunPolicy(on_error="skip", max_cycles=2_000_000),
+        policy=RunConfig(on_error="skip", max_cycles=2_000_000),
         journal=journal,
     )
     assert len(journal.disk_states) == len(cells)
@@ -106,7 +106,7 @@ def test_worker_processes_never_touch_the_journal_file(tmp_path):
     run_parallel_sweep(
         cells_from_sweep(cells, scale=0.2),
         jobs=2,
-        policy=RunPolicy(on_error="skip", max_cycles=2_000_000),
+        policy=RunConfig(on_error="skip", max_cycles=2_000_000),
         journal=SweepJournal(None),
     )
     assert set(os.listdir(tmp_path)) == before

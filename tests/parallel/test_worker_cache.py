@@ -15,8 +15,8 @@ import json
 
 import pytest
 
-from repro.config import MachineConfig
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.config import MachineConfig, RunConfig
+from repro.experiments.runner import BatchRunner
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel import (
     WORKER_CRASH,
@@ -31,7 +31,7 @@ from repro.parallel.transport import read_spill
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
 
-POLICY = RunPolicy(on_error="skip", max_cycles=2_000_000)
+POLICY = RunConfig(on_error="skip", max_cycles=2_000_000)
 SCALE = 0.2
 
 #: an LLC half the default size: different stacks, so cross-machine

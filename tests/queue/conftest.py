@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import RunPolicy
+from repro.config import RunConfig
 from repro.parallel import CellSpec
 from repro.queue import QueueStore
 
@@ -18,9 +18,9 @@ def tiny_cells(tiny_spec) -> list[CellSpec]:
 
 
 @pytest.fixture
-def policy() -> RunPolicy:
+def policy() -> RunConfig:
     # jitter off so backoff arithmetic in assertions stays exact
-    return RunPolicy(backoff_s=1.0, backoff_factor=2.0, backoff_jitter=False)
+    return RunConfig(backoff_s=1.0, backoff_factor=2.0, backoff_jitter=False)
 
 
 @pytest.fixture

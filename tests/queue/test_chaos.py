@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.config import RunConfig
+from repro.experiments.runner import BatchRunner
 from repro.observability.events import EventBus, LeaseExpired
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel import cells_from_sweep
@@ -44,7 +45,7 @@ def serial_journal(tmp_path_factory):
     # byte-identity assertion covers those too
     path = tmp_path_factory.mktemp("serial") / "journal.json"
     BatchRunner(
-        policy=RunPolicy(), scale=SCALE, journal=SweepJournal(str(path)),
+        policy=RunConfig(), scale=SCALE, journal=SweepJournal(str(path)),
         metrics=MetricsRegistry(),
     ).run_sweep(sweep_cells(BENCHMARKS, THREADS))
     return path.read_bytes()
@@ -60,7 +61,7 @@ def test_chaos_sweep_matches_serial(tmp_path, monkeypatch, serial_journal):
     bus.subscribe(LeaseExpired, expired.append)
     metrics = MetricsRegistry()
     journal = tmp_path / "journal.json"
-    policy = RunPolicy(
+    policy = RunConfig(
         checkpoint_dir=str(tmp_path / "ckpt"),
         checkpoint_every=CHECKPOINT_EVERY,
     )
@@ -123,7 +124,7 @@ def test_spans_merge_exactly_once_under_worker_death(tmp_path, monkeypatch):
     report = run_queue_sweep(
         cells,
         workers=2,
-        policy=RunPolicy(
+        policy=RunConfig(
             checkpoint_dir=str(tmp_path / "ckpt"),
             checkpoint_every=CHECKPOINT_EVERY,
         ),
@@ -165,7 +166,7 @@ def test_corrupt_lease_mid_sweep_is_reclaimed(tmp_path):
     the (deterministic) cell completes on a later claim."""
     cells = cells_from_sweep(sweep_cells(("cholesky",), (2,)), scale=0.2)
     store = QueueStore.create(
-        tmp_path / "q", cells, RunPolicy(), lease_ttl_s=30.0,
+        tmp_path / "q", cells, RunConfig(), lease_ttl_s=30.0,
     )
     lease = store.claim("doomed")
     (tmp_path / "q" / "leased" / "cholesky@2.json").write_text("garbage")
@@ -176,11 +177,11 @@ def test_corrupt_lease_mid_sweep_is_reclaimed(tmp_path):
 
     serial = tmp_path / "serial.json"
     BatchRunner(
-        policy=RunPolicy(), scale=0.2, journal=SweepJournal(str(serial)),
+        policy=RunConfig(), scale=0.2, journal=SweepJournal(str(serial)),
     ).run_sweep(sweep_cells(("cholesky",), (2,)))
     journal = tmp_path / "journal.json"
     report = run_queue_sweep(
-        cells, workers=1, policy=RunPolicy(),
+        cells, workers=1, policy=RunConfig(),
         journal=SweepJournal(str(journal)),
         resume=True, queue_dir=tmp_path / "q",
     )

@@ -8,22 +8,31 @@ scenarios live in ``test_chaos.py``.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.config import RunConfig
 from repro.errors import ConfigError
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.experiments.runner import BatchRunner
 from repro.observability.events import (
     CellFinished,
     CellQuarantined,
+    CellRequeued,
     EventBus,
+    LeaseExpired,
     SweepFinished,
 )
 from repro.observability.metrics import MetricsRegistry
+from repro.parallel import cells_from_sweep
 from repro.queue import POISON_CELL, QueueStore, run_queue_sweep
+from repro.queue.driver import QueueWatch
 from repro.robustness.journal import SweepJournal
+from repro.workloads.suite import sweep_cells
 
-POLICY = RunPolicy(on_error="skip")
+POLICY = RunConfig(on_error="skip")
 
 
 def _serial_journal(tmp_path, tiny_spec):
@@ -160,3 +169,90 @@ class TestQuarantineMerge:
         assert [o.key for o in report.completed] == ["tiny:4"]
         assert metrics.counter("runtime.cells_failed").value == 1
         assert metrics.counter("runtime.cells_ok").value == 1
+
+
+class TestReclaimReporting:
+    """The driver reports a lease expiry once, whoever reclaimed it."""
+
+    def _watch(self, store):
+        bus = EventBus()
+        events = []
+        for kind in (LeaseExpired, CellRequeued, CellQuarantined):
+            bus.subscribe(kind, events.append)
+        metrics = MetricsRegistry()
+        return QueueWatch(store, bus, metrics), events, metrics
+
+    def test_expiry_reclaimed_by_an_idle_worker_is_reported_once(
+        self, tmp_path, tiny_cells, policy
+    ):
+        store = QueueStore.create(
+            tmp_path / "q", tiny_cells, policy, lease_ttl_s=10.0,
+        )
+        store.claim("dead-worker", now=0.0)
+        # a second store on the same directory stands in for an idle
+        # worker running the reclaimer before the driver's next poll
+        [event] = QueueStore(tmp_path / "q").reclaim_expired(now=100.0)
+        assert event.key == "tiny:2" and not event.quarantined
+
+        watch, events, metrics = self._watch(store)
+        watch.poll()
+        watch.poll()  # nothing new to report
+        assert events == [
+            LeaseExpired("tiny:2", "dead-worker", 1),
+            CellRequeued("tiny:2", 1.0),
+        ]
+        assert metrics.counter("runtime.lease_expiries").value == 1
+        assert metrics.counter("runtime.requeues").value == 1
+
+    def test_expiry_surfaces_from_the_terminal_record(
+        self, tmp_path, tiny_cells, policy
+    ):
+        """A requeued cell that is claimed again and completes before
+        the driver polls still reports its expiry: the done record
+        keeps the cell's reclaim history."""
+        store = QueueStore.create(
+            tmp_path / "q", tiny_cells, policy, lease_ttl_s=10.0,
+        )
+        store.claim("dead-worker", now=0.0)
+        store.reclaim_expired(now=100.0)
+        lease = store.claim("w2", now=200.0)
+        assert lease.key == "tiny:2"
+        assert store.complete(lease, {"status": "ok", "attempts": 1})
+        assert store.result("tiny:2")["expiries"] == 1
+
+        watch, events, metrics = self._watch(store)
+        watch.poll()
+        assert events == [
+            LeaseExpired("tiny:2", "dead-worker", 1),
+            CellRequeued("tiny:2", 1.0),
+        ]
+        assert metrics.counter("runtime.lease_expiries").value == 1
+
+
+def test_version_1_queue_refused_on_resume(tmp_path):
+    """``repro sweep --backend queue --resume`` on a queue written by an
+    older build exits 2 with one ``error:`` line, never a traceback."""
+    queue_dir = tmp_path / "q"
+    QueueStore.create(
+        queue_dir, cells_from_sweep(sweep_cells(("fft",), (2,))),
+        RunConfig(),
+    )
+    manifest = queue_dir / "queue.json"
+    doc = json.loads(manifest.read_text())
+    doc["version"] = 1
+    manifest.write_text(json.dumps(doc))
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "--benchmarks", "fft",
+         "-n", "2", "--backend", "queue", "--queue-dir", str(queue_dir),
+         "--resume"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "version 1" in proc.stderr

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import RunPolicy
+from repro.config import RunConfig
 from repro.parallel import cells_from_sweep
 from repro.queue import PENDING, QueueStore
 from repro.robustness.drain import EXIT_DRAINED, EXIT_INTERRUPTED
@@ -95,7 +95,7 @@ class TestWorkerDrain:
         )
         store = QueueStore.create(
             tmp_path / "q", cells,
-            RunPolicy(checkpoint_dir=str(tmp_path / "ckpt"),
+            RunConfig(checkpoint_dir=str(tmp_path / "ckpt"),
                       checkpoint_every=5000),
             lease_ttl_s=30.0,
         )

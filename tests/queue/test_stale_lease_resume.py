@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 
 from repro.checkpoint import read_header
-from repro.experiments.runner import BatchRunner, RunPolicy
+from repro.config import RunConfig
+from repro.experiments.runner import BatchRunner
 from repro.parallel import cells_from_sweep
 from repro.queue import (
     DONE,
@@ -36,8 +37,8 @@ SCALE = 0.2
 CHECKPOINT_EVERY = 5_000
 
 
-def _policy(tmp_path) -> RunPolicy:
-    return RunPolicy(
+def _policy(tmp_path) -> RunConfig:
+    return RunConfig(
         checkpoint_dir=str(tmp_path / "ckpt"),
         checkpoint_every=CHECKPOINT_EVERY,
     )
@@ -87,7 +88,7 @@ def test_worker_b_resumes_worker_a_checkpoint(tmp_path):
     # --- and the spliced A+B run is byte-identical to serial ----------
     serial = tmp_path / "serial.json"
     BatchRunner(
-        policy=RunPolicy(), scale=SCALE,
+        policy=RunConfig(), scale=SCALE,
         journal=SweepJournal(str(serial)),
     ).run_sweep(sweep_cells(("cholesky",), (4,)))
     queue_journal = tmp_path / "queue.json"

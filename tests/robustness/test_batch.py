@@ -6,13 +6,13 @@ import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     BatchRunner,
     CELL_FAILED,
     CELL_OK,
     CELL_RESUMED,
-    RunPolicy,
 )
 from repro.robustness.faults import FaultInjector, make_fault
 from repro.robustness.journal import JOURNAL_VERSION, SweepJournal
@@ -26,11 +26,11 @@ def cells(tiny_spec):
 class TestPolicy:
     def test_bad_on_error_rejected(self):
         with pytest.raises(ValueError):
-            RunPolicy(on_error="panic")
+            RunConfig(on_error="panic")
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
-            RunPolicy(max_retries=-1)
+            RunConfig(max_retries=-1)
 
 
 class TestSweepIsolation:
@@ -89,7 +89,7 @@ class TestSweepIsolation:
     def test_truncated_cell_still_counts_as_ok(self, tiny_spec, tmp_path):
         journal_path = tmp_path / "sweep.json"
         runner = BatchRunner(
-            policy=RunPolicy(max_cycles=2_000),
+            policy=RunConfig(max_cycles=2_000),
             journal=SweepJournal(str(journal_path)),
         )
         report = runner.run_sweep([(tiny_spec, 2)])
@@ -140,7 +140,7 @@ class TestRetries:
             return program, machine
 
         sleeps = []
-        policy = RunPolicy(
+        policy = RunConfig(
             on_error="retry", max_retries=2, backoff_s=0.25,
             backoff_jitter=False,
         )
@@ -157,7 +157,7 @@ class TestRetries:
     def test_retry_exhaustion_records_failure_with_backoff(self, tiny_spec):
         sleeps = []
         runner = BatchRunner(
-            policy=RunPolicy(
+            policy=RunConfig(
                 on_error="retry", max_retries=2,
                 backoff_s=0.5, backoff_factor=3.0, backoff_jitter=False,
             ),
@@ -174,7 +174,7 @@ class TestRetries:
         (cell key, attempt) — reproducible everywhere, bounded above."""
         sleeps = []
         runner = BatchRunner(
-            policy=RunPolicy(
+            policy=RunConfig(
                 on_error="retry", max_retries=2,
                 backoff_s=0.5, backoff_factor=3.0,
             ),
@@ -192,14 +192,14 @@ class TestRetries:
         assert sleeps[0] <= 0.5 and sleeps[1] <= 1.5
 
     def test_backoff_cap(self):
-        policy = RunPolicy(
+        policy = RunConfig(
             on_error="retry", backoff_s=1.0, backoff_factor=10.0,
             backoff_max_s=5.0, backoff_jitter=False,
         )
         assert policy.backoff_delay(2, "x") == 1.0
         assert policy.backoff_delay(3, "x") == 5.0   # capped from 10
         assert policy.backoff_delay(9, "x") == 5.0   # stays capped
-        uncapped = RunPolicy(
+        uncapped = RunConfig(
             on_error="retry", backoff_s=1.0, backoff_factor=10.0,
             backoff_max_s=None, backoff_jitter=False,
         )
@@ -209,14 +209,14 @@ class TestRetries:
         import pytest
 
         with pytest.raises(ValueError, match="backoff_max_s"):
-            RunPolicy(backoff_max_s=-1.0)
+            RunConfig(backoff_max_s=-1.0)
         with pytest.raises(ValueError, match="backoff_factor"):
-            RunPolicy(backoff_factor=0.5)
+            RunConfig(backoff_factor=0.5)
 
     def test_skip_mode_never_retries(self, tiny_spec):
         sleeps = []
         runner = BatchRunner(
-            policy=RunPolicy(on_error="skip", max_retries=5, backoff_s=1.0),
+            policy=RunConfig(on_error="skip", max_retries=5, backoff_s=1.0),
             fault_plan={"tiny:2": make_fault("deadlock")},
             sleep=sleeps.append,
         )
@@ -229,7 +229,7 @@ class TestRetries:
 class TestAbortMode:
     def test_abort_raises_experiment_error(self, tiny_spec):
         runner = BatchRunner(
-            policy=RunPolicy(on_error="abort"),
+            policy=RunConfig(on_error="abort"),
             fault_plan={"tiny:2": make_fault("deadlock")},
         )
         with pytest.raises(ExperimentError) as err:

@@ -18,8 +18,8 @@ import json
 
 import pytest
 
-from repro.config import MachineConfig
-from repro.experiments.runner import BatchRunner, RunPolicy, run_accounted
+from repro.config import MachineConfig, RunConfig
+from repro.experiments.runner import BatchRunner, run_accounted
 from repro.robustness.journal import SweepJournal
 from repro.session import Session, SimulationKernel
 from repro.workloads.spec import build_program
@@ -124,7 +124,7 @@ def test_session_journal_matches_batch_journal(tmp_path):
     to the batch runner's — the refactor moved the run host, not one
     bit of the observable output."""
     cells = [(by_name("cholesky"), 2), (by_name("blackscholes_small"), 2)]
-    policy = RunPolicy(max_cycles=MAX_CYCLES)
+    policy = RunConfig(max_cycles=MAX_CYCLES)
 
     batch_path = tmp_path / "batch.json"
     runner = BatchRunner(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import tomllib
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,6 @@ from repro.config import (
     machine_to_dict,
 )
 from repro.errors import ConfigError
-from repro.experiments.runner import RunPolicy
 from repro.parallel import ChunkingPolicy
 from repro.workloads.suite import sweep_cells
 
@@ -182,11 +181,13 @@ class TestRunConfig:
     (lambda: RunConfig(checkpoint_every=0), "checkpoint_every"),
     (lambda: RunConfig(max_cycles=0), "max_cycles"),
     (lambda: RunConfig(livelock_window=0), "livelock_window"),
-    # RunPolicy shares RunConfig's check of the run fields
-    pytest.param(lambda: RunPolicy(max_retries=-1), "max_retries",
-                 id="RunPolicy-max_retries"),
-    pytest.param(lambda: RunPolicy(max_cycles=-1), "max_cycles",
-                 id="RunPolicy-max_cycles"),
+    # a RunConfig derived with dataclasses.replace, the way `repro
+    # sweep` applies its flags to a config file's run section, is
+    # checked again
+    pytest.param(lambda: replace(RunConfig(), max_retries=-1),
+                 "max_retries", id="RunPolicy-max_retries"),
+    pytest.param(lambda: replace(RunConfig(), max_cycles=-1),
+                 "max_cycles", id="RunPolicy-max_cycles"),
     (lambda: sweep_cells(("fft",), (2, 0)), "thread_counts"),
     (lambda: ChunkingPolicy(chunk_cells=0), "chunk_cells"),
     (lambda: ChunkingPolicy(chunks_per_job=0), "chunks_per_job"),
