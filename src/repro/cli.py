@@ -14,7 +14,7 @@ Commands:
 * ``run-trace`` — simulate a text op-trace file
 * ``trace``     — Chrome/Perfetto trace of one cell (observability bus)
 * ``sweep``     — hardened suite sweep (journal, retries, fault injection)
-* ``worker``    — one durable-work-queue worker (``sweep --backend queue``)
+* ``worker``    — one durable-work-queue worker (``sweep --queue-dir``)
 * ``bench``     — the overhead and ``--jobs`` speedup gates CI runs
 * ``report``    — self-contained HTML health report of a sweep
 * ``inspect``   — partial speedup stack of an engine checkpoint file
@@ -73,6 +73,7 @@ from repro.core.whatif import advice
 from repro.errors import (
     CheckpointError,
     ConfigError,
+    ExperimentError,
     ReproError,
     TraceParseError,
 )
@@ -102,11 +103,7 @@ from repro.observability import (
     write_report,
 )
 from repro.observability.events import EventBus
-from repro.parallel import (
-    ChunkingPolicy,
-    cells_from_sweep,
-    run_parallel_sweep,
-)
+from repro.parallel import cells_from_sweep, run_parallel_sweep
 from repro.queue import run_queue_sweep, run_worker
 from repro.robustness.drain import (
     EXIT_DRAINED,
@@ -581,12 +578,6 @@ def cmd_sweep(args) -> int:
         else workload.thread_counts
     )
     scale = args.scale if args.scale is not None else workload.scale
-    backend = args.backend
-    if backend == "queue" and not args.queue_dir:
-        print("error: --backend queue needs --queue-dir", file=sys.stderr)
-        return 2
-    if args.queue_dir and backend != "queue":
-        backend = "queue"  # --queue-dir alone implies the queue backend
     #: the machine only deviates from the per-cell paper default when a
     #: config file supplies one
     machine = experiment.machine if args.config else None
@@ -605,9 +596,9 @@ def cmd_sweep(args) -> int:
             ("checkpoint_dir", args.checkpoint_dir),
         ) if value is not None
     })
-    if backend == "queue" and run.checkpoint_dir is None:
-        # queue sweeps always checkpoint: mid-cell crash-resume is the
-        # point of the lease protocol
+    if args.queue_dir and run.checkpoint_dir is None:
+        # a durable queue always checkpoints: mid-cell crash-resume is
+        # the point of the lease protocol
         run = replace(
             run, checkpoint_dir=os.path.join(args.queue_dir, "checkpoints")
         )
@@ -630,7 +621,7 @@ def cmd_sweep(args) -> int:
         ).attach(bus)
     drain = DrainController().install()
     try:
-        if backend == "queue":
+        if args.queue_dir:
             os.makedirs(run.checkpoint_dir, exist_ok=True)
             report = run_queue_sweep(
                 cells_from_sweep(
@@ -663,10 +654,6 @@ def cmd_sweep(args) -> int:
                 metrics=metrics,
                 spans=spans,
                 drain=drain,
-                chunking=(
-                    ChunkingPolicy(chunk_cells=args.chunk_cells)
-                    if args.chunk_cells is not None else None
-                ),
             )
         else:
             runner = BatchRunner(
@@ -683,6 +670,10 @@ def cmd_sweep(args) -> int:
                 drain=drain,
             )
             report = runner.run_sweep(cells, resume=args.resume)
+    except ExperimentError as exc:
+        # --on-error abort: the cells before this one are journaled
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         drain.uninstall()
     if metrics is not None:
@@ -692,11 +683,7 @@ def cmd_sweep(args) -> int:
         rows = spans.to_dicts()
         with open(args.emit_spans, "w") as handle:
             json.dump({
-                "metadata": {
-                    "n_cells": len(cells),
-                    "jobs": jobs,
-                    "backend": backend,
-                },
+                "metadata": {"n_cells": len(cells), "jobs": jobs},
                 "spans": rows,
             }, handle, indent=1)
             handle.write("\n")
@@ -1016,18 +1003,15 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{', '.join(FAULT_KINDS)} (repeatable)")
     p.add_argument("-j", "--jobs", type=_positive_int, default=None,
                    help="worker processes for the sweep (default 1: "
-                        "serial in-process execution)")
-    p.add_argument("--chunk-cells", type=int, default=None,
-                   help="fixed cells per dispatch chunk for --jobs > 1 "
-                        "(default: adaptive sizing by estimated cell "
-                        "cost); any value yields byte-identical journals")
+                        "serial in-process execution; N > 1 forks N "
+                        "workers over a private work queue)")
     p.add_argument("--emit-metrics", metavar="PATH", default=None,
                    help="collect per-cell sim/runtime metrics and write "
                         "the aggregated registry JSON here")
     p.add_argument("--emit-spans", metavar="PATH", default=None,
                    help="record harness phase spans (wall-clock; never "
                         "journaled) and write them as JSON here; with "
-                        "--backend queue the spans also land on each "
+                        "--queue-dir the spans also land on each "
                         "cell's queue record for `repro report`")
     p.add_argument("--progress", action="store_true",
                    help="live one-line progress + ETA on stderr")
@@ -1045,20 +1029,16 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="CYCLES",
                    help="periodic save interval in simulated cycles "
                         "(needs --checkpoint-dir)")
-    p.add_argument("--backend", choices=("process", "queue"),
-                   default="process",
-                   help="execution backend: 'process' (in-process pool) "
-                        "or 'queue' (durable work queue with leased "
-                        "cells; needs --queue-dir)")
     p.add_argument("--queue-dir", metavar="DIR", default=None,
-                   help="durable work-queue directory (implies "
-                        "--backend queue); workers lease cells from it "
-                        "and crash-resume via checkpoints")
-    p.add_argument("--lease-ttl", type=float, default=30.0,
+                   help="durable work-queue directory: the --jobs "
+                        "workers (and `repro worker DIR` processes on "
+                        "other hosts) lease cells from it and "
+                        "crash-resume via checkpoints")
+    p.add_argument("--lease-ttl", type=_positive_float, default=30.0,
                    metavar="SECONDS",
                    help="queue lease TTL; a worker silent this long "
                         "loses its cell to the reclaimer (default 30)")
-    p.add_argument("--poison-after", type=int, default=3,
+    p.add_argument("--poison-after", type=_positive_int, default=3,
                    metavar="N",
                    help="quarantine a cell after N expired leases "
                         "(default 3)")
@@ -1066,13 +1046,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="run one work-queue worker (see sweep --backend queue)",
+        help="run one work-queue worker (see sweep --queue-dir)",
     )
     p.add_argument("queue_dir", help="queue directory to attach to")
     p.add_argument("--worker-id", default=None,
                    help="stable worker name for leases and heartbeats "
                         "(default: worker-<pid>)")
-    p.add_argument("--poll", type=float, default=0.05,
+    p.add_argument("--poll", type=_positive_float, default=0.05,
                    metavar="SECONDS",
                    help="idle poll interval (default 0.05)")
     p.set_defaults(func=cmd_worker)

@@ -29,7 +29,8 @@ a checkpoint, or the one behind an interactive
 :class:`~repro.session.Session` — and builds its stack.  Every entry point, from ``repro stack`` to the
 queue workers, runs a cell through those two.  On the sweep side,
 :func:`completed_outcome` and :func:`record_outcome` are the one resume
-skip and the one journal writer of all three sweep backends.
+skip and the one journal writer of the serial sweep and the work
+queue.
 """
 
 from __future__ import annotations
@@ -482,11 +483,11 @@ def record_outcome(
     metrics=None,
     spans=None,
 ) -> None:
-    """Finish one cell of a sweep, whichever backend ran it: journal
-    it, absorb its metrics and append it to ``report``.
+    """Finish one cell of a sweep, serial or queued: journal it,
+    absorb its metrics and append it to ``report``.
 
-    Every backend calls this in sweep order, so the journal file is
-    byte-identical across backends and ``--jobs`` values.
+    Both paths call this in sweep order, so the journal file is
+    byte-identical at every ``--jobs`` value and on ``--queue-dir``.
     """
     with maybe_span(spans, "journal.write", cat="sweep"):
         if outcome.status == CELL_OK:
@@ -577,7 +578,7 @@ class BatchRunner:
         #: optional SpanRecorder timing the harness's own phases (trace
         #: decode, ST reference, engine advance, harvest, journal
         #: write).  Spans are wall-clock so they are never journaled;
-        #: warm workers re-point this attribute per chunk — it is
+        #: warm workers re-point this attribute per cell — it is
         #: mutable state *outside* the WorkerCaches key on purpose.
         self.spans = spans
         self._machine_factory = machine_factory or (

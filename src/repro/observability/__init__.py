@@ -5,7 +5,7 @@ cycles went — and this package applies the same discipline to the
 runner itself.  Four cooperating pieces:
 
 * :mod:`repro.observability.events` — a typed event bus.  Producers
-  (engine, chip, accountant, batch runner, parallel driver) hold an
+  (engine, chip, accountant, batch runner, queue driver) hold an
   optional ``bus`` reference and emit frozen event values only when one
   is attached, so the disabled path costs a single ``is not None``
   check at scheduling frequency and *nothing* on the per-op hot path.
@@ -13,7 +13,7 @@ runner itself.  Four cooperating pieces:
   registry.  Deterministic simulation metrics are harvested from the
   engine's existing counters *after* a run (zero in-run overhead),
   serialized into the sweep journal per cell, and merged across
-  ``--jobs N`` workers through the parent-only collection path.
+  ``--jobs N`` workers through the driver's journal merge.
 * :mod:`repro.observability.timeline` — a Chrome trace-event /
   Perfetto exporter with per-core tracks for scheduling, spin, yield
   and memory-interference intervals (``repro trace <cell>``), built so
@@ -24,8 +24,8 @@ runner itself.  Four cooperating pieces:
   heartbeat file for external monitoring.
 * :mod:`repro.observability.spans` — hierarchical wall-clock spans
   around the harness's own phase boundaries (trace decode, ST
-  reference, engine advance, harvest, journal write, chunk dispatch,
-  queue claim/run/merge), shipped cross-process like metrics and
+  reference, engine advance, harvest, journal write, queue
+  claim/run/merge), shipped cross-process like metrics and
   exportable as an extra Chrome-trace track.  Spans are wall-clock and
   therefore never journaled.
 * :mod:`repro.observability.profiling` — an opt-in deterministic

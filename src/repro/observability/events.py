@@ -204,30 +204,6 @@ class CellFinished:
 
 
 @dataclass(frozen=True)
-class ChunkDispatched:
-    """A chunk of cells was submitted to a warm worker pool.
-
-    ``keys`` lists the chunk's cells in execution order; ``est_cost``
-    is the planner's deterministic cost estimate (arbitrary units, see
-    :func:`~repro.parallel.chunking.estimate_cell_cost`)."""
-
-    chunk_id: str
-    keys: tuple[str, ...]
-    est_cost: float
-
-
-@dataclass(frozen=True)
-class ChunkFinished:
-    """A chunk's worker returned its results (``n_cells`` of them,
-    split into ``ok`` and ``failed``)."""
-
-    chunk_id: str
-    n_cells: int
-    ok: int
-    failed: int
-
-
-@dataclass(frozen=True)
 class FaultArmed:
     """A fault-injection plan entry was applied to a cell."""
 
@@ -237,8 +213,8 @@ class FaultArmed:
 
 @dataclass(frozen=True)
 class WorkerCrashed:
-    """A worker process died; ``suspects`` are the cells quarantined
-    for exact attribution."""
+    """A worker process died; ``suspects`` are the cells whose leases
+    it held, expired at once and requeued (or quarantined)."""
 
     suspects: tuple[str, ...]
 
@@ -308,8 +284,6 @@ EVENT_TYPES = (
     CellStarted,
     CellRetry,
     CellFinished,
-    ChunkDispatched,
-    ChunkFinished,
     FaultArmed,
     WorkerCrashed,
     LeaseExpired,

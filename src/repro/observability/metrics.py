@@ -72,18 +72,6 @@ METRIC_REGISTRY: dict[str, dict] = {
         "kind": "counter", "labels": (),
         "help": "poison cells quarantined after repeated expiries",
     },
-    "runtime.chunks_dispatched": {
-        "kind": "counter", "labels": (),
-        "help": "chunks submitted to the worker pool",
-    },
-    "runtime.chunks_finished": {
-        "kind": "counter", "labels": (),
-        "help": "chunks whose results were collected",
-    },
-    "runtime.cells_recovered_from_spill": {
-        "kind": "counter", "labels": (),
-        "help": "cells recovered from a dead worker's spill file",
-    },
     # -- sim.* (deterministic; journaled per cell) ---------------------
     "sim.l1_hits": {"kind": "counter", "labels": ("core",),
                     "help": "L1 hits"},

@@ -9,10 +9,7 @@ and renders a one-line status on every change::
 
 ETA is the mean duration of finished cells times the remaining count,
 divided by the worker slots — crude, but it converges as cells finish
-and needs no prior model of cell cost.  Under chunked dispatch
-(``ChunkDispatched`` seen) per-cell durations are chunk-granular, so
-the reporter switches to completed-cell throughput
-(``elapsed / done × remaining``) instead.  Queue sweeps additionally
+and needs no prior model of cell cost.  Parallel sweeps additionally
 feed :class:`~repro.observability.events.WorkerHeartbeat` events, and
 the line then carries each worker's last-heartbeat age.
 
@@ -23,9 +20,8 @@ headless sweep without parsing stderr.  Heartbeats carry wall-clock
 timestamps and are *never* part of the journal, which must stay
 byte-deterministic.
 
-The reporter is thread-safe: in a ``--jobs N`` sweep the parent emits
-cell events from future-completion callbacks, which may run on a
-different thread than the collector loop.
+The reporter is thread-safe, so a caller may emit events from more
+than one thread.
 """
 
 from __future__ import annotations
@@ -42,8 +38,6 @@ from repro.observability.events import (
     CellRequeued,
     CellRetry,
     CellStarted,
-    ChunkDispatched,
-    ChunkFinished,
     EventBus,
     LeaseExpired,
     SweepFinished,
@@ -96,8 +90,6 @@ class ProgressReporter:
         self.lease_expiries = 0
         self.requeues = 0
         self.quarantined = 0
-        self.chunks_dispatched = 0
-        self.chunks_finished = 0
         #: worker -> (last heartbeat wall timestamp, current cell)
         self._worker_beats: dict[str, tuple[float, str | None]] = {}
 
@@ -109,8 +101,6 @@ class ProgressReporter:
         (CellStarted, "_on_cell_started"),
         (CellRetry, "_on_cell_retry"),
         (CellFinished, "_on_cell_finished"),
-        (ChunkDispatched, "_on_chunk_dispatched"),
-        (ChunkFinished, "_on_chunk_finished"),
         (WorkerCrashed, "_on_worker_crashed"),
         (WorkerHeartbeat, "_on_worker_heartbeat"),
         (LeaseExpired, "_on_lease_expired"),
@@ -171,21 +161,6 @@ class ProgressReporter:
             else:
                 self.failed += 1
         self._emit(f"{event.status} {event.key}")
-
-    def _on_chunk_dispatched(self, event) -> None:
-        with self._lock:
-            self.chunks_dispatched += 1
-        self._emit(
-            f"chunk {event.chunk_id} dispatched ({len(event.keys)} cells)"
-        )
-
-    def _on_chunk_finished(self, event) -> None:
-        with self._lock:
-            self.chunks_finished += 1
-        self._emit(
-            f"chunk {event.chunk_id} finished "
-            f"(ok={event.ok} failed={event.failed})"
-        )
 
     def _on_worker_crashed(self, event) -> None:
         with self._lock:
@@ -266,10 +241,6 @@ class ProgressReporter:
             parts.append(f"requeues={self.requeues}")
         if self.quarantined:
             parts.append(f"quarantined={self.quarantined}")
-        if self.chunks_dispatched:
-            parts.append(
-                f"chunks={self.chunks_finished}/{self.chunks_dispatched}"
-            )
         line = " ".join(parts) + f" | {what}"
         if self._running:
             active = ", ".join(
@@ -290,20 +261,6 @@ class ProgressReporter:
         return line
 
     def _eta_locked(self) -> float | None:
-        if self.chunks_dispatched:
-            # chunked dispatch reports a chunk's cells together, so the
-            # per-cell durations in self._durations are chunk-granular
-            # (every cell appears to take its whole chunk's wall time)
-            # and the mean-duration formula overestimates by roughly
-            # the chunk size; use completed-cell throughput instead —
-            # worker parallelism is already folded into the rate
-            if self.done <= 0:
-                return None
-            remaining = self.n_cells - self.done
-            if remaining <= 0:
-                return 0.0
-            elapsed = max(self._clock() - self._t0, 1e-9)
-            return elapsed * remaining / self.done
         if not self._durations:
             return None
         remaining = self.n_cells - self.done
@@ -327,8 +284,6 @@ class ProgressReporter:
             "lease_expiries": self.lease_expiries,
             "requeues": self.requeues,
             "quarantined": self.quarantined,
-            "chunks_dispatched": self.chunks_dispatched,
-            "chunks_finished": self.chunks_finished,
             "jobs": self.jobs,
             "active": {
                 key: round(now - t, 3)

@@ -4,7 +4,7 @@ Takes either a sweep journal JSON or a queue directory and renders one
 HTML file with everything a post-mortem needs in one place:
 
 * headline counts — ok / failed / retried / quarantined /
-  crash-resumed cells, plus spill recoveries when the source knows;
+  crash-resumed cells;
 * a per-cell wall-clock histogram (queue sources measure wall time
   from each cell's ``queue.run`` span);
 * a span waterfall for the slowest cells, when the sweep ran with
@@ -334,7 +334,7 @@ def render_report_html(data: dict) -> str:
         parts.append(_section(
             "Per-cell wall clock",
             _note("no wall-clock data — run the sweep with spans "
-                  "enabled (--emit-spans) on the queue backend"),
+                  "enabled (--emit-spans) and --queue-dir"),
         ))
 
     # span waterfalls of the slowest cells

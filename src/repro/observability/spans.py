@@ -3,12 +3,12 @@
 A :class:`SpanRecorder` collects *spans* — named intervals with a parent
 link — around the harness's own phase boundaries (trace decode,
 ST-reference run, engine advance, accounting harvest, journal write,
-chunk dispatch/execute/decode, queue claim/run/merge).  Spans measure
+queue claim/run/merge, lease renewal).  Spans measure
 the runner, not the simulated machine: timestamps come from
 ``time.perf_counter_ns`` and are therefore wall-clock and
 nondeterministic.  For that reason spans are **never** written into
-sweep journals; they travel in chunk payloads / queue records exactly
-like metrics and are merged parent-side.
+sweep journals; they travel on queue records exactly like metrics and
+are merged parent-side.
 
 Design rules (mirroring the PR-3 observability contract):
 
@@ -213,9 +213,9 @@ class SpanRecorder:
         """Export one span and its descendants, re-rooted.
 
         The subtree root's ``parent`` becomes ``None`` so the rows are
-        self-contained — this is what workers attach to a single
-        ``CellResult`` (and to spill lines) so a cell's spans survive
-        independently of the rest of the chunk.
+        self-contained — what a caller attaches to a single
+        ``CellResult`` so a cell's spans travel independently of the
+        rest of the recorder.
         """
         keep = {span_id}
         rows = []

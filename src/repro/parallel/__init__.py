@@ -1,70 +1,36 @@
-"""Warm-worker parallel execution for suite sweeps.
+"""Parallel execution for suite sweeps.
 
 Sweep cells — one (benchmark, thread-count) experiment each — are
 embarrassingly parallel: every cell's result derives only from its
 :class:`~repro.workloads.spec.BenchmarkSpec` and the machine
 configuration, and all workload randomness is seeded per cell from
-:func:`repro.workloads.generators.seed_for`.  This package fans cells
-out across *persistent* worker processes in deterministic chunks while
-keeping the observable behaviour of the serial
+:func:`repro.workloads.generators.seed_for`.  ``sweep --jobs N`` runs
+them on the work queue (:mod:`repro.queue`) with forked, persistent
+workers while keeping the observable behaviour of the serial
 :class:`~repro.experiments.runner.BatchRunner` path exactly — journals
-are byte-identical at any ``--jobs`` value and any chunk shape.
+are byte-identical at any ``--jobs`` value.
 
 Layout:
 
-* :mod:`~repro.parallel.cells` — the picklable :class:`CellSpec` /
+* :mod:`~repro.parallel.cells` — the :class:`CellSpec` /
   :class:`CellResult` value objects crossing the process boundary;
-* :mod:`~repro.parallel.chunking` — deterministic cell→chunk planning
-  (:class:`ChunkingPolicy`, :func:`plan_chunks`, and the pure
-  :func:`partition_costs` core the property suite drives);
 * :mod:`~repro.parallel.worker` — worker-side execution against
   per-process warm caches (:class:`WorkerCaches`,
-  :func:`run_cell_task`, :func:`run_chunk_task`);
-* :mod:`~repro.parallel.transport` — canonical-JSON result payloads
-  and the per-cell spill protocol behind crash recovery;
-* :mod:`~repro.parallel.dispatch` — the parent-side driver
-  (:func:`run_parallel_sweep`): chunk dispatch, in-order journaling,
-  drain support, spill recovery and crash quarantine.
+  :func:`execute_cell`);
+* :mod:`~repro.parallel.transport` — the canonical plain-data form of
+  a finished-cell record;
+* :mod:`~repro.parallel.dispatch` — :func:`run_parallel_sweep`, the
+  queue on a private temporary directory.
 """
 
-from repro.parallel.cells import (
-    KILL_ENV,
-    WORKER_CRASH,
-    CellResult,
-    CellSpec,
-    cells_from_sweep,
-)
-from repro.parallel.chunking import (
-    Chunk,
-    ChunkingPolicy,
-    estimate_cell_cost,
-    partition_costs,
-    plan_chunks,
-)
+from repro.parallel.cells import CellResult, CellSpec, cells_from_sweep
 from repro.parallel.dispatch import run_parallel_sweep
-from repro.parallel.worker import (
-    WorkerCaches,
-    reset_worker_caches,
-    run_cell_task,
-    run_chunk_task,
-    worker_caches,
-)
+from repro.parallel.worker import WorkerCaches
 
 __all__ = [
-    "KILL_ENV",
-    "WORKER_CRASH",
     "CellResult",
     "CellSpec",
-    "Chunk",
-    "ChunkingPolicy",
     "WorkerCaches",
     "cells_from_sweep",
-    "estimate_cell_cost",
-    "partition_costs",
-    "plan_chunks",
-    "reset_worker_caches",
-    "run_cell_task",
-    "run_chunk_task",
     "run_parallel_sweep",
-    "worker_caches",
 ]

@@ -4,8 +4,8 @@ A :class:`CellSpec` describes one (benchmark, thread-count) experiment
 well enough for any process to run it; a :class:`CellResult` carries
 everything its consumers (CLI, journal, differential tests) read back.
 Both are plain frozen data: no live generators, no closures, no open
-handles — the property every execution backend (process pool, durable
-queue) relies on.
+handles — the property the work queue relies on to run a cell in any
+worker process, local or remote.
 """
 
 from __future__ import annotations
@@ -18,15 +18,6 @@ from repro.config import MachineConfig, machine_from_dict, machine_to_dict
 from repro.core.stack import SpeedupStack
 from repro.robustness.faults import FAULT_KINDS
 from repro.workloads.spec import BenchmarkSpec
-
-#: test hook: a cell key in this environment variable makes the worker
-#: that picks it up die hard (``os._exit``), simulating an external
-#: worker kill (OOM killer, segfault) for the crash-recovery tests
-KILL_ENV = "REPRO_TEST_KILL_CELL"
-
-#: error type recorded for cells lost to a dead worker process
-WORKER_CRASH = "WorkerCrashError"
-
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -85,7 +76,7 @@ class CellResult:
     derived values every consumer actually reads: the full
     :class:`SpeedupStack`, the per-thread :class:`AccountingReport`,
     and the instruction counts behind the parallelization-overhead
-    metric.  Workers ship it over the pipe as canonical JSON bytes (see
+    metric.  Workers commit it to the queue as canonical JSON (see
     :mod:`repro.parallel.transport`), never as a pickled object graph.
     """
 

@@ -1,11 +1,10 @@
-"""Canonical-bytes result transport between workers and the parent.
+"""Canonical plain-data form of a finished-cell record.
 
-Workers used to return pickled :class:`~repro.parallel.cells.CellResult`
-object graphs — a :class:`SpeedupStack` plus an
-:class:`AccountingReport` holding per-thread and per-core dataclasses —
-and the parent paid a rich unpickle per cell.  Here a chunk's results
-travel as **one** canonical JSON byte string: the worker serializes
-derived plain data, the parent decodes once per chunk.
+A :class:`~repro.parallel.cells.CellResult` — a :class:`SpeedupStack`
+plus an :class:`AccountingReport` holding per-thread and per-core
+dataclasses — travels from a queue worker to the sweep driver as the
+JSON body of the cell's terminal queue record: the worker serializes
+derived plain data, the driver decodes it at merge time.
 
 Canonical means *deterministic by construction*: every dict is built in
 dataclass field order (or, for harvested metrics, in the harvester's
@@ -13,20 +12,11 @@ insertion order, which the journal must preserve byte-for-byte), and
 encoding never reorders keys.  JSON round-trips Python floats exactly
 (shortest-repr), so a decoded stack compares ``==`` to the in-process
 original — the property the differential suite leans on.
-
-The same per-result encoding backs the **spill protocol**: a worker
-appends one flushed line per completed cell to its chunk's spill file,
-so when the worker dies mid-chunk the parent recovers every finished
-cell from the spill and re-runs only the rest (see
-:mod:`repro.parallel.dispatch`).
 """
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import fields
-from typing import IO
 
 from repro.accounting.report import (
     AccountingReport,
@@ -35,12 +25,6 @@ from repro.accounting.report import (
 )
 from repro.core.stack import SpeedupStack
 from repro.parallel.cells import CellResult
-
-logger = logging.getLogger(__name__)
-
-#: compact separators: the bytes are a pipe payload, not a human artifact
-_SEPARATORS = (",", ":")
-
 
 def _dataclass_to_dict(value) -> dict:
     """Field-order dict of a flat (non-nested) dataclass instance."""
@@ -133,97 +117,3 @@ def result_from_dict(doc: dict) -> CellResult:
         metrics=doc.get("metrics"),
         spans=doc.get("spans"),
     )
-
-
-# ----------------------------------------------------------------------
-# chunk payloads (worker return value)
-# ----------------------------------------------------------------------
-
-
-def encode_chunk_results(
-    results: list[tuple[int, CellResult]],
-    spans: list | None = None,
-) -> bytes:
-    """One chunk's (sweep-index, result) pairs as canonical JSON bytes.
-
-    ``spans`` carries the *chunk-level* worker span rows (e.g. the
-    ``chunk.execute`` envelope; per-cell spans ride inside each
-    result).  With spans disabled the payload stays the legacy bare
-    list — byte-identical to pre-span builds.
-    """
-    payload = [
-        {"index": index, "result": result_to_dict(result)}
-        for index, result in results
-    ]
-    if spans is not None:
-        doc: dict = {"results": payload, "spans": spans}
-        return json.dumps(doc, separators=_SEPARATORS).encode("utf-8")
-    return json.dumps(payload, separators=_SEPARATORS).encode("utf-8")
-
-
-def decode_chunk_payload(
-    payload: bytes,
-) -> tuple[list[tuple[int, CellResult]], list]:
-    """Decode a chunk payload into (pairs, chunk-level span rows).
-
-    Accepts both payload shapes: the legacy bare list (spans disabled)
-    and the ``{"results": ..., "spans": ...}`` envelope.
-    """
-    doc = json.loads(payload.decode("utf-8"))
-    if isinstance(doc, dict):
-        entries = doc["results"]
-        spans = doc.get("spans") or []
-    else:
-        entries, spans = doc, []
-    return (
-        [(entry["index"], result_from_dict(entry["result"]))
-         for entry in entries],
-        spans,
-    )
-
-
-# ----------------------------------------------------------------------
-# spill protocol (crash recovery)
-# ----------------------------------------------------------------------
-
-
-def append_spill(handle: IO[str], index: int, result: CellResult) -> None:
-    """Append one completed cell to the chunk's spill file and flush.
-
-    The flush matters: a crashing worker exits via ``os._exit`` (or is
-    killed outright), which never flushes Python's userspace buffers —
-    only lines already pushed to the OS survive for recovery.
-    """
-    handle.write(
-        json.dumps(
-            {"index": index, "result": result_to_dict(result)},
-            separators=_SEPARATORS,
-        )
-        + "\n"
-    )
-    handle.flush()
-
-
-def read_spill(path: str) -> dict[int, CellResult]:
-    """Recover completed cells from a (possibly absent or torn) spill.
-
-    A worker killed mid-``write`` leaves a truncated final line; any
-    line that does not parse is dropped — the cell it described simply
-    re-runs, which is always safe (cells are deterministic).
-    """
-    recovered: dict[int, CellResult] = {}
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except OSError:
-        return recovered
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-            recovered[entry["index"]] = result_from_dict(entry["result"])
-        except (ValueError, KeyError, TypeError):
-            logger.warning("dropping torn spill line in %s", path)
-    return recovered

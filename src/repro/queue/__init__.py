@@ -12,7 +12,9 @@ queue layout, the lease state machine, and the failure matrix.
 * :mod:`repro.queue.worker` — :class:`QueueWorker` /
   :func:`run_worker`, the ``repro worker`` process loop;
 * :mod:`repro.queue.driver` — :func:`run_queue_sweep`, the parent that
-  spawns workers and merges the byte-identical journal.
+  forks workers and merges the byte-identical journal (``--jobs N``
+  runs it on a private temporary directory, ``--queue-dir`` on a
+  durable one).
 """
 
 from repro.queue.driver import run_queue_sweep

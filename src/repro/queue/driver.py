@@ -1,13 +1,20 @@
-"""Queue sweep driver: spawn workers, watch the queue, merge the journal.
+"""Queue sweep driver: fork workers, watch the queue, merge the journal.
 
-The parent process behind ``repro sweep --backend queue``:
+The parent process behind every parallel ``repro sweep`` — ``--jobs N``
+on a private temporary queue (:func:`~repro.parallel.run_parallel_sweep`)
+and ``--queue-dir DIR`` on a durable one:
 
 1. create (or, with ``--resume``, attach to) the
    :class:`~repro.queue.store.QueueStore`, enqueueing every cell the
    journal does not already record as ok;
-2. spawn ``workers`` subprocesses (``repro worker <queue-dir>``) — and
-   respawn any that die, within a budget, emitting
-   :class:`~repro.observability.events.WorkerCrashed`;
+2. fork ``workers`` worker processes through the default
+   :mod:`multiprocessing` context — and respawn any that die, within a
+   budget, emitting :class:`~repro.observability.events.WorkerCrashed`
+   after expiring the dead worker's leases at once (no TTL wait); the
+   driver starts no thread, so forking is safe, and it reaps every
+   worker before it returns, so ``RUSAGE_CHILDREN`` counts their work.
+   ``repro worker DIR`` processes on other hosts may join the same
+   queue directory;
 3. run the reclaimer and translate queue state transitions into the
    standard sweep event stream (``CellStarted`` / ``CellFinished`` /
    ``LeaseExpired`` / ``CellRequeued`` / ``CellQuarantined``) and
@@ -18,10 +25,12 @@ The parent process behind ``repro sweep --backend queue``:
 4. once every cell is terminal, merge the finished-cell records into
    the :class:`~repro.robustness.journal.SweepJournal` **in canonical
    (manifest) order**, through the same
-   :func:`~repro.experiments.runner.record_outcome` the other backends
-   use — the journal file is byte-identical to a serial sweep's no
+   :func:`~repro.experiments.runner.record_outcome` the serial sweep
+   uses — the journal file is byte-identical to a serial sweep's no
    matter how many workers ran, died, or stalled, because cells are
-   deterministic.
+   deterministic.  Under ``--on-error abort`` the merge raises
+   :class:`~repro.errors.ExperimentError` at the first failed cell,
+   before journaling it, exactly like the serial runner.
 
 A drain signal (SIGINT/SIGTERM via the attached
 :class:`~repro.robustness.drain.DrainController`) forwards SIGTERM to
@@ -34,9 +43,7 @@ rest.
 from __future__ import annotations
 
 import logging
-import os
-import signal
-import subprocess
+import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -62,7 +69,7 @@ from repro.observability.events import (
     WorkerCrashed,
     WorkerHeartbeat,
 )
-from repro.parallel import CellResult, CellSpec
+from repro.parallel.cells import CellResult, CellSpec
 from repro.parallel.transport import result_from_dict
 from repro.queue.store import (
     DONE,
@@ -73,64 +80,64 @@ from repro.queue.store import (
     QueueStore,
     TERMINAL_STATES,
 )
+from repro.queue.worker import run_worker
+from repro.robustness.drain import DrainController
 from repro.robustness.journal import SweepJournal
 
 logger = logging.getLogger(__name__)
 
+#: how long a finished sweep waits for its workers to exit on their own
+_EXIT_WAIT_S = 1.0
 
-def _spawn_worker(queue_dir: Path, index: int) -> subprocess.Popen:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker", str(queue_dir),
-            "--worker-id", f"w{index}",
-        ],
-        stdout=subprocess.DEVNULL,
-        env=env,
-    )
+
+def _worker_main(queue_dir: str, worker_id: str) -> None:
+    """A forked worker: its own drain handling, then the worker loop."""
+    drain = DrainController().install()
+    sys.exit(run_worker(queue_dir, worker_id=worker_id, drain=drain))
 
 
 class _WorkerFleet:
-    """Spawn/respawn bookkeeping for the worker subprocesses."""
+    """Fork/respawn bookkeeping for the local worker processes."""
 
-    def __init__(self, queue_dir: Path, n: int, max_respawns: int, spawn):
+    def __init__(self, queue_dir: Path, n: int, max_respawns: int):
         self.queue_dir = queue_dir
-        self.spawn = spawn
         self.max_respawns = max_respawns
         self.respawns = 0
-        self.crashes = 0
         self._next_index = 0
-        self.procs: list[subprocess.Popen] = [
-            self._spawn() for _ in range(n)
+        self.procs: list[multiprocessing.Process] = [
+            self._fork() for _ in range(n)
         ]
 
-    def _spawn(self) -> subprocess.Popen:
-        proc = self.spawn(self.queue_dir, self._next_index)
+    def _fork(self) -> multiprocessing.Process:
+        worker_id = f"w{self._next_index}"
         self._next_index += 1
+        proc = multiprocessing.Process(
+            target=_worker_main, args=(str(self.queue_dir), worker_id),
+            name=worker_id,
+        )
+        proc.start()
         return proc
 
-    def reap_and_respawn(self) -> int:
+    def reap_and_respawn(self) -> list[multiprocessing.Process]:
         """Collect dead workers; respawn crashed ones within budget.
-        Returns the number of crashes observed this pass."""
-        crashed = 0
-        alive: list[subprocess.Popen] = []
+        Returns the workers that crashed since the last pass."""
+        crashed: list[multiprocessing.Process] = []
+        alive: list[multiprocessing.Process] = []
         for proc in self.procs:
-            code = proc.poll()
+            code = proc.exitcode
             if code is None:
                 alive.append(proc)
                 continue
             if code == 0:
                 continue  # clean exit: queue fully terminal
-            crashed += 1
-            self.crashes += 1
+            crashed.append(proc)
             logger.warning(
-                "queue worker pid %d died with exit code %d", proc.pid, code
+                "queue worker %s (pid %d) died with exit code %d",
+                proc.name, proc.pid, code,
             )
             if self.respawns < self.max_respawns:
                 self.respawns += 1
-                alive.append(self._spawn())
+                alive.append(self._fork())
             else:
                 logger.error(
                     "worker respawn budget (%d) exhausted", self.max_respawns
@@ -140,23 +147,31 @@ class _WorkerFleet:
 
     @property
     def any_alive(self) -> bool:
-        return any(proc.poll() is None for proc in self.procs)
+        return any(proc.is_alive() for proc in self.procs)
+
+    def join(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for the workers to exit on their own."""
+        deadline = time.monotonic() + timeout
+        for proc in self.procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
 
     def terminate(self, grace_s: float) -> None:
+        """SIGTERM every live worker (each drains: finishes or
+        checkpoints its cell and releases the lease), then reap all of
+        them, killing any that outlive ``grace_s``."""
         for proc in self.procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
+            if proc.exitcode is None:
+                proc.terminate()
         deadline = time.monotonic() + grace_s
         for proc in self.procs:
-            remaining = deadline - time.monotonic()
-            try:
-                proc.wait(timeout=max(0.1, remaining))
-            except subprocess.TimeoutExpired:
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.exitcode is None:
                 logger.warning(
-                    "worker pid %d ignored SIGTERM; killing", proc.pid
+                    "worker %s (pid %d) ignored SIGTERM; killing",
+                    proc.name, proc.pid,
                 )
                 proc.kill()
-                proc.wait()
+                proc.join()
 
 
 def run_queue_sweep(
@@ -175,15 +190,17 @@ def run_queue_sweep(
     poll_s: float = 0.1,
     drain=None,
     max_respawns: int | None = None,
-    spawn=_spawn_worker,
 ) -> SweepReport:
-    """Run a sweep through the durable work queue (see module doc).
+    """Run a sweep through the work queue at ``queue_dir`` on
+    ``workers`` forked workers (see module doc).
 
-    The drop-in queue counterpart of
-    :func:`~repro.parallel.run_parallel_sweep`: same resume semantics,
-    same journal records (written by the parent, in canonical order),
-    same :class:`SweepReport` shape — ok outcomes carry the
-    :class:`~repro.parallel.cells.CellResult` their worker shipped.
+    The drop-in counterpart of
+    :meth:`~repro.experiments.runner.BatchRunner.run_sweep`: same
+    resume semantics, same journal records (written by the parent, in
+    canonical order), same :class:`SweepReport` shape — ok outcomes
+    carry the :class:`~repro.parallel.cells.CellResult` their worker
+    committed, which exposes the same ``stack`` / ``actual_speedup``
+    surface as an ``ExperimentResult``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -233,11 +250,10 @@ def run_queue_sweep(
         interrupted = _supervise(
             store, queue_dir, workers, bus=bus, metrics=metrics,
             poll_s=poll_s, drain=drain, max_respawns=max_respawns,
-            spawn=spawn,
         )
 
     report = _merge(
-        store, cells, skipped, journal,
+        store, cells, skipped, journal, policy,
         metrics=metrics, spans=spans, interrupted=interrupted,
     )
     if bus is not None:
@@ -348,11 +364,10 @@ def _supervise(
     poll_s: float,
     drain,
     max_respawns: int,
-    spawn,
 ) -> bool:
     """Worker fleet + reclaimer + event translation until the queue is
     terminal (returns False) or a drain cuts it short (True)."""
-    fleet = _WorkerFleet(queue_dir, workers, max_respawns, spawn)
+    fleet = _WorkerFleet(queue_dir, workers, max_respawns)
     watch = QueueWatch(store, bus, metrics)
     grace_s = max(5.0, 2 * store.lease_ttl_s)
     try:
@@ -364,18 +379,30 @@ def _supervise(
                 )
                 fleet.terminate(grace_s)
                 return True
+            # checked before the poll, so that once every cell is
+            # terminal the poll still reports the last changes: a cell
+            # reclaimed and re-leased between two polls shows its expiry
+            # only on its terminal record
+            terminal = store.all_terminal()
             watch.poll()
-            if store.all_terminal():
+            if terminal:
+                # an idle worker sees a terminal queue within one poll
+                # and exits 0; only a straggler gets the drain signal
+                fleet.join(_EXIT_WAIT_S)
                 return False
-            crashed = fleet.reap_and_respawn()
-            if crashed:
+            for proc in fleet.reap_and_respawn():
+                # the worker is gone, so its leases expire now, a lease
+                # it had moved to tmp/ to renew included; the next poll
+                # reports each expiry from the cell's record
+                store.restore_staged(proc.pid)
+                suspects = tuple(
+                    event.key
+                    for event in store.reclaim_expired(worker=proc.name)
+                    if event.worker == proc.name
+                )
                 if metrics is not None:
-                    metrics.counter("runtime.worker_crashes").inc(crashed)
+                    metrics.counter("runtime.worker_crashes").inc()
                 if bus is not None:
-                    suspects = tuple(
-                        key for key, state in store.states().items()
-                        if state == LEASED
-                    )
                     bus.emit(WorkerCrashed(suspects))
             if not fleet.any_alive:
                 raise ExperimentError(
@@ -418,6 +445,7 @@ def _merge(
     cells: list[CellSpec],
     skipped: list[CellOutcome | None],
     journal: SweepJournal,
+    policy: RunConfig,
     *,
     metrics,
     spans=None,
@@ -449,9 +477,16 @@ def _merge(
                 continue
             if spans is not None and record.get("spans"):
                 spans.absorb(record["spans"], parent=merge_id)
+            result = _terminal_result(cell, record)
+            if result.status == CELL_FAILED and policy.on_error == "abort":
+                # match the serial runner: abort raises before the
+                # failing cell's record reaches the journal
+                raise ExperimentError(
+                    result.name, result.n_threads,
+                    result.error or "cell failed",
+                )
             record_outcome(
-                report, journal,
-                CellOutcome.from_result(_terminal_result(cell, record)),
+                report, journal, CellOutcome.from_result(result),
                 metrics, spans,
             )
     finally:

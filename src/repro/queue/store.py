@@ -22,6 +22,11 @@ into the new one, both on the same filesystem.
   cell both try ``rename(pending/X, tmp/<unique>)``; POSIX guarantees
   exactly one rename sees the source file — the loser gets
   ``FileNotFoundError`` and moves on.
+* **A benchmark's cells stay together.**  A claim passes over a cell
+  whose single-threaded reference group (same spec, scale and machine)
+  already has a leased cell, unless nothing else is claimable: the
+  worker that measured the group's ``Ts`` runs its next cell from its
+  warm memo instead of a second worker measuring ``Ts`` again.
 * **Entries never clobber.**  Transitions *into* a state use
   ``os.link`` (fails with ``EEXIST``) instead of rename (which silently
   replaces): a duplicate pending file cannot overwrite a live lease,
@@ -50,6 +55,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -58,7 +64,7 @@ from pathlib import Path
 from repro.checkpoint import read_header
 from repro.config import RunConfig
 from repro.errors import CheckpointError, ConfigError
-from repro.parallel import CellSpec
+from repro.parallel.cells import CellSpec
 from repro.workloads.spec import BenchmarkSpec
 
 logger = logging.getLogger(__name__)
@@ -169,7 +175,7 @@ class QueueStore:
             raise ConfigError(
                 f"no queue manifest at {self._manifest_path}; create the "
                 "queue with QueueStore.create (or repro sweep "
-                "--backend queue)"
+                "--queue-dir)"
             )
         with open(self._manifest_path) as handle:
             manifest = json.load(handle)
@@ -182,10 +188,18 @@ class QueueStore:
             )
         self.cells: dict[str, CellSpec] = {}
         self.order: list[str] = []
+        #: key -> its single-threaded reference group (the ReferenceMemo
+        #: key: spec, scale and machine; the watchdog limits are the
+        #: manifest's), numbered in manifest order
+        self._group: dict[str, int] = {}
+        groups: dict[tuple, int] = {}
         for doc in manifest["cells"]:
             cell = cell_from_dict(doc)
             self.cells[cell.key] = cell
             self.order.append(cell.key)
+            self._group[cell.key] = groups.setdefault(
+                (cell.spec, cell.scale, cell.machine_json), len(groups)
+            )
         self.policy = RunConfig(**manifest["policy"])
         self.lease_ttl_s: float = manifest["lease_ttl_s"]
         self.poison_after: int = manifest["poison_after"]
@@ -197,8 +211,9 @@ class QueueStore:
         #: reclaimer memory: last expiry count per key (survives corrupt
         #: state files, not process restarts — the manifest does that)
         self._expiry_memory: dict[str, int] = {}
-        #: orphan detector: keys seen in *no* state dir last scan
-        self._missing_last_scan: set[str] = set()
+        #: orphan detector: when each key was first seen in *no* state
+        #: dir (by this process)
+        self._missing_since: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -230,8 +245,12 @@ class QueueStore:
                 f"queue already exists at {manifest_path}; pass --resume "
                 "to attach to it or choose a fresh --queue-dir"
             )
-        if lease_ttl_s <= 0:
-            raise ConfigError("lease TTL must be > 0 seconds")
+        if not math.isfinite(lease_ttl_s) or lease_ttl_s <= 0:
+            raise ConfigError(
+                f"lease_ttl_s: lease TTL must be a finite number of "
+                f"seconds > 0, got {lease_ttl_s}",
+                field="lease_ttl_s",
+            )
         if poison_after < 1:
             raise ConfigError("poison_after must be >= 1 lease expiries")
         seen: set[str] = set()
@@ -340,23 +359,78 @@ class QueueStore:
         except FileNotFoundError:
             pass
 
+    def restore_staged(self, pid: int) -> None:
+        """Undo the transitions process ``pid`` died in the middle of.
+
+        A cell it had moved out of a state into tmp/ and linked nowhere
+        else goes back to that state: a lease it was renewing or
+        completing is a lease again, which the reclaimer then expires
+        like the dead worker's other leases instead of leaving the cell
+        to orphan repair a TTL later.  Its other tmp/ files are dropped.
+        """
+        states = self.states()
+        for path in (self.root / "tmp").iterdir():
+            # named <label>-<pid>-<n>.json by _tmp_path
+            label, _, owner = path.stem.rpartition("-")[0].rpartition("-")
+            if owner != str(pid):
+                continue
+            state = label.removeprefix("take-")
+            if state != label and state in STATES:
+                try:
+                    with open(path) as handle:
+                        record = json.load(handle)
+                except (json.JSONDecodeError, OSError):
+                    record = None
+                key = record.get("key") if isinstance(record, dict) else None
+                if key in states and states[key] is None:
+                    self._put(state, key, record, consume=path)
+                    states[key] = state
+                    logger.warning(
+                        "queue: put %s back into %s (its process %d died "
+                        "mid-transition)", key, state, pid,
+                    )
+            self._discard(path)
+
     # ------------------------------------------------------------------
     # the lease protocol
     # ------------------------------------------------------------------
 
+    def _keys_in(self, state: str) -> set[str]:
+        return {
+            name.removesuffix(".json").replace("@", ":")
+            for name in os.listdir(self.root / state)
+        }
+
     def claim(self, worker: str, now: float | None = None) -> Lease | None:
-        """Claim the first claimable pending cell, or None.
+        """Claim a claimable pending cell, or None.
 
         Single-winner under any number of concurrent claimers; cells
         whose ``not_before`` backoff lies in the future are skipped.
+        Cells are tried in manifest order, except that a cell whose
+        reference group already has a cell leased or being claimed
+        comes after every other pending cell (see module doc): a
+        one-benchmark sweep still keeps every worker busy.
         """
         now = time.time() if now is None else now
-        for key in self.order:
-            if not (self.root / PENDING / _fname(key)).exists():
+        pending = self._keys_in(PENDING)
+        # a cell in no state directory is mid-transition, most likely
+        # being claimed: its group counts as busy like a leased one
+        busy = {
+            self._group[key] for key, state in self.states().items()
+            if state == LEASED or state is None
+        }
+        keys = [key for key in self.order if key in pending]
+        first_pass = len(keys)
+        for index, key in enumerate(keys):
+            group = self._group[key]
+            if index < first_pass and group in busy:
+                keys.append(key)  # retried after every other pending cell
                 continue
             taken = self._take(PENDING, key)
             if taken is None:
-                continue  # lost the claim race
+                # lost the claim race: the winner now holds the group
+                busy.add(group)
+                continue
             record, tmp = taken
             if record is None:
                 # corrupt pending file: rebuild from the manifest
@@ -483,9 +557,13 @@ class QueueStore:
     # ------------------------------------------------------------------
 
     def reclaim_expired(
-        self, now: float | None = None
+        self, now: float | None = None, worker: str | None = None
     ) -> list[ReclaimEvent]:
         """Return expired (or corrupt) leases to the queue.
+
+        ``worker`` names a worker known to be dead (the sweep driver
+        reaped its process): its leases expire now, whatever their
+        deadline, so its cells need not wait out the TTL.
 
         Requeued cells get an exponential-backoff-with-jitter
         ``not_before`` (the run config's deterministic
@@ -495,7 +573,8 @@ class QueueStore:
         post-mortem instead of circulating forever.  Also repairs
         orphans: a cell present in *no* state directory (crash exactly
         between two renames, or a corrupt file deleted by hand) is
-        re-enqueued from the manifest after two consecutive sightings.
+        re-enqueued from the manifest once it has been missing for a
+        whole lease TTL.
 
         Each expiry is also appended to the cell's ``reclaims`` history
         (worker and backoff), which every later record of the cell
@@ -503,14 +582,23 @@ class QueueStore:
         whichever process reclaimed them.
         """
         now = time.time() if now is None else now
+
+        def is_expired(record: dict) -> bool:
+            return record.get("deadline", 0.0) <= now or (
+                worker is not None and record.get("worker") == worker
+            )
+
         events: list[ReclaimEvent] = []
+        leased = self._keys_in(LEASED)
         for key in self.order:
+            if key not in leased:
+                continue
             path = self.root / LEASED / _fname(key)
             corrupt = False
             try:
                 with open(path) as handle:
                     record = json.load(handle)
-                expired = record.get("deadline", 0.0) <= now
+                expired = is_expired(record)
             except FileNotFoundError:
                 continue
             except (json.JSONDecodeError, OSError):
@@ -528,7 +616,7 @@ class QueueStore:
                     "expiries": self._expiry_memory.get(key, 0),
                     "lease_seq": self._expiry_memory.get(key, 0) + 1,
                 }
-            elif record.get("deadline", 0.0) > now:
+            elif not is_expired(record):
                 # renewed between our scan and our take: put it back
                 self._put(LEASED, key, record, consume=tmp)
                 continue
@@ -578,13 +666,19 @@ class QueueStore:
 
     def _repair_orphans(self, now: float) -> list[ReclaimEvent]:
         states = self.states()
-        missing = {key for key in self.order if states[key] is None}
-        # two consecutive sightings: a cell mid-transition (rename out
-        # done, link in not yet) is absent for microseconds, not scans
-        ripe = missing & self._missing_last_scan
-        self._missing_last_scan = missing - ripe
+        # a cell mid-transition (renamed out, not yet linked in) can stay
+        # absent across scans when its worker is descheduled; only a
+        # cell missing for a whole lease TTL is stranded, so a crashed
+        # transition is repaired as fast as an expired lease
+        self._missing_since = {
+            key: self._missing_since.get(key, now)
+            for key in self.order if states[key] is None
+        }
         events = []
-        for key in sorted(ripe, key=self.order.index):
+        for key, since in list(self._missing_since.items()):
+            if now - since < self.lease_ttl_s:
+                continue
+            del self._missing_since[key]
             expiries = self._expiry_memory.get(key, 0)
             if self._put(PENDING, key, {
                 "key": key,

@@ -5,19 +5,21 @@ A :class:`QueueWorker` attaches to a queue directory and loops:
 1. claim the first claimable pending cell (single-winner rename);
 2. start a renewal thread that extends the lease every TTL/3 and
    refreshes the worker's heartbeat file;
-3. run the cell exactly as a pool worker does
+3. run the cell on its warm runner
    (:func:`~repro.parallel.worker.execute_cell`) — faults,
    retry-with-backoff, and crucially *checkpoint resume*: a cell
    reclaimed from a dead worker picks up that worker's config-hash-
    guarded checkpoint and continues from the saved cycle instead of
    cycle 0;
-4. commit the finished-cell record — the pool's
+4. commit the finished-cell record — the
    :class:`~repro.parallel.cells.CellResult` dict, plus the resume
    cycle and the cell's spans — with a fencing-token check: a worker
    whose lease expired mid-run (stalled heartbeat, long GC pause)
    discovers it here and discards its result; the new owner recomputes
    the byte-identical record.
 
+A failing cell is recorded, never raised: ``--on-error abort`` runs as
+``skip`` here, and the driver aborts at merge time in canonical order.
 Idle workers run the reclaimer, so a fleet of bare ``repro worker``
 processes is self-sufficient: no parent needed for liveness, only for
 the final journal merge.  A worker exits 0 once every cell is terminal,
@@ -54,9 +56,9 @@ from repro.checkpoint import read_header
 from repro.errors import CheckpointError
 from repro.experiments.runner import BatchRunner
 from repro.observability.spans import SpanRecorder, maybe_span
-from repro.parallel import CellResult, WorkerCaches
+from repro.parallel.cells import CellResult
 from repro.parallel.transport import result_to_dict
-from repro.parallel.worker import execute_cell
+from repro.parallel.worker import WorkerCaches, execute_cell
 from repro.queue.store import Lease, QueueStore
 from repro.robustness.drain import (
     EXIT_DRAINED,
@@ -185,11 +187,15 @@ class QueueWorker:
         self.drain = drain or DrainController()
         self.poll_s = poll_s
         self.cells_run = 0
-        # the same warm-cache layer pool workers use (runner per
-        # (policy, scale, machine) family, memoized machine parse), so
-        # a queue worker amortizes reference runs and trace decodes
-        # across its claimed cells identically; the drain controller is
-        # a per-worker constant, which is exactly what WorkerCaches
+        # a failing cell must reach the queue as a record: the driver
+        # enforces abort at merge time, in canonical order
+        self._policy = store.policy
+        if self._policy.on_error == "abort":
+            self._policy = replace(self._policy, on_error="skip")
+        # warm runner per (policy, scale, machine) family and a memoized
+        # machine parse, so reference runs and trace decodes amortize
+        # across the worker's claimed cells; the drain controller is a
+        # per-worker constant, which is exactly what WorkerCaches
         # requires of runner kwargs
         self._caches = WorkerCaches()
 
@@ -202,7 +208,7 @@ class QueueWorker:
         resumed from (None for a fresh run)."""
         cell = lease.cell
         runner = self._caches.runner(
-            self.store.policy,
+            self._policy,
             cell.scale,
             cell.machine_json,
             runner_cls=_QueueRunner,

@@ -1,9 +1,9 @@
-"""Parallel sweeps with cell checkpoints: worker-kill quarantine-resume
-and journal byte-equivalence with the serial path.
+"""Parallel sweeps with cell checkpoints: a worker killed mid-cell
+resumes from its checkpoint, and journals match the serial path.
 
 Checkpoint-enabled parallel sweeps must keep the ``repro.parallel``
 contract: journals byte-identical to serial, and a killed worker's cell
-heals on ``--resume`` with identical results.
+heals within the same sweep from the cycle its checkpoint saved.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import pytest
 
 from repro.config import RunConfig
 from repro.experiments.runner import BatchRunner
-from repro.parallel import WORKER_CRASH, cells_from_sweep, run_parallel_sweep
+from repro.parallel import cells_from_sweep, run_parallel_sweep
+from repro.queue import QueueStore, run_queue_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
 
@@ -64,24 +65,29 @@ def test_checkpointed_parallel_matches_serial_journal(tmp_path):
 
 
 def test_worker_kill_then_checkpoint_resume(tmp_path, monkeypatch):
-    """Kill the worker running the victim cell, then ``--resume``: the
-    sweep heals and its journal converges byte-for-byte on a clean
-    run's."""
+    """Kill the worker running the victim right after its first
+    periodic checkpoint save: the driver reclaims the lease at once,
+    and the respawned worker resumes the cell from the saved cycle, in
+    the same sweep.  The queue runs on a kept directory (what
+    ``--jobs 2`` runs on a temporary one) so its done record can show
+    the resume cycle."""
     clean_journal = tmp_path / "clean.json"
     _serial(tmp_path / "clean", clean_journal)
 
     journal = tmp_path / "journal.json"
-    monkeypatch.setenv("REPRO_TEST_KILL_CELL", VICTIM)
-    crashed = _parallel(tmp_path / "kill", journal)
-    assert [o.key for o in crashed.failures] == [VICTIM]
-    assert crashed.failures[0].error_type == WORKER_CRASH
-
-    monkeypatch.delenv("REPRO_TEST_KILL_CELL")
-    resumed = _parallel(tmp_path / "kill", journal, resume=True)
-    statuses = {o.key: o.status for o in resumed.outcomes}
-    assert statuses.pop(VICTIM) == "ok"
-    assert set(statuses.values()) == {"resumed"}
+    monkeypatch.setenv("REPRO_TEST_KILL_AFTER_SAVE", VICTIM)
+    report = run_queue_sweep(
+        cells_from_sweep(sweep_cells(BENCHMARKS, THREADS), scale=SCALE),
+        workers=2,
+        policy=_policy(tmp_path / "kill"),
+        journal=SweepJournal(str(journal)),
+        queue_dir=tmp_path / "q",
+    )
+    assert report.ok and len(report.completed) == 4
     assert journal.read_bytes() == clean_journal.read_bytes()
+    done = QueueStore(tmp_path / "q").result(VICTIM)
+    assert done["expiries"] == 1
+    assert done["resumed_from_cycle"] > 0
 
 
 def test_fault_plan_ships_resumable_tuples():

@@ -82,8 +82,8 @@ class TestEnabledPath:
             serial_journal(tmp_path / "serial.json", MetricsRegistry())
             == parallel
         )
-        # pool workers harvest from the live chip before the cell's
-        # machine is released, so every journaled cell carries metrics
+        # workers harvest from the live chip before the cell's machine
+        # is released, so every journaled cell carries metrics
         for entry in json.loads(parallel)["cells"].values():
             assert entry["metrics"]["sim.cells"] == 1
             assert entry["metrics"]["sim.l1_hits{core=0}"] > 0
@@ -92,7 +92,7 @@ class TestEnabledPath:
 class TestSpansDifferential:
     """Spans are wall-clock, so enabling them must leave journal bytes
     untouched — for the serial runner and for ``--jobs 2`` (where
-    worker spans travel inside the chunk payload)."""
+    worker spans travel on the cells' queue records)."""
 
     def test_serial_journal_unchanged_by_spans(self, tmp_path):
         plain = serial_journal(tmp_path / "plain.json")
@@ -109,9 +109,9 @@ class TestSpansDifferential:
         )
         assert with_spans == plain
         # worker-side cell spans crossed the process boundary and were
-        # absorbed under the parent's chunk.dispatch spans
+        # absorbed under the driver's queue.merge span
         names = {row["name"] for row in recorder.to_dicts()}
-        assert "chunk.dispatch" in names
+        assert "queue.merge" in names
         assert "engine.advance" in names
 
     def test_spans_and_metrics_together_add_only_metrics(self, tmp_path):

@@ -9,8 +9,6 @@ from repro.observability.events import (
     CellFinished,
     CellRetry,
     CellStarted,
-    ChunkDispatched,
-    ChunkFinished,
     EventBus,
     SweepFinished,
     SweepStarted,
@@ -101,49 +99,6 @@ class TestEta:
         clock.t = 1.0
         bus.emit(CellFinished("a:2", "ok", 1))
         assert reporter.eta_seconds() == 0.0
-
-
-class TestChunkedEta:
-    """Under chunked dispatch per-cell durations are chunk-granular, so
-    the reporter must switch to completed-cell throughput."""
-
-    def chunked_bus(self, n_cells=8, jobs=2):
-        bus, reporter, stream, clock = reporter_with_bus(
-            n_cells=n_cells, jobs=jobs,
-        )
-        bus.emit(SweepStarted(n_cells, jobs))
-        bus.emit(ChunkDispatched("c0", ("a:2", "b:2", "c:2", "d:2"), 4.0))
-        return bus, reporter, stream, clock
-
-    def test_throughput_eta_after_chunk_results(self):
-        bus, reporter, _, clock = self.chunked_bus()
-        # a whole 4-cell chunk lands at t=8: each cell *looks* 8s old,
-        # but the true rate is 4 cells / 8s
-        for key in ("a:2", "b:2", "c:2", "d:2"):
-            bus.emit(CellStarted(key, 1))
-        clock.t = 8.0
-        for key in ("a:2", "b:2", "c:2", "d:2"):
-            bus.emit(CellFinished(key, "ok", 1))
-        # 4 remaining at 2s/cell completed-cell throughput -> 8s, where
-        # the mean-duration formula would have said 8s*4/2 jobs = 16s
-        assert reporter.eta_seconds() == 8.0
-
-    def test_no_eta_before_any_cell_completes(self):
-        _, reporter, _, clock = self.chunked_bus()
-        clock.t = 5.0
-        assert reporter.eta_seconds() is None
-
-    def test_zero_eta_when_done(self):
-        bus, reporter, _, clock = self.chunked_bus(n_cells=4)
-        for key in ("a:2", "b:2", "c:2", "d:2"):
-            bus.emit(CellFinished(key, "ok", 1))
-        bus.emit(ChunkFinished("c0", 4, 4, 0))
-        assert reporter.eta_seconds() == 0.0
-
-    def test_chunk_counters_rendered(self):
-        bus, _, stream, _ = self.chunked_bus()
-        bus.emit(ChunkFinished("c0", 4, 4, 0))
-        assert "chunks=1/1" in stream.getvalue().splitlines()[-1]
 
 
 class TestWorkerHeartbeats:

@@ -2,27 +2,21 @@
 
 The contract of ``repro.parallel`` is *bit-for-bit* equivalence with the
 serial :class:`~repro.experiments.runner.BatchRunner` path at any
-``--jobs`` level **and any chunk shape**: identical speedup-stack
-components (the Eq. 4 decomposition), identical Eq. 4 / Eq. 6 scalar
-metrics, and byte-identical journal files — healthy, under injected
-faults, and across a worker kill + ``--resume`` cycle.
+``--jobs`` level: identical speedup-stack components (the Eq. 4
+decomposition), identical Eq. 4 / Eq. 6 scalar metrics, and
+byte-identical journal files — healthy, under injected faults, from
+any point a stopped sweep is resumed at, and across a worker kill that
+the queue recovers within the same sweep.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.config import RunConfig
-from repro.experiments.runner import BatchRunner
-from repro.parallel import (
-    WORKER_CRASH,
-    CellSpec,
-    ChunkingPolicy,
-    cells_from_sweep,
-    run_parallel_sweep,
-)
+from repro.experiments.runner import CELL_OK, CELL_RESUMED, BatchRunner
+from repro.observability.events import EventBus, LeaseExpired, WorkerCrashed
+from repro.parallel import CellSpec, cells_from_sweep, run_parallel_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
 
@@ -35,30 +29,34 @@ POLICY = RunConfig(on_error="skip", max_cycles=2_000_000)
 
 FAULT_PLAN = {"cholesky:2": "deadlock", "blackscholes_small:2": "mem-spike"}
 
-#: the chunk shapes each differential sweep is repeated under:
-#: single-cell chunks (maximum dispatch overhead, the old one-task-per-
-#: cell behaviour), 3-cell chunks (uneven split of the 6-cell sweep),
-#: one whole-sweep chunk (a single worker runs everything warm), and
-#: the default adaptive plan
-CHUNK_SHAPES = (1, 3, len(BENCHMARKS) * len(THREADS), None)
+#: the journal each differential sweep starts from: a sweep stopped
+#: after its first cell, after an uneven 3-of-6 split, after its last
+#: cell (``--resume`` re-runs only the failed cells), and none at all
+#: (a fresh sweep)
+RESUME_AFTER = (1, 3, len(BENCHMARKS) * len(THREADS), None)
 
 
 def _cells():
     return sweep_cells(BENCHMARKS, THREADS)
 
 
-def _serial(journal_path, fault_plan=None):
+def _serial(journal_path, fault_plan=None, cells=None):
     runner = BatchRunner(
         policy=POLICY, scale=SCALE,
         journal=SweepJournal(str(journal_path)),
         fault_plan=dict(fault_plan or {}),
     )
-    return runner.run_sweep(_cells())
+    return runner.run_sweep(_cells() if cells is None else cells)
 
 
-def _parallel(
-    journal_path, jobs, fault_plan=None, resume=False, chunk_cells=None
-):
+def _stop_after(journal_path, n_cells, fault_plan=None):
+    """Leave the journal of a serial sweep that stopped after its first
+    ``n_cells`` cells (None: leave none, for a fresh sweep)."""
+    if n_cells is not None:
+        _serial(journal_path, fault_plan, cells=_cells()[:n_cells])
+
+
+def _parallel(journal_path, jobs, fault_plan=None, resume=False, bus=None):
     return run_parallel_sweep(
         cells_from_sweep(_cells(), scale=SCALE,
                          fault_kinds=dict(fault_plan or {})),
@@ -66,22 +64,24 @@ def _parallel(
         policy=POLICY,
         journal=SweepJournal(str(journal_path)),
         resume=resume,
-        chunking=(
-            ChunkingPolicy(chunk_cells=chunk_cells)
-            if chunk_cells is not None else None
-        ),
+        bus=bus,
     )
 
 
-def _assert_equivalent(serial_report, parallel_report):
+def _assert_equivalent(serial_report, parallel_report, resumed=0):
     """Every observable of every cell must match exactly (no tolerance:
-    both sides are integer-cycle deterministic)."""
-    assert (
-        [(o.key, o.status) for o in serial_report.outcomes]
-        == [(o.key, o.status) for o in parallel_report.outcomes]
-    )
+    both sides are integer-cycle deterministic).  When the parallel
+    sweep resumed a journal of the first ``resumed`` cells, the ok ones
+    among them are ``resumed`` and the failed ones ran again."""
+    assert [
+        (o.key, CELL_RESUMED if i < resumed and o.status == CELL_OK
+         else o.status)
+        for i, o in enumerate(serial_report.outcomes)
+    ] == [(o.key, o.status) for o in parallel_report.outcomes]
     for ser, par in zip(serial_report.outcomes, parallel_report.outcomes):
-        if ser.status == "ok":
+        if par.status == CELL_RESUMED:
+            continue
+        if ser.status == CELL_OK:
             s_res, p_res = ser.result, par.result
             # full Eq. 4 decomposition: SpeedupStack is a frozen
             # dataclass, == compares every component field
@@ -110,26 +110,32 @@ def serial_run(tmp_path_factory):
     return report, path.read_bytes()
 
 
-@pytest.mark.parametrize("chunk_cells", CHUNK_SHAPES)
+@pytest.mark.parametrize("resume_after", RESUME_AFTER)
 @pytest.mark.parametrize("jobs", [2, 4])
-def test_differential_healthy(serial_run, tmp_path, jobs, chunk_cells):
+def test_differential_healthy(serial_run, tmp_path, jobs, resume_after):
     serial_report, serial_journal = serial_run
     journal = tmp_path / "journal.json"
-    parallel_report = _parallel(journal, jobs=jobs, chunk_cells=chunk_cells)
-    _assert_equivalent(serial_report, parallel_report)
+    _stop_after(journal, resume_after)
+    parallel_report = _parallel(
+        journal, jobs=jobs, resume=resume_after is not None
+    )
+    _assert_equivalent(serial_report, parallel_report, resume_after or 0)
     assert journal.read_bytes() == serial_journal
 
 
-@pytest.mark.parametrize("chunk_cells", CHUNK_SHAPES)
-def test_differential_with_faults(tmp_path, chunk_cells):
+@pytest.mark.parametrize("resume_after", RESUME_AFTER)
+def test_differential_with_faults(tmp_path, resume_after):
     """Fault-injected cells fail identically in both execution modes,
-    and the healthy cells around them are untouched — chunking must not
-    leak a fault into the other cells sharing the chunk's worker."""
+    and the healthy cells around them are untouched — a fault must not
+    leak into the other cells a warm worker runs after it, and a resumed
+    sweep re-runs a failed cell to the same failure."""
     s_journal = tmp_path / "serial.json"
     p_journal = tmp_path / "parallel.json"
     serial_report = _serial(s_journal, fault_plan=FAULT_PLAN)
+    _stop_after(p_journal, resume_after, FAULT_PLAN)
     parallel_report = _parallel(
-        p_journal, jobs=2, fault_plan=FAULT_PLAN, chunk_cells=chunk_cells
+        p_journal, jobs=2, fault_plan=FAULT_PLAN,
+        resume=resume_after is not None,
     )
     assert [o.key for o in serial_report.failures] == ["cholesky:2"]
     assert serial_report.failures[0].error_type == "DeadlockError"
@@ -137,52 +143,35 @@ def test_differential_with_faults(tmp_path, chunk_cells):
     assert {o.key for o in serial_report.completed} >= {
         "blackscholes_small:2"
     }
-    _assert_equivalent(serial_report, parallel_report)
+    _assert_equivalent(serial_report, parallel_report, resume_after or 0)
     assert p_journal.read_bytes() == s_journal.read_bytes()
 
 
 def test_worker_kill_then_resume(serial_run, tmp_path, monkeypatch):
-    """A hard worker death fails exactly the victim cell; ``--resume``
-    re-runs only that cell and converges on the serial journal bytes."""
+    """A hard worker death costs one lease: the driver reaps the dead
+    worker, expires its lease at once (the default 30 s TTL never
+    runs out), and the cell re-runs in the same sweep on a respawned
+    worker — the journal is the serial one, and ``--resume`` finds
+    nothing left to do."""
     serial_report, serial_journal = serial_run
     journal = tmp_path / "journal.json"
     victim = "facesim_small:4"
     monkeypatch.setenv("REPRO_TEST_KILL_CELL", victim)
-    crashed = _parallel(journal, jobs=2)
-    assert [o.key for o in crashed.failures] == [victim]
-    assert crashed.failures[0].error_type == WORKER_CRASH
-    entry = json.loads(journal.read_text())["cells"][victim]
-    assert entry["status"] == "failed"
-    assert entry["error_type"] == WORKER_CRASH
-    # every non-victim cell survived the pool break
-    assert len(crashed.completed) == len(serial_report.outcomes) - 1
+    bus = EventBus()
+    expired: list[LeaseExpired] = []
+    crashed: list[WorkerCrashed] = []
+    bus.subscribe(LeaseExpired, expired.append)
+    bus.subscribe(WorkerCrashed, crashed.append)
+    report = _parallel(journal, jobs=2, bus=bus)
+    _assert_equivalent(serial_report, report)
+    assert journal.read_bytes() == serial_journal
+    assert [event.key for event in expired] == [victim]
+    assert [event.suspects for event in crashed] == [(victim,)]
 
     monkeypatch.delenv("REPRO_TEST_KILL_CELL")
     resumed = _parallel(journal, jobs=2, resume=True)
-    statuses = {o.key: o.status for o in resumed.outcomes}
-    assert statuses.pop(victim) == "ok"
-    assert set(statuses.values()) == {"resumed"}
-    _assert_equivalent(
-        serial_report,
-        # splice the resumed victim into the crash run's ok cells for a
-        # full-sweep comparison
-        _spliced(crashed, resumed, victim),
-    )
-    # journal dict order is insertion order and record_ok overwrites the
-    # victim's entry in place, so the bytes converge on serial's exactly
+    assert {o.status for o in resumed.outcomes} == {"resumed"}
     assert journal.read_bytes() == serial_journal
-
-
-def _spliced(crashed, resumed, victim):
-    """Crash-run report with the victim's outcome replaced by its
-    resumed re-run (same shape as one clean sweep)."""
-    from repro.experiments.runner import SweepReport
-
-    fixed = {o.key: o for o in resumed.outcomes if o.status == "ok"}
-    report = SweepReport()
-    for outcome in crashed.outcomes:
-        report.outcomes.append(fixed.get(outcome.key, outcome))
-    return report
 
 
 def test_cellspec_rejects_unknown_fault():

@@ -1,8 +1,8 @@
 """Queue-sweep driver: journal byte-identity, resume, quarantine merge.
 
-These tests run real worker subprocesses (the default spawn) over the
-tiny fixture benchmark — fast enough for tier 1; the heavyweight chaos
-scenarios live in ``test_chaos.py``.
+These tests run real forked worker processes over the tiny fixture
+benchmark — fast enough for tier 1; the heavyweight chaos scenarios
+live in ``test_chaos.py``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -26,7 +27,8 @@ from repro.observability.events import (
     SweepFinished,
 )
 from repro.observability.metrics import MetricsRegistry
-from repro.parallel import cells_from_sweep
+from repro.observability.spans import SpanRecorder
+from repro.parallel import cells_from_sweep, run_parallel_sweep
 from repro.queue import POISON_CELL, QueueStore, run_queue_sweep
 from repro.queue.driver import QueueWatch
 from repro.robustness.journal import SweepJournal
@@ -126,6 +128,49 @@ class TestQueueSweep:
             run_queue_sweep(
                 tiny_cells, workers=0, queue_dir=tmp_path / "q",
             )
+
+
+class TestLocalWorkers:
+    """``--jobs N``: the queue on a private directory, forked workers."""
+
+    def test_one_benchmark_uses_every_worker(self):
+        """The claim rule defers a busy benchmark's cells only while
+        other work is pending, so a one-benchmark sweep still runs on
+        both workers."""
+        spans = SpanRecorder()
+        report = run_parallel_sweep(
+            cells_from_sweep(sweep_cells(("cholesky",), (2, 4)), scale=0.2),
+            jobs=2, policy=POLICY, spans=spans,
+        )
+        assert report.ok
+        origins = {
+            row["origin"] for row in spans.to_dicts()
+            if row["name"] == "queue.run"
+        }
+        assert origins == {"w0", "w1"}
+
+    def test_dead_worker_lease_reclaimed_without_ttl_wait(
+        self, tmp_path, tiny_spec, tiny_cells, monkeypatch
+    ):
+        """A worker killed holding a lease is reaped and its lease
+        expires at once: under the default 30 s TTL the sweep still
+        finishes in seconds, with one expiry for that cell and the
+        serial journal."""
+        serial = _serial_journal(tmp_path, tiny_spec)
+        monkeypatch.setenv("REPRO_TEST_KILL_CELL", "tiny:4")
+        bus = EventBus()
+        expired: list[LeaseExpired] = []
+        bus.subscribe(LeaseExpired, expired.append)
+        journal = tmp_path / "queue.json"
+        t0 = time.monotonic()
+        report = run_parallel_sweep(
+            tiny_cells, jobs=2, policy=POLICY,
+            journal=SweepJournal(str(journal)), bus=bus,
+        )
+        assert time.monotonic() - t0 < 15.0
+        assert report.ok
+        assert [(e.key, e.expiries) for e in expired] == [("tiny:4", 1)]
+        assert journal.read_bytes() == serial
 
 
 class TestQuarantineMerge:
@@ -230,7 +275,7 @@ class TestReclaimReporting:
 
 
 def test_version_1_queue_refused_on_resume(tmp_path):
-    """``repro sweep --backend queue --resume`` on a queue written by an
+    """``repro sweep --queue-dir DIR --resume`` on a queue written by an
     older build exits 2 with one ``error:`` line, never a traceback."""
     queue_dir = tmp_path / "q"
     QueueStore.create(
@@ -247,8 +292,7 @@ def test_version_1_queue_refused_on_resume(tmp_path):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "sweep", "--benchmarks", "fft",
-         "-n", "2", "--backend", "queue", "--queue-dir", str(queue_dir),
-         "--resume"],
+         "-n", "2", "--queue-dir", str(queue_dir), "--resume"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr

@@ -68,6 +68,21 @@ class TestStackAndSweep:
         # the journal was finalized on the way out (valid, loadable)
         assert isinstance(json.loads(journal.read_text())["cells"], dict)
 
+    def test_parallel_sweep_sigterm_drains_its_workers(self, tmp_path):
+        """``--jobs 2``: the driver forwards the drain to its forked
+        workers, each releases its lease mid-cell, and the sweep exits
+        95 with its journal finalized."""
+        journal = tmp_path / "j.json"
+        proc = _spawn(
+            "sweep", "--benchmarks", "cholesky", "--threads", "2,4",
+            "--scale", "10", "--jobs", "2", "--journal", str(journal),
+        )
+        _, err = _signal_after(proc, signal.SIGTERM)
+        assert proc.returncode == EXIT_INTERRUPTED, err
+        assert "interrupted" in err
+        assert err.count("lease released") == 2
+        assert isinstance(json.loads(journal.read_text())["cells"], dict)
+
     def test_stack_sigint_exits_interrupted(self):
         proc = _spawn("stack", "cholesky", "-n", "4", "--scale", "10")
         _, err = _signal_after(proc, signal.SIGINT)

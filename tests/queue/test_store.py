@@ -7,11 +7,14 @@ explicit ``now`` — no sleeps, no wall-clock races; the chaos tests in
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.parallel import CellSpec
 from repro.queue import (
     DONE,
     FAILED,
@@ -54,6 +57,16 @@ class TestCreate:
         with pytest.raises(ConfigError, match="poison_after"):
             QueueStore.create(tmp_path / "b", tiny_cells, policy,
                               poison_after=0)
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf")])
+    def test_non_finite_ttl_rejected(self, tmp_path, tiny_cells, policy, ttl):
+        """A NaN deadline never expires and a NaN join timeout kills the
+        lease renewer, so either would hang the sweep."""
+        with pytest.raises(ConfigError) as exc:
+            QueueStore.create(tmp_path / "q", tiny_cells, policy,
+                              lease_ttl_s=ttl)
+        assert exc.value.field == "lease_ttl_s"
+        assert not (tmp_path / "q").exists()
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no queue manifest"):
@@ -110,6 +123,56 @@ class TestClaims:
         assert store.state_of("tiny:2") == LEASED
         # the original owner is unharmed
         assert store.renew(lease, now=T0 + 1)
+
+
+class TestClaimGroups:
+    """A claim keeps a benchmark's cells on the worker that holds its
+    single-threaded reference: it passes over a cell whose group
+    (spec, scale, machine) already has a leased cell."""
+
+    @pytest.fixture
+    def two_benchmarks(self, tmp_path, tiny_spec, policy):
+        other = dataclasses.replace(tiny_spec, name="other")
+        cells = [
+            CellSpec(spec=spec, n_threads=n)
+            for spec in (tiny_spec, other) for n in (2, 4)
+        ]
+        return QueueStore.create(tmp_path / "q", cells, policy)
+
+    def test_claims_keep_a_group_together(self, two_benchmarks):
+        store = two_benchmarks
+        a = store.claim("wa", now=T0)
+        assert a.key == "tiny:2"
+        # tiny:4 comes first in the manifest, but tiny's group is busy
+        b = store.claim("wb", now=T0)
+        assert b.key == "other:2"
+        assert store.complete(a, {"status": "ok", "attempts": 1})
+        # the worker that measured tiny's Ts takes tiny's next cell
+        assert store.claim("wa", now=T0).key == "tiny:4"
+
+    def test_busy_groups_still_claimable_when_nothing_else_is(
+        self, two_benchmarks
+    ):
+        store = two_benchmarks
+        assert store.claim("wa", now=T0).key == "tiny:2"
+        assert store.claim("wb", now=T0).key == "other:2"
+        # only cells of busy groups are pending: claims still succeed
+        assert store.claim("wc", now=T0).key == "tiny:4"
+        assert store.claim("wd", now=T0).key == "other:4"
+        assert store.claim("we", now=T0) is None
+
+    def test_a_scale_is_a_group_of_its_own(
+        self, tmp_path, tiny_spec, policy
+    ):
+        cells = [
+            CellSpec(spec=tiny_spec, n_threads=2, scale=1.0),
+            CellSpec(spec=tiny_spec, n_threads=4, scale=1.0),
+            CellSpec(spec=tiny_spec, n_threads=8, scale=2.0),
+        ]
+        store = QueueStore.create(tmp_path / "q", cells, policy)
+        assert store.claim("wa", now=T0).key == "tiny:2"
+        # another scale needs its own reference run: nothing to wait for
+        assert store.claim("wb", now=T0).key == "tiny:8"
 
 
 class TestFencing:
@@ -198,10 +261,69 @@ class TestReclaimer:
         # first scan: noted, not repaired (could be mid-transition)
         assert store.reclaim_expired(now=T0 + 1) == []
         assert store.state_of("tiny:2") is None
-        # second scan: rebuilt from the manifest
-        [event] = store.reclaim_expired(now=T0 + 2)
+        # a scan one TTL after the first sighting: rebuilt from the
+        # manifest
+        [event] = store.reclaim_expired(now=T0 + 1 + store.lease_ttl_s)
         assert event.corrupt
         assert store.state_of("tiny:2") == PENDING
+
+    def test_cell_mid_transition_is_not_rebuilt(self, store):
+        """A worker descheduled between moving a cell out of its state
+        and linking it into the next one leaves it absent across scans;
+        rebuilding it then would run the cell twice."""
+        taken = store._take(PENDING, "tiny:2")
+        assert taken is not None
+        assert store.reclaim_expired(now=T0) == []
+        assert store.reclaim_expired(now=T0 + 0.2) == []
+        assert store.state_of("tiny:2") is None
+        # missing for a whole TTL: the transition crashed
+        [event] = store.reclaim_expired(now=T0 + store.lease_ttl_s + 1)
+        assert event.key == "tiny:2" and event.corrupt
+        assert store.state_of("tiny:2") == PENDING
+
+    def test_dead_workers_leases_expire_at_once(self, store):
+        """The driver saw worker ``wa`` die: its lease expires now,
+        through the ordinary expiry path, while ``wb``'s live lease is
+        left alone."""
+        store.claim("wa", now=T0)
+        store.claim("wb", now=T0)
+        [event] = store.reclaim_expired(now=T0 + 1, worker="wa")
+        assert (event.key, event.worker, event.expiries) == ("tiny:2", "wa", 1)
+        assert store.state_of("tiny:2") == PENDING
+        assert store.state_of("tiny:4") == LEASED
+        record = store.read(PENDING, "tiny:2")
+        assert record["reclaims"] == [
+            {"worker": "wa", "delay_s": event.delay_s}
+        ]
+
+    def test_dead_workers_lease_mid_renewal_expires_at_once(self, store):
+        """Worker ``wa`` died while its renewer had the lease file out
+        in tmp/: the lease goes back and expires with the worker's
+        other leases, instead of waiting a TTL for orphan repair."""
+        store.claim("wa", now=T0)
+        store.claim("wb", now=T0)
+        store._take(LEASED, "tiny:2")  # the renewal wa never finished
+        store.restore_staged(os.getpid())
+        assert list((store.root / "tmp").iterdir()) == []
+        assert store.state_of("tiny:2") == LEASED
+        [event] = store.reclaim_expired(now=T0 + 1, worker="wa")
+        assert (event.key, event.worker, event.expiries) == ("tiny:2", "wa", 1)
+        assert not event.corrupt
+        assert store.state_of("tiny:2") == PENDING
+        assert store.state_of("tiny:4") == LEASED
+
+    def test_restore_staged_leaves_finished_moves_and_others(self, store):
+        """A tmp/ file whose cell already reached its next state is
+        dropped, and another process's tmp/ files are left alone."""
+        store.claim("wa", now=T0)
+        taken = store._take(LEASED, "tiny:2")
+        assert taken is not None
+        store._put(DONE, "tiny:2", {"key": "tiny:2", "status": "ok"})
+        other = store.root / "tmp" / "take-pending-0-0.json"
+        other.write_text(json.dumps({"key": "tiny:4"}))
+        store.restore_staged(os.getpid())
+        assert store.state_of("tiny:2") == DONE
+        assert list((store.root / "tmp").iterdir()) == [other]
 
 
 class TestChaosMarkers:

@@ -191,8 +191,13 @@ def test_config_error_exits_2_with_one_line(argv):
     ["sweep", "--benchmarks", "fft", "--scale", "0"],
     ["sweep", "--benchmarks", "fft", "-n", "abc"],
     ["sweep", "--benchmarks", "fft", "-n", "2", "--jobs", "0"],
-    ["sweep", "--benchmarks", "fft", "-n", "2", "--jobs", "2",
-     "--chunk-cells", "0"],
+    *(
+        ["sweep", "--benchmarks", "fft", "-n", "2", "--jobs", "2",
+         flag, value]
+        for flag, value in (("--lease-ttl", "nan"), ("--lease-ttl", "inf"),
+                            ("--lease-ttl", "0"), ("--poison-after", "0"))
+    ),
+    ["worker", "q", "--poll", "nan"],
     ["run-trace", "missing.trace"],
     *(
         ["bench", "--benchmarks", "fft", "-n", "2", *SCALE, *flags]
@@ -231,6 +236,42 @@ def test_bad_numbers_exit_2_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert "error: " in proc.stderr
     assert proc.stdout == ""
+
+
+def test_abort_ends_the_same_way_on_every_path(tmp_path):
+    """``--on-error abort`` on a deterministic failure: the serial
+    sweep, ``--jobs 2`` and ``--queue-dir`` each journal the cells
+    before the failing one, print one ``error:`` line and exit 1 — no
+    traceback, and no worker turns the failure into a poison cell."""
+    argv = [
+        "sweep", "--benchmarks", "blackscholes_small,cholesky", "-n", "2",
+        *SCALE, "--on-error", "abort", "--inject", "deadlock@cholesky:2",
+        "--lease-ttl", "1", "--poison-after", "2",
+    ]
+    journals = {}
+    for name, flags in (
+        ("serial", []),
+        ("jobs", ["--jobs", "2"]),
+        ("queue-dir", ["--jobs", "2", "--queue-dir", "q"]),
+    ):
+        proc = _python_m_repro(
+            [*argv, "--journal", f"{name}.json", *flags], cwd=tmp_path
+        )
+        assert proc.returncode == 1, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, name
+        assert "PoisonCellError" not in proc.stderr, name
+        errors = [
+            line for line in proc.stderr.splitlines()
+            if line.startswith("error: ")
+        ]
+        assert errors == [
+            "error: experiment cholesky:2 failed: no runnable core; "
+            "blocked threads: [0, 1]"
+        ], name
+        journals[name] = (tmp_path / f"{name}.json").read_bytes()
+    cells = json.loads(journals["serial"])["cells"]
+    assert list(cells) == ["blackscholes_small:2"]
+    assert journals["jobs"] == journals["queue-dir"] == journals["serial"]
 
 
 class TestTrace:

@@ -28,7 +28,6 @@ from repro.config import (
     machine_to_dict,
 )
 from repro.errors import ConfigError
-from repro.parallel import ChunkingPolicy
 from repro.workloads.suite import sweep_cells
 
 
@@ -189,9 +188,6 @@ class TestRunConfig:
     pytest.param(lambda: replace(RunConfig(), max_cycles=-1),
                  "max_cycles", id="RunPolicy-max_cycles"),
     (lambda: sweep_cells(("fft",), (2, 0)), "thread_counts"),
-    (lambda: ChunkingPolicy(chunk_cells=0), "chunk_cells"),
-    (lambda: ChunkingPolicy(chunks_per_job=0), "chunks_per_job"),
-    (lambda: ChunkingPolicy(max_chunk_cells=0), "max_chunk_cells"),
 ])
 def test_range_checks_raise_config_error_naming_the_field(build, field):
     with pytest.raises(ConfigError) as exc:
