@@ -16,9 +16,10 @@ example shows the follow-up workflow on a barrier-phased benchmark:
 import sys
 
 from repro import (
+    EventBus,
     MachineConfig,
     Simulation,
-    TraceRecorder,
+    TimelineRecorder,
     advice,
     build_program,
     by_name,
@@ -64,9 +65,10 @@ def main() -> None:
     print()
 
     print("=== 3. scheduling timeline ===")
-    trace = TraceRecorder()
-    Simulation(machine, build_program(spec, n_threads), trace=trace).run()
-    print(trace.render_timeline(n_threads, width=72))
+    bus = EventBus()
+    timeline = TimelineRecorder().attach(bus)
+    Simulation(machine, build_program(spec, n_threads), bus=bus).run()
+    print(timeline.render_timeline(width=72))
     print()
 
     print("=== 4. per-core CPI stacks ===")

@@ -159,7 +159,6 @@ from repro.experiments.scenarios import (
 from repro.session import Session, SessionShell, SimulationKernel
 from repro.sim.engine import SimResult, Simulation, simulate
 from repro.sim.partition import WayPartitionedCache, equal_quotas
-from repro.sim.trace import RunInterval, TraceRecorder
 from repro.sync.profile import (
     BarrierProfile,
     LockProfile,
@@ -311,7 +310,6 @@ __all__ = [
     "run_reference",
     "run_region_experiment",
     "RunConfig",
-    "RunInterval",
     "save_checkpoint",
     "scaling_class",
     "SchedConfig",
@@ -337,7 +335,6 @@ __all__ = [
     "TimelineRecorder",
     "trace_cell",
     "TraceParseError",
-    "TraceRecorder",
     "validate_per_thread",
     "validation_row",
     "validation_sweep",

@@ -97,6 +97,7 @@ from repro.observability import (
     MetricsRegistry,
     ProgressReporter,
     SpanRecorder,
+    TimelineRecorder,
     interval_sums,
     spans_to_trace_events,
     trace_cell,
@@ -116,7 +117,6 @@ from repro.robustness.faults import FAULT_KINDS, make_fault
 from repro.robustness.journal import SweepJournal
 from repro.session.kernel import SimulationKernel, watchdog_mode
 from repro.sim.engine import Simulation
-from repro.sim.trace import TraceRecorder
 from repro.sync.profile import render_sync_profile
 from repro.workloads.spec import build_program
 from repro.workloads.suite import SUITE, by_name, sweep_cells
@@ -434,18 +434,18 @@ def cmd_regions(args) -> int:
 def cmd_timeline(args) -> int:
     spec = by_name(args.benchmark)
     machine = _machine(args)
-    trace = TraceRecorder()
+    bus = EventBus()
+    recorder = TimelineRecorder().attach(bus)
     Simulation(
         machine, build_program(spec, args.threads, scale=args.scale),
-        trace=trace,
+        bus=bus,
     ).run()
-    print(trace.render_timeline(machine.n_cores, width=args.width))
-    utilization = trace.core_utilization(machine.n_cores)
+    print(recorder.render_timeline(width=args.width))
     print("core utilization:",
-          " ".join(f"{u:.0%}" for u in utilization))
+          " ".join(f"{u:.0%}" for u in recorder.core_utilization()))
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(trace.to_chrome_trace())
+            handle.write(recorder.to_chrome_trace())
         print(f"chrome trace written to {args.out}")
     return 0
 
@@ -489,8 +489,11 @@ def cmd_run_trace(args) -> int:
         print(f"error: cannot read trace {args.path}: {exc}", file=sys.stderr)
         return 2
     machine = MachineConfig(n_cores=args.threads or program.n_threads)
-    trace = TraceRecorder() if args.timeline else None
-    result = Simulation(machine, program, trace=trace).run(
+    recorder = bus = None
+    if args.timeline:
+        bus = EventBus()
+        recorder = TimelineRecorder().attach(bus)
+    result = Simulation(machine, program, bus=bus).run(
         max_cycles=args.max_cycles,
         on_timeout="truncate" if args.max_cycles is not None else "raise",
     )
@@ -498,8 +501,8 @@ def cmd_run_trace(args) -> int:
     print(f"{program.n_threads} threads on {machine.n_cores} cores: "
           f"{result.total_cycles} cycles, {result.total_instrs} "
           f"instructions{truncated}")
-    if trace is not None:
-        print(trace.render_timeline(machine.n_cores))
+    if recorder is not None:
+        print(recorder.render_timeline())
     return 0
 
 
@@ -654,6 +657,8 @@ def cmd_sweep(args) -> int:
                 metrics=metrics,
                 spans=spans,
                 drain=drain,
+                lease_ttl_s=args.lease_ttl,
+                poison_after=args.poison_after,
             )
         else:
             runner = BatchRunner(
@@ -1170,11 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: the one handler this CLI owns on the root logger; replaced (never
-#: stacked) on repeated in-process invocations of :func:`main`
-_LOG_HANDLER: logging.Handler | None = None
-
-
 class _JsonLogFormatter(logging.Formatter):
     """One JSON object per record, for machine-readable log capture."""
 
@@ -1190,8 +1190,11 @@ class _JsonLogFormatter(logging.Formatter):
         return json.dumps(doc)
 
 
-def _configure_logging(verbosity: int, log_json: bool = False) -> None:
-    global _LOG_HANDLER
+def _configure_logging(
+    verbosity: int, log_json: bool = False
+) -> logging.Handler:
+    """Install one invocation's handler on the root logger, with the
+    requested format and level, and return it."""
     level = (
         logging.WARNING if verbosity <= 0
         else logging.INFO if verbosity == 1
@@ -1200,26 +1203,28 @@ def _configure_logging(verbosity: int, log_json: bool = False) -> None:
     # ``logging.basicConfig`` is a no-op once the root logger has any
     # handler, yet tests and notebooks call ``main`` many times in one
     # process with *different* verbosity — and any pre-existing foreign
-    # handler would freeze the format forever.  Own exactly one handler:
-    # remove ours from the previous invocation, then install a fresh one
-    # with the requested format and level.
-    root = logging.getLogger()
-    if _LOG_HANDLER is not None:
-        root.removeHandler(_LOG_HANDLER)
+    # handler would freeze the format forever.  Each invocation owns a
+    # fresh handler instead, which :func:`main` removes on return.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(
         _JsonLogFormatter() if log_json
         else logging.Formatter("%(levelname)s %(name)s: %(message)s")
     )
+    root = logging.getLogger()
     root.addHandler(handler)
     root.setLevel(level)
-    _LOG_HANDLER = handler
+    return handler
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _configure_logging(args.verbose, args.log_json)
-    return args.func(args)
+    handler = _configure_logging(args.verbose, args.log_json)
+    try:
+        return args.func(args)
+    finally:
+        # the handler holds this invocation's stderr, which the caller
+        # may close or replace once main returns
+        logging.getLogger().removeHandler(handler)
 
 
 def process_main(argv: list[str] | None = None) -> int:

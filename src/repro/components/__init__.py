@@ -10,9 +10,8 @@ simulator's mechanisms.  It provides:
 * built-in implementations, extracted from the ``sim`` and
   ``accounting`` packages: cache replacement
   (:mod:`~repro.components.replacement`), DRAM page policies
-  (:mod:`~repro.components.paging`), spin detectors
-  (:mod:`~repro.components.spin`) and the engine scheduler
-  (:mod:`~repro.components.scheduling`).
+  (:mod:`~repro.components.paging`) and spin detectors
+  (:mod:`~repro.components.spin`).
 
 Importing this package registers every built-in, so
 ``available("replacement")`` etc. is complete after
@@ -24,7 +23,6 @@ from __future__ import annotations
 from repro.components.protocols import (
     PagePolicy,
     ReplacementPolicy,
-    Scheduler,
     SpinDetector,
 )
 from repro.components.registry import (
@@ -40,13 +38,11 @@ from repro.components.registry import (
 # effects (order matters only in that each must come after registry).
 from repro.components import paging as paging  # noqa: E402
 from repro.components import replacement as replacement  # noqa: E402
-from repro.components import scheduling as scheduling  # noqa: E402
 from repro.components import spin as spin  # noqa: E402
 
 __all__ = [
     "PagePolicy",
     "ReplacementPolicy",
-    "Scheduler",
     "SpinDetector",
     "available",
     "kinds",
@@ -54,7 +50,6 @@ __all__ = [
     "register",
     "replacement",
     "resolve",
-    "scheduling",
     "spin",
     "unregister",
     "validate_choice",

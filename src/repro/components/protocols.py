@@ -4,24 +4,20 @@ These are :class:`typing.Protocol` classes — structural, not nominal:
 an implementation only has to *look* right, never to inherit.  The
 registry (:mod:`repro.components.registry`) maps string names from the
 configuration onto factories producing these shapes; the consuming
-modules (``sim.cache``, ``sim.memory``, ``sim.engine``,
-``accounting.accountant``) are written against the protocol alone.
+modules (``sim.cache``, ``sim.memory``, ``accounting.accountant``)
+are written against the protocol alone.
 
 The factory convention: every registered object is a callable taking
 the relevant config section and returning the component instance —
 ``ReplacementPolicy`` factories take a
 :class:`~repro.config.CacheConfig`, ``PagePolicy`` factories a
-:class:`~repro.config.DramConfig`, ``SpinDetector`` factories an
-:class:`~repro.config.AccountingConfig`, and ``Scheduler`` factories a
-:class:`~repro.config.SchedConfig`.
+:class:`~repro.config.DramConfig`, and ``SpinDetector`` factories an
+:class:`~repro.config.AccountingConfig`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol, Sequence, runtime_checkable
-
-if TYPE_CHECKING:
-    from repro.sim.engine import _CoreRuntime
+from typing import Any, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -47,8 +43,8 @@ class Snapshotable(Protocol):
 
     Implemented across all six stateful layers (engine, chip/caches,
     accountant, spin detectors, sync primitives, OS-model threads);
-    stateless components (LRU/FIFO replacement, page policies, the
-    earliest-core scheduler) simply don't implement it and are skipped.
+    stateless components (LRU/FIFO replacement, page policies) simply
+    don't implement it and are skipped.
     """
 
     def state_dict(self) -> dict[str, Any]:
@@ -142,29 +138,4 @@ class PagePolicy(Protocol):
 
     def page_after(self, page_id: int) -> int | None:
         """The page left open in the bank after servicing ``page_id``."""
-        ...
-
-
-@runtime_checkable
-class Scheduler(Protocol):
-    """The engine's core-pick policy.
-
-    Called once per engine pick to choose which core acts next.  The
-    conservative discrete-event invariant — shared state is only
-    touched at a step's start time, steps execute in global start-time
-    order — holds only for earliest-first selection, so alternative
-    schedulers must preserve it (e.g. deterministic tie-breaks on top
-    of the same earliest-availability rule).
-    """
-
-    def pick(
-        self, cores: Sequence["_CoreRuntime"]
-    ) -> tuple["_CoreRuntime | None", float, float]:
-        """Return ``(core, avail_time, horizon)``: the core to step
-        (``None`` when every core is idle with an empty queue — the
-        deadlock signal), the time at which it can act, and the
-        earliest instant any *other* core could act.  That horizon
-        bounds the engine's fast-forward: the picked core runs any op
-        that starts before it, and past it only ops on its own state
-        (run-ahead), holding the next shared op for its next pick."""
         ...

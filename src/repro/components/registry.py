@@ -1,8 +1,7 @@
 """String-keyed component registry.
 
 Every swappable mechanism of the simulator — cache replacement, spin
-detection, DRAM page policy, the engine's core-pick scheduler — is a
-*component*: an object registered under a ``(kind, name)`` pair and
+detection, DRAM page policy — is a *component*: an object registered under a ``(kind, name)`` pair and
 resolved by name at construction time.  Configuration files and CLI
 flags therefore carry plain strings, while the code that consumes them
 gets a typed factory (see :mod:`repro.components.protocols`) and a

@@ -11,12 +11,13 @@ plain frozen dataclasses so experiment sweeps can use
 sweep) without mutating shared state.
 
 Every string-valued policy field (``CacheConfig.replacement``,
-``AccountingConfig.spin_detector``, ``DramConfig.page_policy``,
-``SchedConfig.policy``) is validated against the component registry
-(:mod:`repro.components`) at construction time, so an unknown name fails
-immediately with the list of registered choices — and a policy
-registered by third-party code becomes a valid config value without any
-edit here.
+``AccountingConfig.spin_detector``, ``DramConfig.page_policy``) is
+validated against the component registry (:mod:`repro.components`) at
+construction time, so an unknown name fails immediately with the list
+of registered choices — and a policy registered by third-party code
+becomes a valid config value without any edit here.
+``SchedConfig.policy`` names the engine's one core-pick order and is
+checked the same way against :data:`SCHED_POLICIES`.
 
 :class:`ExperimentConfig` bundles machine + workload + run options into
 one serializable object (``to_dict``/``from_dict``, TOML/JSON
@@ -193,6 +194,10 @@ class SyncConfig:
     spin_iter_instrs: int = 4
 
 
+#: the values ``sched.policy`` accepts
+SCHED_POLICIES = ("earliest",)
+
+
 @dataclass(frozen=True)
 class SchedConfig:
     """Operating-system scheduler model plus the engine's core-pick policy."""
@@ -204,12 +209,19 @@ class SchedConfig:
     #: modelling the Linux scheduler being less efficient at high core
     #: counts (observed for ferret in Figure 7 of the paper).
     overhead_per_core_cycles: int = 4
-    #: engine core-pick order, resolved via the ``"scheduler"`` component
-    #: registry; built-in: "earliest" (smallest local clock first)
+    #: engine core-pick order; the one policy is "earliest" (smallest
+    #: local clock first, ties by core id), which the engine's causality
+    #: argument needs
     policy: str = "earliest"
 
     def __post_init__(self) -> None:
-        _component_choice("scheduler", self.policy, "policy")
+        if self.policy not in SCHED_POLICIES:
+            raise ConfigError(
+                f"policy: unknown scheduler {self.policy!r}; choices: "
+                f"{', '.join(SCHED_POLICIES)}",
+                field="policy",
+                choices=SCHED_POLICIES,
+            )
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ computing speedup stacks for each region between consecutive barriers;
 the imbalance before each barrier then quantifies barrier overhead."
 
 This module implements that refinement.  A :class:`RegionObserver`
-watches barrier arrivals and releases during an accounted run and
-snapshots the accountant's counters at every barrier release.  Each
-region (the execution between two consecutive releases) then gets its
-own stack-style decomposition in which:
+subscribes to the barrier arrivals and releases an accounted run emits
+on its event bus and snapshots the accountant's counters at every
+barrier release.  Each region (the execution between two consecutive
+releases) then gets its own stack-style decomposition in which:
 
 * interference/spin/yield components are the counter *differences*
   over the region, and
@@ -28,6 +28,11 @@ from repro.accounting.accountant import CycleAccountant
 from repro.accounting.report import AccountingReport, ThreadComponents
 from repro.config import MachineConfig
 from repro.core.stack import SpeedupStack, build_stack
+from repro.observability.events import (
+    BarrierArrived,
+    BarrierReleased,
+    EventBus,
+)
 from repro.sim.engine import SimResult, Simulation
 from repro.workloads.program import Program
 
@@ -67,22 +72,27 @@ class RegionObserver:
         self._arrivals: dict[int, dict[int, int]] = {}
         self._region_start = 0
 
-    def on_arrival(self, barrier_id: int, thread_id: int, now: int) -> None:
-        self._arrivals.setdefault(barrier_id, {})[thread_id] = now
+    def attach(self, bus: EventBus) -> "RegionObserver":
+        bus.subscribe(BarrierArrived, self._on_arrival)
+        bus.subscribe(BarrierReleased, self._on_release)
+        return self
 
-    def on_release(self, barrier_id: int, now: int) -> None:
-        arrivals = self._arrivals.pop(barrier_id, {})
+    def _on_arrival(self, event: BarrierArrived) -> None:
+        self._arrivals.setdefault(event.barrier_id, {})[event.tid] = event.t
+
+    def _on_release(self, event: BarrierReleased) -> None:
+        arrivals = self._arrivals.pop(event.barrier_id, {})
         self.regions.append(
             Region(
                 index=len(self.regions),
-                barrier_id=barrier_id,
+                barrier_id=event.barrier_id,
                 start=self._region_start,
-                end=now,
+                end=event.t,
                 arrivals=arrivals,
                 snapshot=self.accountant.snapshot(),
             )
         )
-        self._region_start = now
+        self._region_start = event.t
 
 
 def _diff(after: dict, before: dict, key: str, core: int) -> float:
@@ -192,9 +202,8 @@ def run_region_experiment(
 ) -> RegionResult:
     """Run with accounting + region tracking and build per-region stacks."""
     accountant = CycleAccountant(machine)
-    observer = RegionObserver(accountant, program.n_threads)
-    result = Simulation(
-        machine, program, accountant, barrier_observer=observer
-    ).run()
+    bus = EventBus()
+    observer = RegionObserver(accountant, program.n_threads).attach(bus)
+    result = Simulation(machine, program, accountant, bus=bus).run()
     stacks = region_stacks(observer, machine, name=name)
     return RegionResult(sim_result=result, observer=observer, stacks=stacks)

@@ -18,7 +18,8 @@ runner itself.  Four cooperating pieces:
   Perfetto exporter with per-core tracks for scheduling, spin, yield
   and memory-interference intervals (``repro trace <cell>``), built so
   the interval sums reconcile exactly with the cell's speedup-stack
-  components.
+  components; its run track is also the ASCII chart ``repro
+  timeline`` prints.
 * :mod:`repro.observability.progress` — live sweep telemetry: a
   ``--progress`` stderr renderer with ETA and a machine-readable
   heartbeat file for external monitoring.
@@ -42,6 +43,10 @@ differential and golden suites pin that down.
 
 from repro.observability.events import (
     EVENT_TYPES,
+    SIM_EVENT_TYPES,
+    SWEEP_EVENT_TYPES,
+    BarrierArrived,
+    BarrierReleased,
     CellFinished,
     CellRetry,
     CellStarted,
@@ -88,6 +93,8 @@ from repro.observability.timeline import (
 )
 
 __all__ = [
+    "BarrierArrived",
+    "BarrierReleased",
     "CellFinished",
     "CellRetry",
     "CellStarted",
@@ -108,6 +115,7 @@ __all__ = [
     "MissBlocked",
     "ProgressReporter",
     "render_report_html",
+    "SIM_EVENT_TYPES",
     "SimEnded",
     "SimStarted",
     "SPAN_PID_BASE",
@@ -115,6 +123,7 @@ __all__ = [
     "spans_to_trace_events",
     "SpinSegment",
     "SpinTruncated",
+    "SWEEP_EVENT_TYPES",
     "SweepFinished",
     "SweepStarted",
     "ThreadDescheduled",

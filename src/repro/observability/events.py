@@ -103,6 +103,23 @@ class YieldInterval:
 
 
 @dataclass(frozen=True)
+class BarrierArrived:
+    """A thread reached a barrier (before its arrival instructions)."""
+
+    barrier_id: int
+    tid: int
+    t: int
+
+
+@dataclass(frozen=True)
+class BarrierReleased:
+    """The last party arrived: every waiter of the barrier was woken."""
+
+    barrier_id: int
+    t: int
+
+
+@dataclass(frozen=True)
 class WatchdogFired:
     """The engine watchdog truncated the run."""
 
@@ -266,19 +283,27 @@ class WorkerHeartbeat:
     current_cell: str | None
 
 
-#: every event type, for subscribe-to-everything consumers and docs
-EVENT_TYPES = (
+#: the events a simulation emits (engine, memory system, accountant):
+#: a bus with a handler for any of them observes the global order of
+#: ops, so the engine does not run cores ahead while one is subscribed
+SIM_EVENT_TYPES = (
     SimStarted,
     SimEnded,
     ThreadDispatched,
     ThreadDescheduled,
     SpinSegment,
     YieldInterval,
+    BarrierArrived,
+    BarrierReleased,
     WatchdogFired,
     DeadlockDetected,
     MissBlocked,
     InterThreadAccess,
     SpinTruncated,
+)
+
+#: the events a sweep emits (cells, workers, the work queue)
+SWEEP_EVENT_TYPES = (
     SweepStarted,
     SweepFinished,
     CellStarted,
@@ -291,6 +316,9 @@ EVENT_TYPES = (
     CellQuarantined,
     WorkerHeartbeat,
 )
+
+#: every event type, for subscribe-to-everything consumers and docs
+EVENT_TYPES = SIM_EVENT_TYPES + SWEEP_EVENT_TYPES
 
 
 class EventBus:
@@ -348,6 +376,16 @@ class EventBus:
     def active(self) -> bool:
         """True when any subscription exists at all."""
         return bool(self._all or self._handlers)
+
+    @property
+    def observes_simulation(self) -> bool:
+        """True when a handler listens to a simulation event (any of
+        :data:`SIM_EVENT_TYPES`; a subscribe-all handler listens to
+        every event).  A bus that only carries sweep events leaves the
+        engine free to run cores ahead."""
+        return bool(self._all) or any(
+            event_type in self._handlers for event_type in SIM_EVENT_TYPES
+        )
 
     # -- dispatch -------------------------------------------------------
 

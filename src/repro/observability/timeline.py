@@ -1,4 +1,4 @@
-"""Chrome trace-event export of a cell's full execution timeline.
+"""Execution timelines of a simulated run: Chrome trace and ASCII chart.
 
 A :class:`TimelineRecorder` subscribes to the engine's event bus and
 collects four interval families per core:
@@ -22,7 +22,10 @@ those sums so tests (and skeptical users) can check the invariant.
 :func:`trace_cell` runs one (benchmark, N) cell with a recorder
 attached; ``repro trace`` is a thin CLI wrapper over it.  The exported
 JSON loads in ``chrome://tracing`` and Perfetto; one "process" per
-core, one named track per interval family.
+core, one named track per interval family.  The run track also renders
+as an ASCII per-core chart (:meth:`TimelineRecorder.render_timeline`,
+what ``repro timeline`` prints) for a quick look at convoys, idle cores
+and stragglers.
 """
 
 from __future__ import annotations
@@ -143,6 +146,51 @@ class TimelineRecorder:
              event.is_load)
         )
 
+    # -- text views -----------------------------------------------------
+
+    def _end_time(self) -> int:
+        return max((end for _, _, _, end, _ in self.run_intervals), default=0)
+
+    def core_utilization(self) -> list[float]:
+        """Fraction of the run each core spent running a thread."""
+        total = self._end_time()
+        if total == 0:
+            return [0.0] * self.n_cores
+        busy = [0] * self.n_cores
+        for core, _, start, end, _ in self.run_intervals:
+            busy[core] += end - start
+        return [cycles / total for cycles in busy]
+
+    def render_timeline(self, width: int = 72) -> str:
+        """ASCII Gantt chart of the run track: one row per core, one
+        column per time slice, showing the thread that ran longest in
+        the slice ('.' while the core is idle)."""
+        total = self._end_time()
+        if total == 0:
+            return "(empty trace)"
+        slice_len = max(1, total // width)
+        # per core and column: the cycles each thread ran there
+        cells: list[list[dict[int, int]]] = [
+            [{} for _ in range(width)] for _ in range(self.n_cores)
+        ]
+        for core, tid, start, end, _ in self.run_intervals:
+            row = cells[core]
+            first = min(width - 1, start // slice_len)
+            last = min(width - 1, max(start, end - 1) // slice_len)
+            for column in range(first, last + 1):
+                lo = max(start, column * slice_len)
+                hi = min(end, (column + 1) * slice_len)
+                if hi > lo:
+                    row[column][tid] = row[column].get(tid, 0) + hi - lo
+        lines = [f"timeline: {total} cycles, {slice_len} cycles/column"]
+        for core, row in enumerate(cells):
+            glyphs = "".join(
+                _thread_glyph(max(cell, key=cell.get)) if cell else "."
+                for cell in row
+            )
+            lines.append(f"core {core:2d} |{glyphs}|")
+        return "\n".join(lines)
+
     # -- export ---------------------------------------------------------
 
     def to_trace_events(self) -> list[dict]:
@@ -207,6 +255,15 @@ class TimelineRecorder:
             "otherData": metadata or {},
         }
         return json.dumps(doc, indent=1)
+
+
+_GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _thread_glyph(thread_id: int) -> str:
+    if 0 <= thread_id < len(_GLYPHS):
+        return _GLYPHS[thread_id]
+    return "#"
 
 
 def interval_sums(recorder: TimelineRecorder) -> dict:

@@ -28,6 +28,9 @@ def run_parallel_sweep(
     metrics=None,
     drain=None,
     spans=None,
+    *,
+    lease_ttl_s: float = 30.0,
+    poison_after: int = 3,
 ) -> SweepReport:
     """Run a sweep on ``jobs`` forked workers over a private queue.
 
@@ -38,7 +41,8 @@ def run_parallel_sweep(
     with ``workers=jobs``).  A dead worker's cell is reclaimed and
     re-run in the same sweep; with ``on_error="abort"`` the first
     failed cell raises :class:`~repro.errors.ExperimentError` after
-    in-order journaling of the cells before it.
+    in-order journaling of the cells before it.  ``lease_ttl_s`` and
+    ``poison_after`` are the queue's lease TTL and quarantine threshold.
     """
     # imported here: the queue builds on this package's cell records
     # and warm workers, so it cannot be imported while this one loads
@@ -50,5 +54,6 @@ def run_parallel_sweep(
         return run_queue_sweep(
             cells, workers=jobs, policy=policy, journal=journal,
             resume=resume, bus=bus, metrics=metrics, spans=spans,
-            queue_dir=queue_dir, drain=drain,
+            queue_dir=queue_dir, drain=drain, lease_ttl_s=lease_ttl_s,
+            poison_after=poison_after,
         )

@@ -246,9 +246,10 @@ class QueueWorker:
         arrives (:data:`EXIT_DRAINED`)."""
         store = self.store
         logger.info(
-            "worker %s attached to %s (%d cells, TTL %.1fs)",
+            "worker %s attached to %s (%d cells, TTL %.1fs, poison "
+            "after %d)",
             self.worker_id, store.root, len(store.order),
-            store.lease_ttl_s,
+            store.lease_ttl_s, store.poison_after,
         )
         while True:
             if self.drain.requested:

@@ -19,7 +19,7 @@ import sys
 from typing import Callable, TextIO
 
 from repro.errors import ConfigError, ReproError
-from repro.session.session import Session
+from repro.session.session import SWAPPABLE_KINDS, Session
 
 HELP = """\
 commands (semicolon-separated in --run scripts):
@@ -29,7 +29,7 @@ commands (semicolon-separated in --run scripts):
   status            one-line progress summary
   counters          live accountant counters
   inject KIND [F]   perturb: llc_flush | mem_spike (factor F, default 2.0)
-  swap KIND NAME    hot-swap a registry component: scheduler | spin_detector
+  swap KIND NAME    hot-swap a registry component: spin_detector
   save PATH         write a resumable checkpoint file
   events [N]        show the last N observability events (default 10)
   help              this text
@@ -110,7 +110,7 @@ class SessionShell:
         if len(args) != 2:
             raise ConfigError(
                 "swap needs a kind and a registry name", field="swap",
-                choices=("scheduler", "spin_detector"),
+                choices=SWAPPABLE_KINDS,
             )
         self.session.swap(args[0], args[1])
         self._print(f"swapped {args[0]} -> {args[1]} "

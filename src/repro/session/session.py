@@ -59,7 +59,7 @@ from repro.workloads.spec import BenchmarkSpec, build_program
 PERTURBATION_KINDS = ("llc_flush", "mem_spike")
 
 #: registry kinds :meth:`Session.swap` can hot-swap mid-run
-SWAPPABLE_KINDS = ("scheduler", "spin_detector")
+SWAPPABLE_KINDS = ("spin_detector",)
 
 
 def _as_experiment(experiment) -> ExperimentConfig:
@@ -413,18 +413,15 @@ class Session:
     def swap(self, kind: str, name: str) -> "Session":
         """Hot-swap a registry component at the current step boundary.
 
-        * ``swap("scheduler", name)`` — replace the core-pick policy;
-        * ``swap("spin_detector", name)`` — replace every per-core spin
-          detector, folding each old detector's accumulated spin cycles
-          into the accountant's truncated-spin counter so the spinning
-          component stays continuous across the swap (the new detectors
-          start cold on in-flight episodes).
+        The one swappable kind is ``"spin_detector"``:
+        ``swap("spin_detector", name)`` replaces every per-core spin
+        detector, folding each old detector's accumulated spin cycles
+        into the accountant's truncated-spin counter so the spinning
+        component stays continuous across the swap (the new detectors
+        start cold on in-flight episodes).
         """
         self._pre_perturb(f"swap {kind!r}")
-        if kind == "scheduler":
-            factory = resolve("scheduler", name)
-            self.kernel.sim._scheduler = factory(self.kernel.machine.sched)
-        elif kind == "spin_detector":
+        if kind == "spin_detector":
             accountant = self.kernel.accountant
             if not accountant.enabled:
                 raise ConfigError(

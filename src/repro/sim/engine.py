@@ -35,7 +35,6 @@ from itertools import zip_longest
 
 from repro.accounting.accountant import CycleAccountant
 from repro.accounting.interface import NULL_ACCOUNTANT
-from repro.components.registry import resolve
 from repro.components.replacement import FifoPolicy, LruPolicy
 from repro.config import MachineConfig
 from repro.errors import (
@@ -46,6 +45,8 @@ from repro.errors import (
     SimulationError,
 )
 from repro.observability.events import (
+    BarrierArrived,
+    BarrierReleased,
     DeadlockDetected,
     SimEnded,
     SimStarted,
@@ -188,19 +189,16 @@ class Simulation:
         machine: MachineConfig,
         program: Program,
         accountant=NULL_ACCOUNTANT,
-        trace=None,
-        barrier_observer=None,
         fast_forward: bool = True,
         bus=None,
     ) -> None:
         self.machine = machine
         self.program = program
         self.accountant = accountant
-        self.trace = trace
-        self.barrier_observer = barrier_observer
-        #: optional observability EventBus; every emission is guarded by
-        #: ``is not None`` and sits on scheduling-frequency paths only,
-        #: so the disabled run pays nothing on the per-op hot loop
+        #: optional observability EventBus, the engine's one observer;
+        #: every emission is guarded by ``is not None`` and sits on
+        #: scheduling-frequency paths only, so the disabled run pays
+        #: nothing on the per-op hot loop
         self.bus = bus
         #: instruction-block fast-forward to the horizon, and run-ahead
         #: past it when run() allows; off keeps the one-op-per-pick
@@ -257,7 +255,6 @@ class Simulation:
         # a new process-level run and re-announces itself, exactly as
         # the pre-pause engine did.
         self._sim_started = False
-        self._scheduler = resolve("scheduler", machine.sched.policy)(machine.sched)
         self._dispatch_cost = (
             machine.sched.context_switch_cycles
             + machine.sched.overhead_per_core_cycles * machine.n_cores
@@ -325,9 +322,11 @@ class Simulation:
         ``max_cycles``, ``livelock_window``, ``pause_at`` or checkpoint
         hook that saves state, which act at step boundaries (a
         drain-only hook saves nothing: a drain discards the run); no
-        event bus, trace recorder or barrier observer, which see events
-        in global order; and no accountant but the per-core
-        :class:`CycleAccountant`.
+        handler on the event bus for a simulation event, which would
+        see those events in global order (a bus that carries only sweep
+        events does not count, see
+        :attr:`~repro.observability.events.EventBus.observes_simulation`);
+        and no accountant but the per-core :class:`CycleAccountant`.
         Any other run takes the same loop without running ahead.
         """
         if on_timeout not in ("raise", "truncate"):
@@ -416,6 +415,7 @@ class Simulation:
     ) -> bool:
         """The run-ahead conditions listed in :meth:`run`."""
         accountant = self.accountant
+        bus = self.bus
         return (
             self._private is not None
             and len(self.threads) <= self.machine.n_cores
@@ -423,9 +423,7 @@ class Simulation:
             and livelock_window is None
             and (checkpoint is None or not checkpoint.saves_state)
             and pause_at is None
-            and self.bus is None
-            and self.trace is None
-            and self.barrier_observer is None
+            and (bus is None or not bus.observes_simulation)
             and (not accountant.enabled
                  or type(accountant) is CycleAccountant)
         )
@@ -717,7 +715,30 @@ class Simulation:
                 atd._tags.n_evictions += count
 
     def _pick_core(self) -> _CoreRuntime | None:
-        best, best_time, second_time = self._scheduler.pick(self.cores)
+        """The core that can act earliest, or None when every core is
+        idle with an empty queue (the deadlock signal).
+
+        Earliest-first is the order the engine's causality argument
+        needs: shared state is touched at step start times, and steps
+        run in global start-time order, with ties broken by core id
+        (the scan order).
+        """
+        best = None
+        best_time = second_time = _INFINITY
+        for core in self.cores:
+            if core.current is not None:
+                avail = core.now
+            elif core.queue:
+                earliest = min(t.ready_time for t in core.queue)
+                avail = earliest if earliest > core.now else core.now
+            else:
+                continue
+            if avail < best_time:
+                second_time = best_time
+                best_time = avail
+                best = core
+            elif avail < second_time:
+                second_time = avail
         # The earliest instant any *other* core could act — the horizon
         # the fast-forward block may run to without a global reschedule.
         self._ff_limit = second_time
@@ -769,8 +790,6 @@ class Simulation:
         thread.state = RUNNING
         thread.run_start = core.now
         core.current = thread
-        if self.trace is not None:
-            self.trace.on_run_start(thread.tid, core.core_id, core.now)
         if thread.spin is not None:
             thread.spin.restart(core.now)
 
@@ -936,8 +955,6 @@ class Simulation:
         thread.block_reason = BLOCK_PREEMPT
         core.queue.append(thread)
         core.current = None
-        if self.trace is not None:
-            self.trace.on_run_end(thread.tid, core.now, "preempted")
         if bus is not None:
             bus.emit(ThreadDescheduled(
                 thread.tid, core.core_id, core.now, "preempted"
@@ -1000,8 +1017,6 @@ class Simulation:
             thread.block_reason = BLOCK_PREEMPT
             core.queue.append(thread)
             core.current = None
-            if self.trace is not None:
-                self.trace.on_run_end(thread.tid, core.now, "preempted")
             if self.bus is not None:
                 self.bus.emit(ThreadDescheduled(
                     thread.tid, cid, core.now, "preempted"
@@ -1014,8 +1029,6 @@ class Simulation:
             thread.block_reason = BLOCK_SYNC
             thread.n_yields += 1
             core.current = None
-            if self.trace is not None:
-                self.trace.on_run_end(thread.tid, core.now, "blocked")
             if self.bus is not None:
                 self.bus.emit(ThreadDescheduled(
                     thread.tid, cid, core.now, "blocked"
@@ -1036,8 +1049,6 @@ class Simulation:
         thread.end_time = core.now
         core.current = None
         self._n_finished += 1
-        if self.trace is not None:
-            self.trace.on_run_end(thread.tid, core.now, "finished")
         if self.bus is not None:
             self.bus.emit(ThreadDescheduled(
                 thread.tid, core.core_id, core.now, "finished"
@@ -1123,10 +1134,10 @@ class Simulation:
         core.now += self.chip.drain(cid, core.now)
         t_start = core.now
         thread.n_barrier_waits += 1
-        if self.barrier_observer is not None:
-            self.barrier_observer.on_arrival(
+        if self.bus is not None:
+            self.bus.emit(BarrierArrived(
                 barrier.barrier_id, thread.tid, core.now
-            )
+            ))
         # Atomic fetch-and-increment of the arrival counter.
         self._charge_sync_instrs(thread, 2)
         core.now += 1 + self.chip.load(
@@ -1145,10 +1156,8 @@ class Simulation:
             )
             while barrier.waiters:
                 self._wake(barrier.waiters.popleft(), core.now)
-            if self.barrier_observer is not None:
-                self.barrier_observer.on_release(
-                    barrier.barrier_id, core.now
-                )
+            if self.bus is not None:
+                self.bus.emit(BarrierReleased(barrier.barrier_id, core.now))
         else:
             thread.spin = SpinContext(
                 "barrier", barrier, core.now, my_generation=my_generation
@@ -1234,8 +1243,6 @@ class Simulation:
         thread.block_reason = BLOCK_SYNC
         thread.n_yields += 1
         core.current = None
-        if self.trace is not None:
-            self.trace.on_run_end(thread.tid, core.now, "blocked")
         if self.bus is not None:
             self.bus.emit(ThreadDescheduled(
                 thread.tid, core.core_id, core.now, "blocked"
@@ -1289,9 +1296,6 @@ class Simulation:
         }
         if self.accountant.enabled:
             state["accountant"] = self.accountant.state_dict()
-        scheduler_state = getattr(self._scheduler, "state_dict", None)
-        if scheduler_state is not None:
-            state["scheduler"] = scheduler_state()
         return state
 
     def _resolve_sync(self, kind: str, obj_id: int):
@@ -1349,9 +1353,6 @@ class Simulation:
                 "checkpoint lacks accounting state required by this "
                 "simulation's accountant"
             )
-        scheduler_load = getattr(self._scheduler, "load_state_dict", None)
-        if scheduler_load is not None and "scheduler" in state:
-            scheduler_load(state["scheduler"])
         self._n_finished = state["n_finished"]
         self._steps = state["steps"]
         self._last_progress = tuple(state["last_progress"])

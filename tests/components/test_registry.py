@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.components import available, kinds, register, resolve, unregister
-from repro.components.protocols import ReplacementPolicy, Scheduler
+from repro.components.protocols import PagePolicy, ReplacementPolicy
 from repro.components.registry import validate_choice
 from repro.config import CacheConfig
 from repro.errors import ConfigError
@@ -22,10 +22,7 @@ class TestResolution:
         assert available("replacement") == ("fifo", "lru", "random")
         assert available("spin_detector") == ("li", "tian")
         assert available("page_policy") == ("closed", "open")
-        assert available("scheduler") == ("earliest",)
-        assert kinds() == (
-            "page_policy", "replacement", "scheduler", "spin_detector",
-        )
+        assert kinds() == ("page_policy", "replacement", "spin_detector")
 
     def test_resolve_returns_factory(self):
         factory = resolve("replacement", "lru")
@@ -94,18 +91,21 @@ class TestRegistration:
             resolve("replacement", "mru-test")
 
     def test_reregistering_same_object_is_noop(self):
-        factory = resolve("scheduler", "earliest")
-        assert register("scheduler", "earliest")(factory) is factory
+        factory = resolve("page_policy", "open")
+        assert register("page_policy", "open")(factory) is factory
 
     def test_shadowing_taken_name_rejected(self):
         class Impostor:
-            def pick(self, cores):
-                return None, 0.0, 0.0
+            def classify(self, open_page, page_id):
+                return "hit", 0
+
+            def page_after(self, page_id):
+                return None
 
         with pytest.raises(ConfigError, match="already registered"):
-            register("scheduler", "earliest")(Impostor)
+            register("page_policy", "open")(Impostor)
         # The original registration is intact.
-        assert not isinstance(resolve("scheduler", "earliest"), Impostor)
+        assert resolve("page_policy", "open") is not Impostor
 
     def test_unregister_unknown_rejected(self):
         with pytest.raises(ConfigError, match="not registered"):
@@ -113,7 +113,10 @@ class TestRegistration:
 
     def test_protocols_are_structural(self):
         class Anon:
-            def pick(self, cores):
-                return None, 0.0, 0.0
+            def classify(self, open_page, page_id):
+                return "hit", 0
 
-        assert isinstance(Anon(), Scheduler)
+            def page_after(self, page_id):
+                return None
+
+        assert isinstance(Anon(), PagePolicy)

@@ -6,6 +6,11 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.core.regions import RegionObserver, run_region_experiment
+from repro.observability.events import (
+    BarrierArrived,
+    BarrierReleased,
+    EventBus,
+)
 from repro.workloads.program import BarrierWait, Compute, Load, Program
 from repro.workloads.spec import BenchmarkSpec, build_program
 
@@ -102,14 +107,16 @@ class TestRegionStacks:
             assert stack.base_speedup > 0
 
     def test_observer_standalone(self):
-        """The observer's bookkeeping works without an engine."""
+        """The observer's bookkeeping works without an engine: it only
+        needs the barrier events on a bus."""
         from repro.accounting.accountant import CycleAccountant
 
         machine = MachineConfig(n_cores=2)
-        observer = RegionObserver(CycleAccountant(machine), 2)
-        observer.on_arrival(0, 0, 100)
-        observer.on_arrival(0, 1, 400)
-        observer.on_release(0, 420)
+        bus = EventBus()
+        observer = RegionObserver(CycleAccountant(machine), 2).attach(bus)
+        bus.emit(BarrierArrived(0, 0, 100))
+        bus.emit(BarrierArrived(0, 1, 400))
+        bus.emit(BarrierReleased(0, 420))
         region = observer.regions[0]
         assert region.duration == 420
         assert region.barrier_imbalance(0) == 320

@@ -6,6 +6,9 @@ import pytest
 
 from repro.observability.events import (
     EVENT_TYPES,
+    SIM_EVENT_TYPES,
+    SWEEP_EVENT_TYPES,
+    CellFinished,
     CellStarted,
     EventBus,
     MissBlocked,
@@ -109,6 +112,22 @@ class TestIntrospection:
         bus = EventBus()
         bus.subscribe_all(lambda e: None)
         assert MissBlocked in bus and SpinSegment in bus
+
+    def test_event_groups_partition_every_type(self):
+        assert set(SIM_EVENT_TYPES).isdisjoint(SWEEP_EVENT_TYPES)
+        assert EVENT_TYPES == SIM_EVENT_TYPES + SWEEP_EVENT_TYPES
+
+    def test_observes_simulation_only_for_simulation_handlers(self):
+        bus = EventBus()
+        assert not bus.observes_simulation
+        bus.subscribe(CellFinished, lambda e: None)
+        assert not bus.observes_simulation
+        for event_type in SIM_EVENT_TYPES:
+            typed = EventBus()
+            typed.subscribe(event_type, lambda e: None)
+            assert typed.observes_simulation
+        bus.subscribe_all(lambda e: None)
+        assert bus.observes_simulation
 
     def test_n_emitted_counts_even_without_handlers(self):
         bus = EventBus()

@@ -9,11 +9,14 @@ from a serial and a ``--jobs 2`` sweep.
 
 from __future__ import annotations
 
+import io
 import json
 
 from repro.config import RunConfig
 from repro.experiments.runner import BatchRunner
+from repro.observability.events import EventBus
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.progress import ProgressReporter
 from repro.observability.spans import SpanRecorder
 from repro.parallel import CellSpec, run_parallel_sweep
 from repro.robustness.journal import SweepJournal
@@ -23,11 +26,11 @@ SCALE = 0.1
 CELLS = [("cholesky", 2), ("fft", 2)]
 
 
-def serial_journal(path, metrics=None, spans=None):
+def serial_journal(path, metrics=None, spans=None, bus=None):
     journal = SweepJournal(str(path))
     runner = BatchRunner(
         policy=RunConfig(), scale=SCALE, journal=journal, metrics=metrics,
-        spans=spans,
+        spans=spans, bus=bus,
     )
     runner.run_sweep([(by_name(name), n) for name, n in CELLS])
     return path.read_bytes()
@@ -122,3 +125,17 @@ class TestSpansDifferential:
             tmp_path / "both.json", MetricsRegistry(), SpanRecorder()
         )
         assert both == with_metrics
+
+
+class TestProgressDifferential:
+    """A progress line (and the heartbeat built on the same bus) only
+    subscribes to sweep events, so a serial sweep that renders one
+    journals the same bytes as a sweep without a bus."""
+
+    def test_serial_journal_unchanged_by_progress_bus(self, tmp_path):
+        plain = serial_journal(tmp_path / "plain.json")
+        bus = EventBus()
+        reporter = ProgressReporter(len(CELLS), stream=io.StringIO())
+        reporter.attach(bus)
+        assert serial_journal(tmp_path / "progress.json", bus=bus) == plain
+        assert reporter.ok == len(CELLS)

@@ -117,14 +117,15 @@ def test_perturb_after_done_refused():
     with pytest.raises(ConfigError, match="completed"):
         session.inject("llc_flush")
     with pytest.raises(ConfigError, match="completed"):
-        session.swap("scheduler", "earliest")
+        session.swap("spin_detector", "li")
 
 
 def test_swap_unknown_kind_refused():
     session = _session().step(1_000)
-    with pytest.raises(ConfigError) as exc:
-        session.swap("replacement", "lru")
-    assert "scheduler" in str(exc.value.choices)
+    for kind, name in (("replacement", "lru"), ("scheduler", "earliest")):
+        with pytest.raises(ConfigError) as exc:
+            session.swap(kind, name)
+        assert exc.value.choices == ("spin_detector",)
 
 
 def test_llc_flush_changes_trajectory():

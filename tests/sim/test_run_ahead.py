@@ -12,6 +12,7 @@ runs ahead, and how ``Program.private`` is checked.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 
 import pytest
@@ -19,16 +20,16 @@ import pytest
 from repro import cli
 from repro.accounting.accountant import CycleAccountant
 from repro.checkpoint import CheckpointHook, CheckpointPolicy
-from repro.components.scheduling import EarliestCoreScheduler
 from repro.config import CacheConfig, ExperimentConfig, KB, MachineConfig
 from repro.core.regions import RegionObserver
 from repro.errors import ConfigError, SimulationError
 from repro.experiments import multiprogram
 from repro.experiments.runner import BatchRunner, run_experiment
-from repro.observability.events import EventBus
+from repro.observability.events import EventBus, SimEnded
+from repro.observability.progress import ProgressReporter
+from repro.observability.timeline import TimelineRecorder
 from repro.robustness.drain import DrainableHook, DrainController
 from repro.sim.engine import Simulation
-from repro.sim.trace import TraceRecorder
 from repro.sync.primitives import SYNC_REGION_BASE
 from repro.workloads import generators as g
 from repro.workloads.program import (
@@ -48,19 +49,14 @@ def canon(state: dict) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
 
 
-class _CountingScheduler(EarliestCoreScheduler):
-    def __init__(self, config) -> None:
-        super().__init__(config)
-        self.picks = 0
+class _Counted(Simulation):
+    """A simulation that counts its core picks."""
 
-    def pick(self, cores):
+    picks = 0
+
+    def _pick_core(self):
         self.picks += 1
-        return super().pick(cores)
-
-
-def _counted(sim: Simulation) -> Simulation:
-    sim._scheduler = _CountingScheduler(sim.machine.sched)
-    return sim
+        return super()._pick_core()
 
 
 # ----------------------------------------------------------------------
@@ -94,19 +90,19 @@ def test_one_pick_per_shared_op():
     executes ops, and the run is still the reference run."""
     machine = MachineConfig(n_cores=16)
     spec = by_name("heartwall")
-    fast = _counted(Simulation(
+    fast = _Counted(
         machine, build_program(spec, 16, scale=0.2), CycleAccountant(machine),
-    ))
+    )
     fast.run()
-    reference = _counted(Simulation(
+    reference = _Counted(
         machine, build_program(spec, 16, scale=0.2), CycleAccountant(machine),
         fast_forward=False,
-    ))
+    )
     reference.run()
     assert canon(fast.state_dict()) == canon(reference.state_dict())
     ops = sum(thread.ops_taken for thread in fast.threads)
-    assert reference._scheduler.picks > ops
-    assert fast._scheduler.picks * 4 < ops
+    assert reference.picks > ops
+    assert fast.picks * 4 < ops
 
 
 def test_woken_core_bounds_the_waker_block():
@@ -173,30 +169,50 @@ def _picks(n_cores=4, n_threads=4, private=True, sim_kwargs=None,
         program.private = None
     sim_kwargs = dict(sim_kwargs or {})
     accountant = sim_kwargs.pop("accountant", CycleAccountant(machine))
-    sim = _counted(Simulation(machine, program, accountant, **sim_kwargs))
+    sim = _Counted(machine, program, accountant, **sim_kwargs)
     sim.run(**run_kwargs)
-    return sim._scheduler.picks
+    return sim.picks
+
+
+def _bus(*attach):
+    """A bus with each ``attach(bus)`` applied."""
+    bus = EventBus()
+    for subscribe in attach:
+        subscribe(bus)
+    return bus
 
 
 def test_run_ahead_conditions(tmp_path):
     """Anything that observes the global interleaving takes the loop
-    without run-ahead, which picks exactly as an armed watchdog does."""
+    without run-ahead, which picks exactly as an armed watchdog does.
+    On the event bus that is a handler for a simulation event: a bus
+    that carries only sweep events, or none, still runs ahead."""
     armed = _picks(max_cycles=10**9)
-    assert _picks() < armed / 2
+    plain = _picks()
+    assert plain < armed / 2
     hook = CheckpointHook(
         tmp_path / "c.ckpt", {}, CheckpointPolicy(every_cycles=10**9),
     )
     observer = RegionObserver(CycleAccountant(MachineConfig(n_cores=4)), 4)
+    progress = ProgressReporter(1, stream=io.StringIO())
     for picks in (
         _picks(private=False),
         _picks(livelock_window=10**9),
         _picks(checkpoint=hook),
         _picks(pause_at=10**9),
-        _picks(sim_kwargs={"bus": EventBus()}),
-        _picks(sim_kwargs={"trace": TraceRecorder()}),
-        _picks(sim_kwargs={"barrier_observer": observer}),
+        _picks(sim_kwargs={"bus": _bus(TimelineRecorder().attach)}),
+        _picks(sim_kwargs={"bus": _bus(observer.attach)}),
+        _picks(sim_kwargs={"bus": _bus(
+            lambda bus: bus.subscribe_all(lambda event: None))}),
+        _picks(sim_kwargs={"bus": _bus(
+            lambda bus: bus.subscribe(SimEnded, lambda event: None))}),
     ):
         assert picks == armed
+    for picks in (
+        _picks(sim_kwargs={"bus": EventBus()}),
+        _picks(sim_kwargs={"bus": _bus(progress.attach)}),
+    ):
+        assert picks == plain
     # more threads than cores: a woken thread could preempt the runner
     assert _picks(n_cores=2) == _picks(n_cores=2, max_cycles=10**9)
 
@@ -207,13 +223,13 @@ def test_drain_only_hook_still_runs_ahead(monkeypatch, capsys,
     through a checkpoint hook that saves no state, so their cells run
     ahead and pick exactly as often as a run with no hook at all."""
     picks = [0]
-    pick = EarliestCoreScheduler.pick
+    pick = Simulation._pick_core
 
-    def counting_pick(self, cores):
+    def counting_pick(self):
         picks[0] += 1
-        return pick(self, cores)
+        return pick(self)
 
-    monkeypatch.setattr(EarliestCoreScheduler, "pick", counting_pick)
+    monkeypatch.setattr(Simulation, "_pick_core", counting_pick)
 
     def count(run, *args, **kwargs):
         picks[0] = 0

@@ -159,6 +159,18 @@ def _python_m_repro(argv, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
+def test_jobs_sweep_workers_take_the_lease_flags(tmp_path):
+    """``--jobs N`` runs a private queue whose workers attach with the
+    ``--lease-ttl`` and ``--poison-after`` given, not the defaults."""
+    proc = _python_m_repro([
+        "-v", "sweep", "--benchmarks", "fft", "-n", "2", *SCALE,
+        "--jobs", "2", "--lease-ttl", "7", "--poison-after", "5",
+    ], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "TTL 7.0s, poison after 5" in proc.stderr
+    assert "TTL 30.0s" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--benchmarks", "nosuch"],
     ["stack", "nosuch"],
@@ -351,6 +363,20 @@ class TestLogging:
         assert logging.getLogger().level == logging.INFO
         main(["list"])
         assert logging.getLogger().level == logging.WARNING
+
+    def test_main_removes_its_handler_on_return(self, capsys):
+        """The handler writes to the stderr of its invocation; left
+        installed, a later warning in the process would write to a
+        stream the caller has closed."""
+        import logging
+
+        root = logging.getLogger()
+        before = list(root.handlers)
+        assert main(["list"]) == 0
+        assert root.handlers == before
+        with pytest.raises(ConfigError):
+            main(["stack", "nosuch"])
+        assert root.handlers == before
 
 
 class TestConfigCommands:

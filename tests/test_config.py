@@ -20,6 +20,7 @@ from repro.config import (
     ExperimentConfig,
     MachineConfig,
     RunConfig,
+    SchedConfig,
     WorkloadConfig,
     dump_config,
     dumps_toml,
@@ -85,6 +86,19 @@ class TestAccountingConfig:
     def test_rejects_zero_period(self):
         with pytest.raises(ValueError):
             AccountingConfig(atd_sample_period=0)
+
+
+class TestSchedConfig:
+    def test_policy_is_the_engine_pick_order(self):
+        assert SchedConfig().policy == "earliest"
+        assert MachineConfig().sched.policy == "earliest"
+
+    def test_rejects_unknown_policy_naming_field_and_choices(self):
+        with pytest.raises(ConfigError) as exc:
+            SchedConfig(policy="round_robin")
+        assert exc.value.field == "policy"
+        assert exc.value.choices == ("earliest",)
+        assert "round_robin" in str(exc.value)
 
 
 class TestMachineConfig:
