@@ -34,6 +34,7 @@ from repro.checkpoint.resume import (
     cell_descriptor,
     descriptor_diff,
     fault_descriptor,
+    replay_fault,
     resume_simulation,
 )
 
@@ -49,6 +50,7 @@ __all__ = [
     "inspect_checkpoint",
     "load_checkpoint",
     "read_header",
+    "replay_fault",
     "resume_simulation",
     "save_checkpoint",
 ]

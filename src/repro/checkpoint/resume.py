@@ -110,7 +110,7 @@ def descriptor_diff(
     return diffs
 
 
-def _replay_fault(
+def replay_fault(
     descriptor: dict[str, Any],
     fault_desc: dict[str, Any],
     program,
@@ -122,6 +122,7 @@ def _replay_fault(
     The injector RNG draws once (or more) per application, so earlier
     applications are burned on throwaway programs — cheap, because the
     program transforms are lazy generators that are never iterated.
+    A fresh run and a resumed one both reach their fault through here.
     """
     if "kind" not in fault_desc:
         raise CheckpointError(
@@ -168,7 +169,7 @@ def resume_simulation(
     )
     fault_desc = descriptor.get("fault")
     if fault_desc is not None:
-        program, machine = _replay_fault(
+        program, machine = replay_fault(
             descriptor, fault_desc, program, machine, spec
         )
     accountant = (

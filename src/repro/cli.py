@@ -44,14 +44,7 @@ from dataclasses import replace
 
 from repro._version import repro_version
 from repro.accounting.hardware_cost import estimate_cost
-from repro.checkpoint import (
-    CheckpointHook,
-    CheckpointPolicy,
-    cell_descriptor,
-    inspect_checkpoint,
-    read_header,
-    resume_simulation,
-)
+from repro.checkpoint import inspect_checkpoint, read_header
 from repro.components import available, kinds
 from repro.config import (
     MB,
@@ -87,6 +80,8 @@ from repro.experiments.runner import (
     BatchRunner,
     ReferenceMemo,
     finish_experiment,
+    open_cell,
+    resume_cell,
 )
 from repro.experiments.scenarios import (
     ExperimentCache,
@@ -111,11 +106,9 @@ from repro.robustness.drain import (
     EXIT_INTERRUPTED,
     DrainController,
     DrainRequested,
-    DrainableHook,
 )
 from repro.robustness.faults import FAULT_KINDS, make_fault
 from repro.robustness.journal import SweepJournal
-from repro.session.kernel import SimulationKernel, watchdog_mode
 from repro.sim.engine import Simulation
 from repro.sync.profile import render_sync_profile
 from repro.workloads.spec import build_program
@@ -260,31 +253,16 @@ def _stack_run(args, spec, experiment, drain) -> int:
     machine = experiment.machine.with_cores(n_threads)
     if getattr(args, "llc_mb", None):
         machine = machine.with_llc_size(int(args.llc_mb * MB))
-    run = experiment.run
-    hook = None
-    if args.checkpoint:
-        descriptor = cell_descriptor(
-            machine, spec.full_name, n_threads, scale,
-            max_cycles=run.max_cycles,
-            livelock_window=run.livelock_window,
-        )
-        hook = CheckpointHook(args.checkpoint, descriptor, CheckpointPolicy(
-            every_cycles=args.checkpoint_every, on_fault=True,
-        ))
-    st_result = ReferenceMemo().get(
-        spec, scale, machine, run.max_cycles, run.livelock_window
+    # the drain turns the checkpoint poll into the SIGINT/SIGTERM drain
+    # point (saving first when --checkpoint)
+    cell = open_cell(
+        machine, spec, n_threads, scale, experiment.run,
+        checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
+        drain=drain,
     )
-    kernel = SimulationKernel(
-        machine, build_program(spec, n_threads, scale=scale),
-        max_cycles=run.max_cycles,
-        livelock_window=run.livelock_window,
-        on_timeout=watchdog_mode(run.max_cycles, run.livelock_window),
-        # the drain wrapper turns the engine's checkpoint poll into the
-        # SIGINT/SIGTERM drain point (saving first when --checkpoint)
-        checkpoint=DrainableHook(hook, drain),
-    )
-    _print_stack(finish_experiment(spec.full_name, kernel, st_result).stack)
-    if hook is not None and hook.n_saves:
+    _finish_cell(spec, cell)
+    hook = cell.kernel.checkpoint
+    if hook.n_saves:
         print()
         print(f"checkpoint: {hook.n_saves} save(s), last at cycle "
               f"{hook.last_header['cycle']} -> {hook.path}")
@@ -293,57 +271,48 @@ def _stack_run(args, spec, experiment, drain) -> int:
 
 def _stack_resume(args, spec, experiment, drain) -> int:
     """``repro stack --resume-from CKPT``: continue a checkpointed run
-    to completion and render the final stack."""
+    to completion and render the final stack.  With ``--config`` the
+    checkpoint must be that experiment's cell, under limits no tighter
+    than its own (the way to finish a max-cycles-cut run is a config
+    with a raised budget); without one it runs as saved."""
     try:
         header = read_header(args.resume_from)
-        descriptor = header["descriptor"]
-        if descriptor["benchmark"] != spec.full_name:
+        benchmark = header["descriptor"]["benchmark"]
+        if benchmark != spec.full_name:
             print(f"error: checkpoint {args.resume_from} belongs to "
-                  f"{descriptor['benchmark']}, not {spec.full_name}",
-                  file=sys.stderr)
+                  f"{benchmark}, not {spec.full_name}", file=sys.stderr)
             return 2
-        sim, header = resume_simulation(args.resume_from, spec=spec)
-    except CheckpointError as exc:
+        # --checkpoint-every alone re-saves in place
+        target = args.checkpoint or (
+            args.resume_from if args.checkpoint_every is not None else None
+        )
+        cell = resume_cell(
+            args.resume_from, spec,
+            experiment if args.config is not None else None,
+            checkpoint=target, checkpoint_every=args.checkpoint_every,
+            drain=drain,
+        )
+    except (CheckpointError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not sim.accountant.enabled:
+    if not cell.kernel.accountant.enabled:
         print("error: checkpoint carries no accounting state; cannot "
               "build a speedup stack from it", file=sys.stderr)
         return 2
-    run = experiment.run
-    # Explicit limits (config file) override the ones the checkpointed
-    # run was saved under — the way to continue a max-cycles-truncated
-    # run under a raised budget.
-    max_cycles = (
-        run.max_cycles if run.max_cycles is not None
-        else descriptor.get("max_cycles")
-    )
-    livelock_window = (
-        run.livelock_window if run.livelock_window is not None
-        else descriptor.get("livelock_window")
-    )
-    hook = None
-    if args.checkpoint or args.checkpoint_every is not None:
-        hook = CheckpointHook(
-            args.checkpoint or args.resume_from, descriptor,
-            CheckpointPolicy(
-                every_cycles=args.checkpoint_every, on_fault=True,
-            ),
-        )
-    print(f"resuming {spec.full_name} n={descriptor['n_threads']} from "
-          f"cycle {header['cycle']} (saved on {header['reason']})")
+    print(f"resuming {spec.full_name} n={cell.kernel.program.n_threads} "
+          f"from cycle {header['cycle']} (saved on {header['reason']})")
+    _finish_cell(spec, cell)
+    return 0
+
+
+def _finish_cell(spec, cell) -> None:
+    """Measure the cell's ``Ts``, finish its kernel, print the stack."""
+    kernel = cell.kernel
     st_result = ReferenceMemo().get(
-        spec, descriptor["scale"], sim.machine, max_cycles, livelock_window
-    )
-    kernel = SimulationKernel.from_simulation(
-        sim,
-        max_cycles=max_cycles,
-        livelock_window=livelock_window,
-        on_timeout=watchdog_mode(max_cycles, livelock_window),
-        checkpoint=DrainableHook(hook, drain),
+        spec, cell.descriptor["scale"], cell.machine,
+        kernel.max_cycles, kernel.livelock_window,
     )
     _print_stack(finish_experiment(spec.full_name, kernel, st_result).stack)
-    return 0
 
 
 def _print_stack(stack) -> None:

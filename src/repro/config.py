@@ -380,10 +380,12 @@ class RunConfig:
     multi-threaded run saves its state to
     ``<dir>/<benchmark>_n<threads>.ckpt`` every ``checkpoint_every``
     simulated cycles (plus on watchdog fires and engine faults), and a
-    cell that finds a matching checkpoint on disk — same config hash —
-    resumes from it instead of starting over.  Resumed cells produce
-    byte-identical results to uninterrupted ones, so crash recovery
-    never changes a sweep's numbers.
+    cell that finds its checkpoint on disk resumes from it instead of
+    starting over when the resume rule allows: the same cell, under
+    limits no tighter than the checkpoint's (see
+    ``docs/checkpointing.md``).  Resumed cells produce byte-identical
+    results to uninterrupted ones, so crash recovery never changes a
+    sweep's numbers.
     """
 
     on_error: str = "skip"

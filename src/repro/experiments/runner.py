@@ -21,13 +21,15 @@ watchdog-truncated partial results, and a failure-report aggregator —
 one bad (benchmark, N) cell never kills a sweep.  See
 ``docs/robustness.md``.
 
-The protocol itself exists once: :class:`ReferenceMemo` measures
+The protocol itself exists once: :func:`open_cell` builds a cell's
+:class:`~repro.session.kernel.SimulationKernel`, fresh or resumed from
+its checkpoint under one resume rule; :class:`ReferenceMemo` measures
 ``Ts`` (each reference run once per spec, scale, machine and watchdog
-limits) and :func:`finish_experiment` finishes any
-:class:`~repro.session.kernel.SimulationKernel` — fresh, restored from
-a checkpoint, or the one behind an interactive
-:class:`~repro.session.Session` — and builds its stack.  Every entry point, from ``repro stack`` to the
-queue workers, runs a cell through those two.  On the sweep side,
+limits); and :func:`finish_experiment` finishes any kernel — fresh,
+restored from a checkpoint, or the one behind an interactive
+:class:`~repro.session.Session` — and builds its stack.  Every entry
+point, from ``repro stack`` to the queue workers, runs a cell through
+those three.  On the sweep side,
 :func:`completed_outcome` and :func:`record_outcome` are the one resume
 skip and the one journal writer of the serial sweep and the work
 queue.
@@ -45,12 +47,26 @@ from repro.checkpoint import (
     CheckpointHook,
     CheckpointPolicy,
     cell_descriptor,
+    config_hash,
+    descriptor_diff,
     fault_descriptor,
+    read_header,
+    replay_fault,
     resume_simulation,
 )
-from repro.config import ExperimentConfig, MachineConfig, RunConfig
+from repro.config import (
+    ExperimentConfig,
+    MachineConfig,
+    RunConfig,
+    machine_from_dict,
+)
 from repro.core.stack import SpeedupStack, build_stack
-from repro.errors import CheckpointError, ExperimentError, ReproError
+from repro.errors import (
+    CheckpointError,
+    ConfigError,
+    ExperimentError,
+    ReproError,
+)
 from repro.observability.events import (
     CellFinished,
     CellRetry,
@@ -62,12 +78,13 @@ from repro.observability.events import (
 from repro.observability.metrics import harvest_cell_metrics
 from repro.observability.spans import maybe_span
 from repro.robustness.drain import DrainableHook, DrainRequested
-from repro.robustness.faults import CellFault, make_fault
+from repro.robustness.faults import CellFault
 from repro.robustness.journal import SweepJournal
 from repro.session.kernel import SimulationKernel
 from repro.sim.engine import SimResult
 from repro.workloads.program import Program
 from repro.workloads.spec import BenchmarkSpec, build_program
+from repro.workloads.suite import by_name
 
 logger = logging.getLogger(__name__)
 
@@ -337,6 +354,209 @@ def run_experiment(
 
 
 # ----------------------------------------------------------------------
+# cell -> kernel
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CellKernel:
+    """A cell's kernel, as :func:`open_cell` builds or resumes it."""
+
+    kernel: SimulationKernel
+    #: the post-fault machine: the one ``Ts`` is measured on
+    machine: MachineConfig
+    #: the cell's checkpoint descriptor (what its saves carry)
+    descriptor: dict
+    #: checkpoint cycle the kernel resumed from (None: from cycle 0)
+    resumed_from: int | None = None
+
+
+def open_cell(
+    machine: MachineConfig,
+    spec: BenchmarkSpec,
+    n_threads: int,
+    scale: float,
+    run: RunConfig,
+    *,
+    fault: tuple[str, int] | CellFault | None = None,
+    attempt: int = 1,
+    checkpoint: str | Path | None = None,
+    checkpoint_every: int | None = None,
+    resume_from: str | Path | None = None,
+    fresh_on_refusal: bool = False,
+    bus=None,
+    drain=None,
+) -> CellKernel:
+    """The one step from a (benchmark, N) cell to its accounted kernel.
+
+    ``machine`` is the re-cored machine before any fault; ``fault`` is
+    a ``(kind, seed)`` pair replayed to its ``attempt``-th application
+    (the injector's RNG advances per application) or an opaque
+    :data:`~repro.robustness.faults.CellFault` applied once; ``run``
+    gives the watchdog limits.  The descriptor records the pre-fault
+    machine, the fault with its application count and the limits; a
+    ``checkpoint`` path arms a hook saving it every
+    ``checkpoint_every`` cycles and on watchdog and fault exits, inside
+    a :class:`~repro.robustness.drain.DrainableHook` when a ``drain``
+    is given.
+
+    ``resume_from`` continues that checkpoint if the resume rule
+    (docs/checkpointing.md) allows: the same cell once the watchdog
+    limits are set aside, and limits no tighter than the run that
+    reached it.  A refusal raises :class:`~repro.errors.ConfigError`
+    naming the field (:class:`~repro.errors.CheckpointError` for an
+    unreadable file); with ``fresh_on_refusal`` it is logged and the
+    cell starts at cycle 0.
+    """
+    max_cycles, window = run.max_cycles, run.livelock_window
+    if fault is None:
+        fault_desc = None
+    elif callable(fault):
+        # a bare callable cannot be rebuilt: its checkpoints never resume
+        fault_desc = {"opaque": type(fault).__name__, "applications": attempt}
+    else:
+        fault_desc = fault_descriptor(*fault, attempt)
+    descriptor = cell_descriptor(
+        machine, spec.full_name, n_threads, scale,
+        fault=fault_desc, max_cycles=max_cycles, livelock_window=window,
+    )
+    hook = None
+    if checkpoint is not None:
+        hook = CheckpointHook(checkpoint, descriptor, CheckpointPolicy(
+            every_cycles=checkpoint_every, on_fault=True,
+        ))
+    if drain is not None:
+        hook = DrainableHook(hook, drain)
+    # an armed watchdog truncates (a flagged partial result); an unarmed
+    # run raises on anything unexpected
+    armed = max_cycles is not None or window is not None
+    on_timeout = "truncate" if armed else "raise"
+    if resume_from is not None:
+        try:
+            _check_resume(resume_from, read_header(resume_from), descriptor)
+            sim, header = resume_simulation(resume_from, spec=spec, bus=bus)
+        except (CheckpointError, ConfigError) as exc:
+            if not fresh_on_refusal:
+                raise
+            logger.warning(
+                "ignoring checkpoint %s (running fresh): %s", resume_from, exc
+            )
+        else:
+            logger.info(
+                "resuming %s from cycle %d (saved on %s)",
+                resume_from, header["cycle"], header["reason"],
+            )
+            kernel = SimulationKernel.from_simulation(
+                sim, max_cycles=max_cycles, livelock_window=window,
+                on_timeout=on_timeout, checkpoint=hook,
+            )
+            return CellKernel(kernel, sim.machine, descriptor, header["cycle"])
+    program = build_program(spec, n_threads, scale=scale)
+    if callable(fault):
+        program, machine = fault(program, machine)
+    elif fault_desc is not None:
+        program, machine = replay_fault(
+            descriptor, fault_desc, program, machine, spec
+        )
+    kernel = SimulationKernel(
+        machine, program, max_cycles=max_cycles, livelock_window=window,
+        on_timeout=on_timeout, bus=bus, checkpoint=hook,
+    )
+    return CellKernel(kernel, machine, descriptor)
+
+
+def _check_resume(path, header: dict, descriptor: dict) -> None:
+    """The resume rule of :func:`open_cell`, for the checkpoint at
+    ``path`` (``header`` is its header) and the cell ``descriptor``.
+
+    ``max_cycles`` may be unset, at least the checkpoint's cycle, or at
+    least the limit it was saved under (a cut checkpoint lies just past
+    its own limit).  ``livelock_window`` may be unset, or no smaller
+    than a saved one: without a window the engine keeps no livelock
+    bookkeeping, and a livelock-cut run resumed under one would skip
+    the check that fired.
+    """
+    saved = header["descriptor"]
+    saved_max = saved.get("max_cycles")
+    saved_window = saved.get("livelock_window")
+    expected = dict(
+        descriptor, max_cycles=saved_max, livelock_window=saved_window
+    )
+    if config_hash(expected) != header["config_hash"]:
+        diffs = descriptor_diff(expected, saved)
+        raise ConfigError(
+            f"checkpoint {path} belongs to a different experiment than "
+            "the supplied config; mismatched fields: "
+            + ("; ".join(diffs) if diffs else "hash-only mismatch"),
+            field=diffs[0].split(":", 1)[0] if diffs else None,
+        )
+    cycle, max_cycles = header["cycle"], descriptor["max_cycles"]
+    if (max_cycles is not None and max_cycles < cycle
+            and (saved_max is None or max_cycles < saved_max)):
+        raise ConfigError(
+            f"checkpoint {path} was saved at cycle {cycle}, past "
+            f"max_cycles={max_cycles}: a fresh run would stop sooner",
+            field="max_cycles",
+        )
+    window, reason = descriptor["livelock_window"], header["reason"]
+    if window is not None and (
+        saved_window is None or window < saved_window or reason == "livelock"
+    ):
+        raise ConfigError(
+            f"checkpoint {path} was saved on {reason} under "
+            f"livelock_window={saved_window}; under livelock_window="
+            f"{window} a fresh run could stop sooner",
+            field="livelock_window",
+        )
+
+
+def resume_cell(
+    path: str | Path,
+    spec: BenchmarkSpec | None = None,
+    experiment: ExperimentConfig | None = None,
+    **kwargs,
+) -> CellKernel:
+    """:func:`open_cell` continuing the checkpoint at ``path``, for
+    ``repro stack --resume-from`` and ``Session.from_checkpoint``.
+
+    Without ``experiment`` the cell is the checkpoint's own.  With one,
+    it is the experiment's machine and scale at the checkpoint's thread
+    count and fault, under the experiment's watchdog limits where it
+    sets them (the saved ones elsewhere).  ``spec`` defaults to the
+    suite benchmark the checkpoint names; ``kwargs`` go to
+    :func:`open_cell` (checkpoint target, bus, drain).
+    """
+    saved = read_header(path)["descriptor"]
+    n_threads = saved["n_threads"]
+    if experiment is None:
+        machine, scale = machine_from_dict(saved["machine"]), saved["scale"]
+        run = RunConfig()
+    else:
+        machine = experiment.machine.with_cores(n_threads)
+        scale, run = experiment.workload.scale, experiment.run
+    fault, attempt = None, 1
+    saved_fault = saved.get("fault")
+    # an opaque fault cannot be rebuilt; left out, the identity check
+    # names it
+    if saved_fault is not None and "kind" in saved_fault:
+        fault = (saved_fault["kind"], saved_fault.get("seed", 0))
+        attempt = saved_fault.get("applications", 1)
+    limits = RunConfig(
+        max_cycles=(
+            run.max_cycles if run.max_cycles is not None
+            else saved.get("max_cycles")
+        ),
+        livelock_window=(
+            run.livelock_window if run.livelock_window is not None
+            else saved.get("livelock_window")
+        ),
+    )
+    return open_cell(
+        machine, spec or by_name(saved["benchmark"]), n_threads, scale,
+        limits, fault=fault, attempt=attempt, resume_from=path, **kwargs,
+    )
+
+
+# ----------------------------------------------------------------------
 # hardened batch runner
 # ----------------------------------------------------------------------
 
@@ -344,6 +564,8 @@ CELL_OK = "ok"
 CELL_FAILED = "failed"
 #: cell skipped because the journal says it already succeeded
 CELL_RESUMED = "resumed"
+#: error type of a cell quarantined after repeated lease expiries
+POISON_CELL = "PoisonCellError"
 
 
 @dataclass
@@ -465,7 +687,10 @@ def completed_outcome(
 
 def absorb_outcome(metrics, outcome: CellOutcome) -> None:
     """Fold a finished cell into a metrics registry (None: nothing): its
-    ``sim.*`` metrics, and ``runtime.cells_ok`` / ``runtime.cells_failed``."""
+    ``sim.*`` metrics, ``runtime.cells_ok`` / ``runtime.cells_failed``,
+    and ``runtime.retries``, its in-cell attempts past the first.  A
+    quarantined poison cell adds no retries: its ``attempts`` count
+    lease expiries."""
     if metrics is None:
         return
     if outcome.status == CELL_OK:
@@ -474,6 +699,8 @@ def absorb_outcome(metrics, outcome: CellOutcome) -> None:
         metrics.counter("runtime.cells_ok").inc()
     else:
         metrics.counter("runtime.cells_failed").inc()
+    if outcome.attempts > 1 and outcome.error_type != POISON_CELL:
+        metrics.counter("runtime.retries").inc(outcome.attempts - 1)
 
 
 def record_outcome(
@@ -519,8 +746,9 @@ class BatchRunner:
     multi-threaded program/machine of that cell before it runs — the
     hook the fault injector (and the tests) use to provoke failures in
     exactly one cell.  A plan value may also be a bare fault *kind*
-    string from :data:`~repro.robustness.faults.FAULT_KINDS`, resolved
-    via :func:`~repro.robustness.faults.make_fault` when the cell runs
+    string from :data:`~repro.robustness.faults.FAULT_KINDS`, or a
+    ``(kind, seed)`` pair, resolved via
+    :func:`~repro.robustness.faults.make_fault` when the cell runs
     (strings pickle; closures do not — see ``repro.parallel``).
 
     The runner's :class:`ReferenceMemo` measures each reference run
@@ -586,6 +814,9 @@ class BatchRunner:
         )
         self._sleep = sleep
         self._references = ReferenceMemo()
+        #: checkpoint cycle the last cell run resumed from (None: it
+        #: ran from cycle 0); queue workers put it in the done record
+        self.resumed_from: int | None = None
 
     # ------------------------------------------------------------------
     # one cell
@@ -611,23 +842,17 @@ class BatchRunner:
         metrics = self.metrics
         name = spec.full_name
         key = f"{name}:{n_threads}"
+        # a kind string, (kind, seed) (how the parallel layer ships
+        # seeded faults) or an opaque callable
         fault = self.fault_plan.get(key)
-        fault_seed = 0
-        if isinstance(fault, tuple):
-            # (kind, seed) — how the parallel layer ships seeded faults
-            fault, fault_seed = fault
         if isinstance(fault, str):
-            fault_kind = fault
-            #: checkpoint-descriptor identity of the fault (replayable)
-            fault_info = (fault, fault_seed)
-            fault = make_fault(fault, fault_seed)
-        else:
-            fault_kind = type(fault).__name__ if fault is not None else None
-            # a bare callable cannot be rebuilt on resume: record it as
-            # opaque so its checkpoints refuse cross-process resume
-            fault_info = fault_kind
+            fault = (fault, 0)
         if fault is not None and bus is not None:
-            bus.emit(FaultArmed(key, fault_kind or "fault"))
+            kind = (
+                fault[0] if isinstance(fault, tuple) else type(fault).__name__
+            )
+            bus.emit(FaultArmed(key, kind))
+        self.resumed_from = None
         attempts = 0
         last_error: BaseException | None = None
         max_attempts = (
@@ -642,8 +867,6 @@ class BatchRunner:
                     bus.emit(CellRetry(
                         key, attempts, delay, str(last_error)
                     ))
-                if metrics is not None:
-                    metrics.counter("runtime.retries").inc()
                 if delay > 0:
                     logger.info(
                         "retrying %s (attempt %d/%d) after %.2fs backoff",
@@ -653,10 +876,7 @@ class BatchRunner:
             elif bus is not None:
                 bus.emit(CellStarted(key, attempts))
             try:
-                result = self._run_once(
-                    spec, n_threads, fault,
-                    fault_info=fault_info, attempt=attempts,
-                )
+                result = self._run_once(spec, n_threads, fault, attempts)
             except ReproError as exc:
                 last_error = exc
                 logger.warning(
@@ -708,51 +928,23 @@ class BatchRunner:
         )
 
     def _run_once(
-        self, spec: BenchmarkSpec, n_threads: int, fault,
-        fault_info=None, attempt: int = 1,
+        self, spec: BenchmarkSpec, n_threads: int, fault, attempt: int
     ) -> ExperimentResult:
         spans = self.spans
         policy = self.policy
-        machine = self._machine_factory(n_threads)
-        hook = self._cell_checkpoint(
-            spec, n_threads, machine, fault_info, attempt
-        )
-        # The fresh program is built (and the fault applied) even when a
-        # checkpoint will be resumed: the fault transform yields the
-        # post-fault machine for the ST reference and keeps the
-        # injector's per-application RNG sequence in step for later
-        # attempts; the untouched generators cost nothing.
         with maybe_span(spans, "trace.decode", cat="cell"):
-            mt_program = build_program(spec, n_threads, scale=self.scale)
-            if fault is not None:
-                mt_program, machine = fault(mt_program, machine)
+            cell = self._open_cell(spec, n_threads, fault, attempt)
+        if cell.resumed_from is not None:
+            self.resumed_from = cell.resumed_from
         with maybe_span(spans, "st.reference", cat="cell"):
             st_result = self._references.get(
-                spec, self.scale, machine,
+                spec, self.scale, cell.machine,
                 policy.max_cycles, policy.livelock_window,
             )
-        sim = None
-        if hook is not None and hook.path is not None and hook.path.exists():
-            sim = self._try_resume(hook, spec)
-        if sim is not None:
-            kernel = SimulationKernel.from_simulation(
-                sim,
-                max_cycles=policy.max_cycles,
-                livelock_window=policy.livelock_window,
-                on_timeout="truncate",
-                checkpoint=hook,
-            )
-        else:
-            kernel = SimulationKernel(
-                machine, mt_program,
-                accounted=True,
-                max_cycles=policy.max_cycles,
-                livelock_window=policy.livelock_window,
-                on_timeout="truncate",
-                bus=self.bus,
-                checkpoint=hook,
-            )
-        result = finish_experiment(spec.full_name, kernel, st_result, spans)
+        result = finish_experiment(
+            spec.full_name, cell.kernel, st_result, spans
+        )
+        hook = cell.kernel.checkpoint
         if hook is not None and hook.path is not None and not result.truncated:
             # clean completion: the checkpoint has nothing left to
             # resume (truncated runs keep theirs for inspect/resume
@@ -760,74 +952,30 @@ class BatchRunner:
             hook.path.unlink(missing_ok=True)
         return result
 
-    def _cell_checkpoint(
-        self, spec: BenchmarkSpec, n_threads: int,
-        machine: MachineConfig, fault_info, attempt: int,
-    ) -> CheckpointHook | None:
-        """Arm the cell's checkpoint hook (None when not checkpointing).
-
-        The descriptor carries the *pre-fault* machine plus the fault's
-        replay identity; its hash gates resume, so a checkpoint from a
-        different attempt (the injector RNG advances per application) or
-        a different experiment config is ignored rather than resumed.
-
-        With a drain controller attached the (possibly absent) hook is
-        wrapped in a :class:`~repro.robustness.drain.DrainableHook`, so
-        the engine's once-per-step checkpoint poll doubles as the
-        drain point: a signal checkpoints the in-flight cell (when a
-        checkpoint target exists) and unwinds cleanly mid-run.
-        """
+    def _open_cell(
+        self, spec: BenchmarkSpec, n_threads: int, fault, attempt: int
+    ) -> CellKernel:
+        """One attempt's kernel.  With a ``checkpoint_dir`` the cell
+        saves to ``<dir>/<benchmark>_n<threads>.ckpt`` and resumes that
+        file when it is there; a checkpoint the resume rule refuses
+        (another attempt or config, or tighter limits) is logged and
+        the cell runs fresh."""
         policy = self.policy
-        if policy.checkpoint_dir is None:
-            if self.drain is not None:
-                return DrainableHook(None, self.drain)
-            return None
-        if fault_info is None:
-            fault_desc = None
-        elif isinstance(fault_info, tuple):
-            kind, seed = fault_info
-            fault_desc = fault_descriptor(kind, seed, attempt)
-        else:
-            fault_desc = {"opaque": fault_info, "applications": attempt}
-        descriptor = cell_descriptor(
-            machine, spec.full_name, n_threads, self.scale,
-            fault=fault_desc,
-            max_cycles=policy.max_cycles,
-            livelock_window=policy.livelock_window,
-        )
-        path = (
-            Path(policy.checkpoint_dir)
-            / f"{spec.full_name}_n{n_threads}.ckpt"
-        )
-        hook = CheckpointHook(path, descriptor, CheckpointPolicy(
-            every_cycles=policy.checkpoint_every,
-            on_watchdog=True,
-            on_fault=True,
-        ))
-        if self.drain is not None:
-            return DrainableHook(hook, self.drain)
-        return hook
-
-    def _try_resume(self, hook: CheckpointHook, spec: BenchmarkSpec):
-        """Resume the cell's simulation from its on-disk checkpoint, or
-        None (fresh run) when the checkpoint belongs to a different
-        config/attempt or cannot be rebuilt."""
-        try:
-            sim, header = resume_simulation(
-                hook.path, spec=spec,
-                expected_descriptor=hook.descriptor, bus=self.bus,
+        path = None
+        if policy.checkpoint_dir is not None:
+            path = (
+                Path(policy.checkpoint_dir)
+                / f"{spec.full_name}_n{n_threads}.ckpt"
             )
-        except CheckpointError as exc:
-            logger.warning(
-                "ignoring checkpoint %s (running fresh): %s",
-                hook.path, exc,
-            )
-            return None
-        logger.info(
-            "resuming %s from cycle %d (saved on %s)",
-            hook.path, header["cycle"], header["reason"],
+        return open_cell(
+            self._machine_factory(n_threads), spec, n_threads, self.scale,
+            policy,
+            fault=fault, attempt=attempt,
+            checkpoint=path, checkpoint_every=policy.checkpoint_every,
+            resume_from=path if path is not None and path.exists() else None,
+            fresh_on_refusal=True,
+            bus=self.bus, drain=self.drain,
         )
-        return sim
 
     # ------------------------------------------------------------------
     # the sweep

@@ -23,7 +23,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 
-from repro.config import MB, ExperimentConfig, MachineConfig
+from repro.config import MB, ExperimentConfig, MachineConfig, RunConfig
 from repro.core.analysis import (
     LlcInterference,
     LlcSizeSweepPoint,
@@ -36,11 +36,11 @@ from repro.experiments.runner import (
     ExperimentResult,
     ReferenceMemo,
     finish_experiment,
+    open_cell,
 )
-from repro.session.kernel import SimulationKernel
 from repro.sim.engine import Simulation
 from repro.workloads.pipeline import build_pipeline_program
-from repro.workloads.spec import BenchmarkSpec, build_program
+from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.suite import FIG5_BENCHMARKS, FIG8_BENCHMARKS, SUITE, by_name
 
 logger = logging.getLogger(__name__)
@@ -101,11 +101,9 @@ class ExperimentCache:
         if key not in self._results:
             logger.info("accounted run: %s n=%d", spec.full_name, n_threads)
             st_result = self._references.get(spec, self.scale, machine)
-            kernel = SimulationKernel(
-                machine, build_program(spec, n_threads, scale=self.scale)
-            )
+            cell = open_cell(machine, spec, n_threads, self.scale, RunConfig())
             self._results[key] = finish_experiment(
-                spec.full_name, kernel, st_result
+                spec.full_name, cell.kernel, st_result
             ).without_machine()
         return self._results[key]
 

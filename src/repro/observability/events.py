@@ -340,8 +340,10 @@ class EventBus:
     # -- subscriptions --------------------------------------------------
 
     def subscribe(self, event_type: type, handler) -> None:
-        """Call ``handler(event)`` for every emitted ``event_type``."""
-        if event_type not in EVENT_TYPES and event_type is not object:
+        """Call ``handler(event)`` for every emitted ``event_type``
+        (one of :data:`EVENT_TYPES`; :meth:`subscribe_all` takes every
+        type)."""
+        if event_type not in EVENT_TYPES:
             raise TypeError(f"unknown event type: {event_type!r}")
         self._handlers.setdefault(event_type, []).append(handler)
 

@@ -50,11 +50,12 @@ METRIC_REGISTRY: dict[str, dict] = {
     },
     "runtime.retries": {
         "kind": "counter", "labels": (),
-        "help": "in-cell retry attempts (on_error=retry)",
+        "help": "in-cell retry attempts (on_error=retry), from each "
+                "finished cell's attempts",
     },
     "runtime.cell_wall_s": {
         "kind": "histogram", "labels": (),
-        "help": "wall-clock seconds per cell attempt",
+        "help": "wall-clock seconds per cell attempt (serial runner only)",
     },
     "runtime.worker_crashes": {
         "kind": "counter", "labels": (),

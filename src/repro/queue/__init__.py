@@ -17,13 +17,13 @@ queue layout, the lease state machine, and the failure matrix.
   durable one).
 """
 
+from repro.experiments.runner import POISON_CELL
 from repro.queue.driver import run_queue_sweep
 from repro.queue.store import (
     DONE,
     FAILED,
     LEASED,
     PENDING,
-    POISON_CELL,
     QUARANTINED,
     Lease,
     QueueCounts,

@@ -53,6 +53,7 @@ from repro.errors import ConfigError, ExperimentError
 from repro.experiments.runner import (
     CELL_FAILED,
     CELL_OK,
+    POISON_CELL,
     CellOutcome,
     SweepReport,
     completed_outcome,
@@ -75,7 +76,6 @@ from repro.queue.store import (
     DONE,
     LEASED,
     MANIFEST_NAME,
-    POISON_CELL,
     QUARANTINED,
     QueueStore,
     TERMINAL_STATES,

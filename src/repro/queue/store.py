@@ -81,9 +81,6 @@ QUARANTINED = "quarantined"
 STATES = (PENDING, LEASED, DONE, FAILED, QUARANTINED)
 TERMINAL_STATES = frozenset({DONE, FAILED, QUARANTINED})
 
-#: error type recorded for cells quarantined after repeated lease loss
-POISON_CELL = "PoisonCellError"
-
 
 def _fname(key: str) -> str:
     # keys are "<benchmark>:<threads>"; ":" is legal on POSIX but not

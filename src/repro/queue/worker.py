@@ -52,8 +52,6 @@ import threading
 import time
 from dataclasses import replace
 
-from repro.checkpoint import read_header
-from repro.errors import CheckpointError
 from repro.experiments.runner import BatchRunner
 from repro.observability.spans import SpanRecorder, maybe_span
 from repro.parallel.cells import CellResult
@@ -96,31 +94,18 @@ class _KillAfterSaveHook:
 
 
 class _QueueRunner(BatchRunner):
-    """BatchRunner that notes the cycle a cell resumed from, with the
-    kill-after-save chaos hook spliced into the cell's checkpoint chain
-    (see module doc)."""
+    """BatchRunner with the kill-after-save chaos hook spliced into the
+    checkpoint chain of one cell (see module doc)."""
 
     kill_after_save_key: str | None = None
-    #: checkpoint cycle the last cell resumed from (None: fresh run)
-    resumed_from: int | None = None
 
-    def _cell_checkpoint(self, spec, n_threads, machine, fault_info, attempt):
-        hook = super()._cell_checkpoint(
-            spec, n_threads, machine, fault_info, attempt
-        )
+    def _open_cell(self, spec, n_threads, fault, attempt):
+        cell = super()._open_cell(spec, n_threads, fault, attempt)
+        hook = cell.kernel.checkpoint
         key = f"{spec.full_name}:{n_threads}"
         if hook is not None and key == self.kill_after_save_key:
-            return _KillAfterSaveHook(hook)
-        return hook
-
-    def _try_resume(self, hook, spec):
-        sim = super()._try_resume(hook, spec)
-        if sim is not None:
-            try:
-                self.resumed_from = read_header(hook.path)["cycle"]
-            except (CheckpointError, OSError, KeyError):
-                self.resumed_from = None
-        return sim
+            cell.kernel.checkpoint = _KillAfterSaveHook(hook)
+        return cell
 
 
 class _LeaseRenewer(threading.Thread):
@@ -218,7 +203,6 @@ class QueueWorker:
         if os.environ.get(KILL_AFTER_SAVE_ENV) == cell.key:
             if self.store.chaos_armed("kill-after-save", cell.key):
                 runner.kill_after_save_key = cell.key
-        runner.resumed_from = None
         # the cell's own spans (trace.decode, engine.advance, ...) nest
         # under queue.run via the runner's thread-local span stack
         with maybe_span(spans, "queue.run", cat="queue", key=cell.key):

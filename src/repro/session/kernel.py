@@ -4,10 +4,12 @@
 ``Simulation`` and its watchdog/checkpoint parameters — behind an
 explicit state machine::
 
-    setup/​__init__  →  step(n_cycles)*  →  snapshot()/save()  →  finish()
+    __init__  →  step(n_cycles)*  →  snapshot()/save()  →  finish()
 
 A batch run is the degenerate case (one ``finish()`` with no
-intermediate steps); :func:`~repro.experiments.runner.finish_experiment`
+intermediate steps).  :func:`~repro.experiments.runner.open_cell`
+builds the kernel of a (benchmark, N) cell, fresh or resumed from its
+checkpoint, and :func:`~repro.experiments.runner.finish_experiment`
 turns any kernel, however it was advanced, into a speedup stack.  The
 interactive path (``step``/``peek_report``) rides on the engine's
 non-mutating ``pause_at`` support, giving the keystone guarantee
@@ -31,16 +33,6 @@ from repro.errors import SimulationError
 from repro.osmodel.thread import FINISHED
 from repro.sim.engine import SimResult, Simulation
 from repro.workloads.program import Program
-from repro.workloads.spec import build_program
-
-
-def watchdog_mode(max_cycles: int | None, livelock_window: int | None) -> str:
-    """``on_timeout`` for a run under these watchdog limits: an armed
-    watchdog truncates (a flagged partial result), an unarmed run
-    raises on anything unexpected."""
-    if max_cycles is not None or livelock_window is not None:
-        return "truncate"
-    return "raise"
 
 
 class SimulationKernel:
@@ -84,47 +76,6 @@ class SimulationKernel:
     # ------------------------------------------------------------------
 
     @classmethod
-    def setup(
-        cls,
-        experiment,
-        benchmark: str,
-        n_threads: int | None = None,
-        *,
-        accounted: bool = True,
-        bus=None,
-        checkpoint=None,
-        fault=None,
-    ) -> "SimulationKernel":
-        """Kernel for one (benchmark, N) cell of an
-        :class:`~repro.config.ExperimentConfig`.
-
-        ``n_threads`` defaults to the experiment's first thread count.
-        ``fault`` (a :data:`~repro.robustness.faults.CellFault`)
-        transforms the program/machine before the run, exactly as the
-        batch runner applies it.
-        """
-        from repro.workloads.suite import by_name
-
-        spec = by_name(benchmark)
-        workload, run = experiment.workload, experiment.run
-        if n_threads is None:
-            n_threads = workload.thread_counts[0]
-        machine = experiment.machine.with_cores(n_threads)
-        program = build_program(spec, n_threads, scale=workload.scale)
-        if fault is not None:
-            program, machine = fault(program, machine)
-        kernel = cls(
-            machine, program,
-            accounted=accounted,
-            max_cycles=run.max_cycles,
-            livelock_window=run.livelock_window,
-            on_timeout=watchdog_mode(run.max_cycles, run.livelock_window),
-            bus=bus,
-            checkpoint=checkpoint,
-        )
-        return kernel
-
-    @classmethod
     def from_simulation(
         cls,
         sim: Simulation,
@@ -138,8 +89,8 @@ class SimulationKernel:
 
         The simulation keeps its accountant and bus; the kernel only
         supplies the run parameters for the continuation — this is how
-        the batch runner's crash-resume path and
-        ``Session.from_checkpoint`` host restored runs.
+        :func:`~repro.experiments.runner.open_cell` hosts a resumed
+        cell.
         """
         kernel = cls.__new__(cls)
         kernel.machine = sim.machine

@@ -39,21 +39,17 @@ from pathlib import Path
 from typing import Any
 
 from repro.accounting.report import render_partial_stack
-from repro.checkpoint.format import config_hash, read_header
-from repro.checkpoint.resume import (
-    cell_descriptor,
-    descriptor_diff,
-    resume_simulation,
-)
 from repro.components.registry import resolve
-from repro.config import ExperimentConfig, MachineConfig, load_config
+from repro.config import ExperimentConfig, RunConfig, load_config
 from repro.core.rendering import render_stack
 from repro.core.stack import SpeedupStack, build_stack
 from repro.errors import ConfigError
+from repro.observability.events import EventBus
 from repro.osmodel.thread import FINISHED
-from repro.session.kernel import SimulationKernel, watchdog_mode
+from repro.session.kernel import SimulationKernel
 from repro.sim.engine import SimResult
-from repro.workloads.spec import BenchmarkSpec, build_program
+from repro.workloads.spec import BenchmarkSpec
+from repro.workloads.suite import by_name
 
 #: mid-run fault injections offered by :meth:`Session.inject`
 PERTURBATION_KINDS = ("llc_flush", "mem_spike")
@@ -128,7 +124,7 @@ class Session:
         ``events=True`` attaches an observability bus whose events
         accumulate on :attr:`Session.events`.
         """
-        from repro.workloads.suite import by_name
+        from repro.experiments.runner import open_cell
 
         experiment = _as_experiment(experiment)
         workload, run = experiment.workload, experiment.run
@@ -142,23 +138,14 @@ class Session:
         if n_threads is None:
             n_threads = workload.thread_counts[0]
         spec = by_name(benchmark)
-        bus = None
-        if events:
-            from repro.observability.events import EventBus
-
-            bus = EventBus()
-        kernel = SimulationKernel.setup(
-            experiment, spec.full_name, n_threads, bus=bus,
-        )
-        descriptor = cell_descriptor(
-            experiment.machine.with_cores(n_threads),
-            spec.full_name, n_threads, workload.scale,
-            max_cycles=run.max_cycles,
-            livelock_window=run.livelock_window,
+        bus = EventBus() if events else None
+        cell = open_cell(
+            experiment.machine.with_cores(n_threads), spec, n_threads,
+            workload.scale, run, bus=bus,
         )
         return cls(
-            kernel, spec, workload.scale,
-            experiment=experiment, bus=bus, descriptor=descriptor,
+            cell.kernel, spec, workload.scale,
+            experiment=experiment, bus=bus, descriptor=cell.descriptor,
         )
 
     @classmethod
@@ -173,62 +160,27 @@ class Session:
 
         Without ``experiment`` the run resumes under exactly the
         parameters recorded in the checkpoint's descriptor.  With one,
-        the descriptor is checked against the config first — a mismatch
+        the checkpoint must be that experiment's cell — a mismatch
         raises :class:`~repro.errors.ConfigError` naming every
         differing field (not just the opaque hash) — and the config's
         explicit watchdog limits override the saved ones (the way to
-        continue a max-cycles-truncated run under a raised budget).
+        continue a max-cycles-truncated run under a raised budget); a
+        limit tighter than the checkpoint's own raises
+        :class:`~repro.errors.ConfigError` naming it.  See
+        :func:`~repro.experiments.runner.resume_cell`.
         """
-        from repro.workloads.suite import by_name
+        from repro.experiments.runner import resume_cell
 
-        header = read_header(path)
-        saved = header["descriptor"]
-        max_cycles = saved.get("max_cycles")
-        livelock_window = saved.get("livelock_window")
         if experiment is not None:
             experiment = _as_experiment(experiment)
-            # Watchdog limits are run parameters, not experiment
-            # identity (cf. ``repro stack --resume-from``): the check
-            # uses the *saved* limits, and the config's explicit limits
-            # override them for the continuation below.
-            expected = cell_descriptor(
-                experiment.machine.with_cores(saved["n_threads"]),
-                saved["benchmark"], saved["n_threads"],
-                experiment.workload.scale,
-                fault=saved.get("fault"),
-                max_cycles=max_cycles,
-                livelock_window=livelock_window,
-            )
-            if config_hash(expected) != header.get("config_hash"):
-                diffs = descriptor_diff(expected, saved)
-                detail = "; ".join(diffs) if diffs else "hash-only mismatch"
-                first = diffs[0].split(":", 1)[0] if diffs else None
-                raise ConfigError(
-                    f"checkpoint {path} belongs to a different experiment "
-                    f"than the supplied config; mismatched fields: {detail}",
-                    field=first,
-                )
-            if experiment.run.max_cycles is not None:
-                max_cycles = experiment.run.max_cycles
-            if experiment.run.livelock_window is not None:
-                livelock_window = experiment.run.livelock_window
-        bus = None
-        if events:
-            from repro.observability.events import EventBus
-
-            bus = EventBus()
-        sim, header = resume_simulation(path, bus=bus)
-        kernel = SimulationKernel.from_simulation(
-            sim,
-            max_cycles=max_cycles,
-            livelock_window=livelock_window,
-            on_timeout=watchdog_mode(max_cycles, livelock_window),
+        bus = EventBus() if events else None
+        cell = resume_cell(path, experiment=experiment, bus=bus)
+        descriptor = cell.descriptor
+        return cls(
+            cell.kernel, by_name(descriptor["benchmark"]),
+            descriptor["scale"],
+            experiment=experiment, bus=bus, descriptor=descriptor,
         )
-        session = cls(
-            kernel, by_name(saved["benchmark"]), saved["scale"],
-            experiment=experiment, bus=bus, descriptor=saved,
-        )
-        return session
 
     # ------------------------------------------------------------------
     # stepping
@@ -443,40 +395,33 @@ class Session:
 
     def recored(self, n_threads: int) -> "Session":
         """A *fresh* session for the same experiment re-cored to
-        ``n_threads`` (machine and scale derived through
-        :meth:`~repro.experiments.scenarios.ExperimentCache.from_experiment`).
+        ``n_threads``: its machine at ``n_threads`` cores, its scale,
+        and this session's watchdog limits.
 
         Re-coring changes the program itself (one thread per core), so
         unlike :meth:`inject`/:meth:`swap` it cannot be applied to the
         running simulation — it starts the experiment's (benchmark, N')
         cell from cycle zero.
         """
-        from repro.experiments.scenarios import ExperimentCache
+        from repro.experiments.runner import open_cell
 
         if self.experiment is None:
             raise ConfigError(
                 "recored() needs a config-built session (from_config, or "
                 "from_checkpoint with an experiment supplied)"
             )
-        cache = ExperimentCache.from_experiment(self.experiment)
-        base = cache.machine or MachineConfig(n_cores=n_threads)
-        machine = base.with_cores(n_threads)
-        kernel = SimulationKernel(
-            machine,
-            build_program(self.spec, n_threads, scale=cache.scale),
-            accounted=True,
-            max_cycles=self.kernel.max_cycles,
-            livelock_window=self.kernel.livelock_window,
-            on_timeout=self.kernel.on_timeout,
-        )
-        descriptor = cell_descriptor(
-            machine, self.spec.full_name, n_threads, cache.scale,
-            max_cycles=self.kernel.max_cycles,
-            livelock_window=self.kernel.livelock_window,
+        scale = self.experiment.workload.scale
+        cell = open_cell(
+            self.experiment.machine.with_cores(n_threads),
+            self.spec, n_threads, scale,
+            RunConfig(
+                max_cycles=self.kernel.max_cycles,
+                livelock_window=self.kernel.livelock_window,
+            ),
         )
         return Session(
-            kernel, self.spec, cache.scale,
-            experiment=self.experiment, descriptor=descriptor,
+            cell.kernel, self.spec, scale,
+            experiment=self.experiment, descriptor=cell.descriptor,
         )
 
     # ------------------------------------------------------------------

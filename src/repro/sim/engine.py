@@ -472,17 +472,6 @@ class Simulation:
             real_instrs += t.instrs - t.spin_instrs
         return self._n_finished, real_instrs
 
-    def snapshot(self):
-        """Capture an :class:`~repro.robustness.snapshot.EngineSnapshot`
-        of the current scheduling and synchronization state.
-
-        .. deprecated::
-            Thin alias kept for callers of the pre-checkpoint API; the
-            snapshot is now a view over the :meth:`state_dict` tree
-            (see :func:`repro.robustness.snapshot.capture_snapshot`).
-        """
-        return capture_snapshot(self)
-
     def _save_checkpoint(self, reason: str) -> None:
         """Best-effort checkpoint save on a watchdog/fault exit path;
         a failing save must never mask the underlying condition."""

@@ -71,6 +71,38 @@ class TestStackCheckpoint:
         err = capsys.readouterr().err
         assert "belongs to cholesky" in err
 
+    @pytest.mark.parametrize("config,field", [
+        # a 4 MB LLC in the config, the default 2 MB one in the checkpoint
+        ("[machine.llc]\nsize_bytes = 4194304\nassoc = 16\n"
+         "hit_latency = 30\nhidden_latency = 30\n",
+         "machine.llc.size_bytes"),
+        # a budget below the cycle the checkpoint was saved at
+        ("[run]\nmax_cycles = 1000\n", "max_cycles"),
+    ], ids=["llc-size", "tighter-max-cycles"])
+    def test_resume_from_refuses_what_the_config_rules_out(
+        self, capsys, tmp_path, config, field
+    ):
+        """With ``--config`` the checkpoint must be that experiment's
+        cell, under limits no tighter than its own: one error line
+        naming the field, exit 2."""
+        ckpt = tmp_path / "c.ckpt"
+        assert main(
+            ["stack", "cholesky", "-n", "4", "--checkpoint", str(ckpt),
+             "--checkpoint-every", "2000"] + SCALE
+        ) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text("[workload]\nscale = 0.05\n\n" + config)
+        assert main(
+            ["stack", "cholesky", "--config", str(cfg),
+             "--resume-from", str(ckpt)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert field in captured.err
+        assert "resuming" not in captured.out
+
     def test_resume_from_missing_file(self, capsys, tmp_path):
         assert main(
             ["stack", "cholesky",

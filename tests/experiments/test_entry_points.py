@@ -2,9 +2,10 @@
 point gives the same stack.
 
 The reference is ``run_experiment`` with its ST program; each other way
-to run a cell — the batch runner, the figure cache, a session, the CLI
-(fresh and resumed from a mid-run checkpoint), the process pool and the
-work queue — must return a stack that compares ``==`` to it.
+to run a cell — the batch runner, the figure cache, a session (built at
+N or re-cored to it), the CLI (fresh and resumed from a mid-run
+checkpoint), the process pool and the work queue — must return a stack
+that compares ``==`` to it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ def test_experiment_cache(expected):
 def test_session(expected):
     for name, n in CELLS:
         stack = Session.from_config(name, n, scale=SCALE).stack()
+        assert stack == expected[f"{name}:{n}"]
+
+
+def test_session_recored(expected):
+    """A session re-cored to N runs the same cell as one built at N."""
+    for name, n in CELLS:
+        other = Session.from_config(name, 2 if n != 2 else 4, scale=SCALE)
+        stack = other.recored(n).stack()
         assert stack == expected[f"{name}:{n}"]
 
 

@@ -48,6 +48,15 @@ class TestSubscription:
         with pytest.raises(TypeError):
             bus.subscribe(int, lambda e: None)
 
+    def test_object_is_not_a_catch_all_type(self):
+        """Dispatch looks handlers up by the event's own type, so an
+        ``object`` handler would never run; ``subscribe_all`` is the
+        catch-all."""
+        bus = EventBus()
+        with pytest.raises(TypeError, match="unknown event type"):
+            bus.subscribe(object, lambda e: None)
+        assert not bus.active
+
     def test_every_declared_type_is_subscribable(self):
         bus = EventBus()
         for event_type in EVENT_TYPES:

@@ -78,6 +78,21 @@ def test_matching_experiment_resumes(saved):
     assert canon(resumed.snapshot()) == canon(session.snapshot())
 
 
+def test_tighter_limit_raises_config_error(saved):
+    """A ``max_cycles`` below the checkpoint's cycle would have stopped
+    a fresh run before the checkpoint; resuming under it is refused."""
+    _, path = saved
+    base = ExperimentConfig()
+    experiment = dataclasses.replace(
+        base,
+        workload=dataclasses.replace(base.workload, scale=0.05),
+        run=dataclasses.replace(base.run, max_cycles=1_000),
+    )
+    with pytest.raises(ConfigError) as exc:
+        Session.from_checkpoint(path, experiment=experiment)
+    assert exc.value.field == "max_cycles"
+
+
 def test_experiment_limits_override_saved(tmp_path):
     """A config with explicit watchdog limits continues a checkpointed
     run under the *new* budget (the raised-budget workflow)."""

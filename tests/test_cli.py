@@ -318,6 +318,22 @@ class TestSweepTelemetry:
         assert doc["counters"]["runtime.cells_ok"] == 1
         assert f"metrics written to {path}" in capsys.readouterr().out
 
+    def test_retries_counted_serial_and_parallel(self, capsys, tmp_path):
+        """``runtime.retries`` comes from each finished cell's attempts,
+        so a ``--jobs 2`` sweep, whose workers keep no registry, counts
+        the retries of an always-failing cell as the serial one does."""
+        retried = ["sweep", "--benchmarks", "cholesky", "-n", "2",
+                   "--on-error", "retry", "--retries", "2",
+                   "--inject", "deadlock@cholesky:2"] + SCALE
+        counters = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"metrics-{jobs}.json"
+            assert main(retried + ["--jobs", jobs,
+                                   "--emit-metrics", str(path)]) == 1
+            counters.append(json.loads(path.read_text())["counters"])
+        capsys.readouterr()
+        assert [c.get("runtime.retries") for c in counters] == [2, 2]
+
     def test_progress_renders_to_stderr(self, capsys):
         assert main(self.BASE + ["--progress"]) == 0
         err = capsys.readouterr().err
