@@ -113,6 +113,7 @@ from repro.experiments.perthread import (
 from repro.experiments.runner import (
     BatchRunner,
     CellOutcome,
+    CellResult,
     ExperimentResult,
     SweepReport,
     accounted_snapshot,
@@ -214,6 +215,7 @@ __all__ = [
     "capture_snapshot",
     "cell_descriptor",
     "CellOutcome",
+    "CellResult",
     "CheckpointHook",
     "CheckpointPolicy",
     "CheckpointReport",

@@ -62,15 +62,24 @@ class CheckpointHook:
         path: str | Path,
         descriptor: dict[str, Any],
         policy: CheckpointPolicy | None = None,
+        start_cycle: int = 0,
     ) -> None:
+        """``start_cycle`` is the cycle the run starts at: a run resumed
+        from a checkpoint is next due as if it had just saved there."""
         self.path = Path(path)
         self.descriptor = descriptor
         self.policy = policy or CheckpointPolicy()
-        self._next_due = self.policy.every_cycles
+        self._next_due = self._due_after(start_cycle)
         #: saves performed so far (all reasons)
         self.n_saves = 0
         #: header of the most recent save (None until the first)
         self.last_header: dict[str, Any] | None = None
+
+    def _due_after(self, cycle: int) -> int | None:
+        """The first multiple of ``every_cycles`` past ``cycle`` (None:
+        no periodic saves)."""
+        every = self.policy.every_cycles
+        return None if every is None else (cycle // every + 1) * every
 
     def due(self, now: int) -> bool:
         """Is a periodic save due at simulated time ``now``?"""
@@ -91,9 +100,7 @@ class CheckpointHook:
             self.path, sim.state_dict(), self.descriptor,
             cycle=cycle, reason=reason,
         )
-        every = self.policy.every_cycles
-        if every is not None:
-            self._next_due = (cycle // every + 1) * every
+        self._next_due = self._due_after(cycle)
         self.n_saves += 1
         self.last_header = header
         return header

@@ -32,14 +32,15 @@ point, from ``repro stack`` to the queue workers, runs a cell through
 those three.  On the sweep side,
 :func:`completed_outcome` and :func:`record_outcome` are the one resume
 skip and the one journal writer of the serial sweep and the work
-queue.
+queue, and :class:`CellResult` is the one record of a finished cell
+both keep, so their :class:`SweepReport` values compare ``==``.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.accounting.report import AccountingReport
@@ -121,28 +122,8 @@ class ExperimentResult:
 
     @property
     def parallelization_overhead(self) -> float | None:
-        """Fractional extra instructions of the MT run over the ST run,
-        after subtracting spin-loop instructions (Section 6)."""
-        if self.st_result is None:
-            return None
-        st_instrs = self.st_result.total_instrs
-        if st_instrs == 0:
-            return None
-        mt_real = self.mt_result.total_instrs - self.mt_result.total_spin_instrs
-        return (mt_real - st_instrs) / st_instrs
-
-    def without_machine(self) -> "ExperimentResult":
-        """A copy whose runs carry no simulated machine (see
-        :meth:`SimResult.without_machine`): stack, report, threads and
-        totals kept.  What a sweep or a figure cache holds per cell."""
-        return replace(
-            self,
-            mt_result=self.mt_result.without_machine(),
-            st_result=(
-                self.st_result.without_machine()
-                if self.st_result is not None else None
-            ),
-        )
+        """See :attr:`CellResult.parallelization_overhead`."""
+        return CellResult.of(self).parallelization_overhead
 
 
 def run_accounted(
@@ -405,7 +386,9 @@ def open_cell(
     reached it.  A refusal raises :class:`~repro.errors.ConfigError`
     naming the field (:class:`~repro.errors.CheckpointError` for an
     unreadable file); with ``fresh_on_refusal`` it is logged and the
-    cell starts at cycle 0.
+    cell starts at cycle 0.  A resumed cell's next periodic save is
+    ``checkpoint_every`` cycles past the one it resumed from, not at
+    once.
     """
     max_cycles, window = run.max_cycles, run.livelock_window
     if fault is None:
@@ -419,17 +402,7 @@ def open_cell(
         machine, spec.full_name, n_threads, scale,
         fault=fault_desc, max_cycles=max_cycles, livelock_window=window,
     )
-    hook = None
-    if checkpoint is not None:
-        hook = CheckpointHook(checkpoint, descriptor, CheckpointPolicy(
-            every_cycles=checkpoint_every, on_fault=True,
-        ))
-    if drain is not None:
-        hook = DrainableHook(hook, drain)
-    # an armed watchdog truncates (a flagged partial result); an unarmed
-    # run raises on anything unexpected
-    armed = max_cycles is not None or window is not None
-    on_timeout = "truncate" if armed else "raise"
+    sim = header = None
     if resume_from is not None:
         try:
             _check_resume(resume_from, read_header(resume_from), descriptor)
@@ -440,16 +413,29 @@ def open_cell(
             logger.warning(
                 "ignoring checkpoint %s (running fresh): %s", resume_from, exc
             )
-        else:
-            logger.info(
-                "resuming %s from cycle %d (saved on %s)",
-                resume_from, header["cycle"], header["reason"],
-            )
-            kernel = SimulationKernel.from_simulation(
-                sim, max_cycles=max_cycles, livelock_window=window,
-                on_timeout=on_timeout, checkpoint=hook,
-            )
-            return CellKernel(kernel, sim.machine, descriptor, header["cycle"])
+    hook = None
+    if checkpoint is not None:
+        hook = CheckpointHook(
+            checkpoint, descriptor,
+            CheckpointPolicy(every_cycles=checkpoint_every, on_fault=True),
+            start_cycle=header["cycle"] if header is not None else 0,
+        )
+    if drain is not None:
+        hook = DrainableHook(hook, drain)
+    # an armed watchdog truncates (a flagged partial result); an unarmed
+    # run raises on anything unexpected
+    armed = max_cycles is not None or window is not None
+    on_timeout = "truncate" if armed else "raise"
+    if sim is not None:
+        logger.info(
+            "resuming %s from cycle %d (saved on %s)",
+            resume_from, header["cycle"], header["reason"],
+        )
+        kernel = SimulationKernel.from_simulation(
+            sim, max_cycles=max_cycles, livelock_window=window,
+            on_timeout=on_timeout, checkpoint=hook,
+        )
+        return CellKernel(kernel, sim.machine, descriptor, header["cycle"])
     program = build_program(spec, n_threads, scale=scale)
     if callable(fault):
         program, machine = fault(program, machine)
@@ -568,15 +554,67 @@ CELL_RESUMED = "resumed"
 POISON_CELL = "PoisonCellError"
 
 
+@dataclass(frozen=True)
+class CellResult:
+    """What a sweep keeps of a finished ok cell.
+
+    The stack, the per-thread accounting behind it, ``Tp`` and the
+    instruction counts behind Section 6's overhead proxy, without the
+    simulated machine or the runs' threads: plain data that the work
+    queue ships as JSON (:mod:`repro.parallel.transport`) and that
+    compares ``==`` across that round trip.  Serial and queued sweeps
+    and the figure cache keep this; :meth:`BatchRunner.run_cell` still
+    returns the live :class:`ExperimentResult`.
+    """
+
+    stack: SpeedupStack
+    report: AccountingReport
+    total_cycles: int
+    truncated: bool
+    mt_instrs: int
+    mt_spin_instrs: int
+    #: instructions of the reference run (0 without one)
+    st_instrs: int
+
+    @classmethod
+    def of(cls, result: ExperimentResult) -> "CellResult":
+        st_result = result.st_result
+        return cls(
+            stack=result.stack,
+            report=result.report,
+            total_cycles=result.total_cycles,
+            truncated=result.truncated,
+            mt_instrs=result.mt_result.total_instrs,
+            mt_spin_instrs=result.mt_result.total_spin_instrs,
+            st_instrs=st_result.total_instrs if st_result is not None else 0,
+        )
+
+    @property
+    def parallelization_overhead(self) -> float | None:
+        """Fractional extra instructions of the MT run over the ST run,
+        after subtracting spin-loop instructions (Section 6); None
+        without a reference run."""
+        if self.st_instrs == 0:
+            return None
+        return (self.mt_instrs - self.mt_spin_instrs - self.st_instrs) / (
+            self.st_instrs
+        )
+
+
 @dataclass
 class CellOutcome:
-    """What happened to one (benchmark, N) cell of a sweep."""
+    """What happened to one (benchmark, N) cell of a sweep.
+
+    ``result`` is the live :class:`ExperimentResult` that
+    :meth:`BatchRunner.run_cell` returns, or the :class:`CellResult` a
+    sweep keeps; None for a failed or resumed cell.
+    """
 
     name: str
     n_threads: int
     status: str
     attempts: int = 0
-    result: ExperimentResult | None = None
+    result: ExperimentResult | CellResult | None = None
     error: str | None = None
     error_type: str | None = None
     #: engine post-mortem (plain dict) when the failure carried one
@@ -587,22 +625,6 @@ class CellOutcome:
     @property
     def key(self) -> str:
         return f"{self.name}:{self.n_threads}"
-
-    @classmethod
-    def from_result(cls, result) -> "CellOutcome":
-        """The outcome of a worker-executed cell, from its finished-cell
-        record (a :class:`~repro.parallel.cells.CellResult`)."""
-        return cls(
-            name=result.name,
-            n_threads=result.n_threads,
-            status=result.status,
-            attempts=result.attempts,
-            result=result if result.status == CELL_OK else None,
-            error=result.error,
-            error_type=result.error_type,
-            snapshot=result.snapshot,
-            metrics=result.metrics,
-        )
 
 
 @dataclass
@@ -806,8 +828,7 @@ class BatchRunner:
         #: optional SpanRecorder timing the harness's own phases (trace
         #: decode, ST reference, engine advance, harvest, journal
         #: write).  Spans are wall-clock so they are never journaled;
-        #: warm workers re-point this attribute per cell — it is
-        #: mutable state *outside* the WorkerCaches key on purpose.
+        #: queue workers re-point this attribute per cell.
         self.spans = spans
         self._machine_factory = machine_factory or (
             lambda n_threads: MachineConfig(n_cores=n_threads)
@@ -988,8 +1009,8 @@ class BatchRunner:
     ) -> SweepReport:
         """Run every cell, journaling after each one.
 
-        Each ok outcome keeps its stack, report and run totals but not
-        the simulated machine (``result.mt_result.chip is None``); call
+        Each ok outcome keeps its :class:`CellResult` (stack, report
+        and run totals), the record a queued sweep returns too; call
         :meth:`run_cell` for a cell's live chip.
 
         With ``resume=True``, cells the journal already records as
@@ -1036,13 +1057,13 @@ class BatchRunner:
                     " after a checkpoint save" if exc.saved else "",
                 )
                 break
+            if outcome.result is not None:
+                # its stack is built: nothing reads this cell's machine
+                # again, so the sweep keeps only its finished-cell record
+                outcome.result = CellResult.of(outcome.result)
             record_outcome(
                 report, self.journal, outcome, self.metrics, self.spans
             )
-            if outcome.result is not None:
-                # journaled and its stack built: nothing reads this
-                # cell's machine again, so the sweep does not keep it
-                outcome.result = outcome.result.without_machine()
         if self.bus is not None:
             self.bus.emit(SweepFinished(
                 len(report.completed), len(report.failures),

@@ -33,7 +33,7 @@ from repro.core.classification import ClassificationTree, classify_stack
 from repro.core.stack import SpeedupStack
 from repro.core.validation import ValidationRow, errors_by_thread_count
 from repro.experiments.runner import (
-    ExperimentResult,
+    CellResult,
     ReferenceMemo,
     finish_experiment,
     open_cell,
@@ -63,14 +63,14 @@ class ExperimentCache:
     machine reaches the figure drivers.  ``None`` keeps the historical
     default of a fresh paper-default machine per thread count.
 
-    Results are stored without their simulated machine (see
-    :meth:`~repro.experiments.runner.ExperimentResult.without_machine`):
-    the figures read stacks and instruction counts only.
+    Results are stored as :class:`~repro.experiments.runner.CellResult`
+    records, without their simulated machine: the figures read stacks
+    and instruction counts only.
     """
 
     scale: float = 1.0
     machine: MachineConfig | None = None
-    _results: dict[tuple, ExperimentResult] = field(default_factory=dict)
+    _results: dict[tuple, CellResult] = field(default_factory=dict)
     _references: ReferenceMemo = field(default_factory=ReferenceMemo)
 
     @classmethod
@@ -89,7 +89,7 @@ class ExperimentCache:
         spec: BenchmarkSpec,
         n_threads: int,
         machine: MachineConfig | None = None,
-    ) -> ExperimentResult:
+    ) -> CellResult:
         """Accounted N-thread run + reference, cached."""
         if machine is None:
             machine = (
@@ -102,9 +102,9 @@ class ExperimentCache:
             logger.info("accounted run: %s n=%d", spec.full_name, n_threads)
             st_result = self._references.get(spec, self.scale, machine)
             cell = open_cell(machine, spec, n_threads, self.scale, RunConfig())
-            self._results[key] = finish_experiment(
+            self._results[key] = CellResult.of(finish_experiment(
                 spec.full_name, cell.kernel, st_result
-            ).without_machine()
+            ))
         return self._results[key]
 
 

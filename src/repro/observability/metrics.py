@@ -17,8 +17,9 @@ Two kinds of metrics flow through the registry:
 
 Aggregation across worker processes follows the parent-only collection
 path of :mod:`repro.parallel`: each worker harvests its cell's flat
-``sim.*`` dict into the picklable ``CellResult``, and the parent merges
-into its registry in submission order.  All merge operations (counter
+``sim.*`` dict from the live chip into the cell's ``CellOutcome``,
+which its queue record carries, and the parent merges into its
+registry in sweep order.  All merge operations (counter
 sum, gauge max, histogram bucket sum) are commutative, so the aggregate
 is independent of completion order.
 """

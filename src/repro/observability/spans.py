@@ -213,9 +213,9 @@ class SpanRecorder:
         """Export one span and its descendants, re-rooted.
 
         The subtree root's ``parent`` becomes ``None`` so the rows are
-        self-contained — what a caller attaches to a single
-        ``CellResult`` so a cell's spans travel independently of the
-        rest of the recorder.
+        self-contained — what a caller attaches to a single cell's
+        queue record so its spans travel independently of the rest of
+        the recorder.
         """
         keep = {span_id}
         rows = []

@@ -8,29 +8,29 @@ configuration, and all workload randomness is seeded per cell from
 them on the work queue (:mod:`repro.queue`) with forked, persistent
 workers while keeping the observable behaviour of the serial
 :class:`~repro.experiments.runner.BatchRunner` path exactly — journals
-are byte-identical at any ``--jobs`` value.
+are byte-identical at any ``--jobs`` value, and the returned
+:class:`~repro.experiments.runner.SweepReport` compares ``==`` to the
+serial one.
 
 Layout:
 
-* :mod:`~repro.parallel.cells` — the :class:`CellSpec` /
-  :class:`CellResult` value objects crossing the process boundary;
-* :mod:`~repro.parallel.worker` — worker-side execution against
-  per-process warm caches (:class:`WorkerCaches`,
-  :func:`execute_cell`);
+* :mod:`~repro.parallel.cells` — :class:`CellSpec`, the value object
+  a worker runs a cell from;
 * :mod:`~repro.parallel.transport` — the canonical plain-data form of
-  a finished-cell record;
+  a finished cell's outcome (its queue record);
 * :mod:`~repro.parallel.dispatch` — :func:`run_parallel_sweep`, the
   queue on a private temporary directory.
+
+A queue worker runs each cell with
+:meth:`BatchRunner.run_cell <repro.experiments.runner.BatchRunner.run_cell>`
+(see :mod:`repro.queue.worker`).
 """
 
-from repro.parallel.cells import CellResult, CellSpec, cells_from_sweep
+from repro.parallel.cells import CellSpec, cells_from_sweep
 from repro.parallel.dispatch import run_parallel_sweep
-from repro.parallel.worker import WorkerCaches
 
 __all__ = [
-    "CellResult",
     "CellSpec",
-    "WorkerCaches",
     "cells_from_sweep",
     "run_parallel_sweep",
 ]

@@ -1,11 +1,12 @@
-"""Picklable value objects crossing the sweep's process boundary.
+"""The sweep cell as plain data: what crosses the process boundary.
 
 A :class:`CellSpec` describes one (benchmark, thread-count) experiment
-well enough for any process to run it; a :class:`CellResult` carries
-everything its consumers (CLI, journal, differential tests) read back.
-Both are plain frozen data: no live generators, no closures, no open
-handles — the property the work queue relies on to run a cell in any
-worker process, local or remote.
+well enough for any process to run it.  It is plain frozen data: no
+live generators, no closures, no open handles — the property the work
+queue relies on to run a cell in any worker process, local or remote.
+What comes back is the cell's
+:class:`~repro.experiments.runner.CellOutcome`, as
+:mod:`repro.parallel.transport` encodes it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.accounting.report import AccountingReport
 from repro.config import MachineConfig, machine_from_dict, machine_to_dict
-from repro.core.stack import SpeedupStack
 from repro.robustness.faults import FAULT_KINDS
 from repro.workloads.spec import BenchmarkSpec
 
@@ -65,66 +64,6 @@ class CellSpec:
     @property
     def key(self) -> str:
         return f"{self.spec.full_name}:{self.n_threads}"
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """Outcome of one worker-executed cell.
-
-    The engine-level :class:`~repro.sim.engine.SimResult` holds live
-    generators and cannot cross a process boundary; this carries the
-    derived values every consumer actually reads: the full
-    :class:`SpeedupStack`, the per-thread :class:`AccountingReport`,
-    and the instruction counts behind the parallelization-overhead
-    metric.  Workers commit it to the queue as canonical JSON (see
-    :mod:`repro.parallel.transport`), never as a pickled object graph.
-    """
-
-    name: str
-    n_threads: int
-    status: str
-    attempts: int
-    stack: SpeedupStack | None = None
-    report: AccountingReport | None = None
-    total_cycles: int = 0
-    truncated: bool = False
-    mt_instrs: int = 0
-    mt_spin_instrs: int = 0
-    st_instrs: int = 0
-    error: str | None = None
-    error_type: str | None = None
-    snapshot: dict | None = None
-    #: flat deterministic ``sim.*`` metrics harvested in the worker
-    #: (None unless the sweep runs with metrics collection enabled);
-    #: a plain dict of ints — the only metrics shape that journals
-    #: byte-deterministically
-    metrics: dict | None = None
-    #: this cell's harness span rows (None unless span collection is
-    #: enabled).  Wall-clock, so — unlike ``metrics`` — these are
-    #: merged into the parent's SpanRecorder and **never** journaled.
-    spans: list | None = None
-
-    @property
-    def key(self) -> str:
-        return f"{self.name}:{self.n_threads}"
-
-    @property
-    def actual_speedup(self) -> float | None:
-        return self.stack.actual_speedup if self.stack else None
-
-    @property
-    def estimated_speedup(self) -> float | None:
-        return self.stack.estimated_speedup if self.stack else None
-
-    @property
-    def parallelization_overhead(self) -> float | None:
-        """Same definition as
-        :attr:`~repro.experiments.runner.ExperimentResult.parallelization_overhead`."""
-        if self.st_instrs == 0:
-            return None
-        return (self.mt_instrs - self.mt_spin_instrs - self.st_instrs) / (
-            self.st_instrs
-        )
 
 
 def cells_from_sweep(

@@ -36,16 +36,17 @@ def run_parallel_sweep(
 
     The drop-in parallel counterpart of
     :meth:`~repro.experiments.runner.BatchRunner.run_sweep`: same
-    resume semantics, same journal bytes, same :class:`SweepReport`
-    shape (see :func:`~repro.queue.run_queue_sweep`, which this runs
-    with ``workers=jobs``).  A dead worker's cell is reclaimed and
-    re-run in the same sweep; with ``on_error="abort"`` the first
-    failed cell raises :class:`~repro.errors.ExperimentError` after
-    in-order journaling of the cells before it.  ``lease_ttl_s`` and
-    ``poison_after`` are the queue's lease TTL and quarantine threshold.
+    resume semantics, same journal bytes, an equal
+    :class:`SweepReport` (see :func:`~repro.queue.run_queue_sweep`,
+    which this runs with ``workers=jobs``).  A dead worker's cell is
+    reclaimed and re-run in the same sweep; with ``on_error="abort"``
+    the first failed cell raises :class:`~repro.errors.ExperimentError`
+    after in-order journaling of the cells before it.  ``lease_ttl_s``
+    and ``poison_after`` are the queue's lease TTL and quarantine
+    threshold.
     """
-    # imported here: the queue builds on this package's cell records
-    # and warm workers, so it cannot be imported while this one loads
+    # imported here: the queue builds on this package's cell specs and
+    # their transport, so it cannot be imported while this one loads
     from repro.queue.driver import run_queue_sweep
 
     if jobs < 1:

@@ -1,16 +1,18 @@
-"""Canonical plain-data form of a finished-cell record.
+"""Canonical plain-data form of a finished cell's outcome.
 
-A :class:`~repro.parallel.cells.CellResult` — a :class:`SpeedupStack`
-plus an :class:`AccountingReport` holding per-thread and per-core
-dataclasses — travels from a queue worker to the sweep driver as the
-JSON body of the cell's terminal queue record: the worker serializes
-derived plain data, the driver decodes it at merge time.
+A :class:`~repro.experiments.runner.CellOutcome` whose result is a
+:class:`~repro.experiments.runner.CellResult` — a
+:class:`SpeedupStack` plus an :class:`AccountingReport` holding
+per-thread and per-core dataclasses — travels from a queue worker to
+the sweep driver as the JSON body of the cell's terminal queue record:
+the worker serializes it with :func:`outcome_to_dict`, the driver
+decodes it with :func:`outcome_from_dict` at merge time.
 
 Canonical means *deterministic by construction*: every dict is built in
 dataclass field order (or, for harvested metrics, in the harvester's
 insertion order, which the journal must preserve byte-for-byte), and
 encoding never reorders keys.  JSON round-trips Python floats exactly
-(shortest-repr), so a decoded stack compares ``==`` to the in-process
+(shortest-repr), so a decoded outcome compares ``==`` to the in-process
 original — the property the differential suite leans on.
 """
 
@@ -24,7 +26,19 @@ from repro.accounting.report import (
     ThreadComponents,
 )
 from repro.core.stack import SpeedupStack
-from repro.parallel.cells import CellResult
+from repro.experiments.runner import CELL_OK, CellOutcome, CellResult
+
+#: the result fields of a failed cell's record, which has no result
+_NO_RESULT = {
+    "stack": None,
+    "report": None,
+    "total_cycles": 0,
+    "truncated": False,
+    "mt_instrs": 0,
+    "mt_spin_instrs": 0,
+    "st_instrs": 0,
+}
+
 
 def _dataclass_to_dict(value) -> dict:
     """Field-order dict of a flat (non-nested) dataclass instance."""
@@ -59,61 +73,53 @@ def report_from_dict(doc: dict) -> AccountingReport:
     )
 
 
-def result_to_dict(result: CellResult) -> dict:
+def outcome_to_dict(outcome: CellOutcome) -> dict:
+    """A finished (ok or failed) outcome as its queue record."""
+    result = outcome.result
+    payload = _NO_RESULT if result is None else {
+        **_dataclass_to_dict(result),
+        "stack": stack_to_dict(result.stack),
+        "report": report_to_dict(result.report),
+    }
     doc = {
-        "name": result.name,
-        "n_threads": result.n_threads,
-        "status": result.status,
-        "attempts": result.attempts,
-        "stack": (
-            stack_to_dict(result.stack) if result.stack is not None else None
-        ),
-        "report": (
-            report_to_dict(result.report)
-            if result.report is not None else None
-        ),
-        "total_cycles": result.total_cycles,
-        "truncated": result.truncated,
-        "mt_instrs": result.mt_instrs,
-        "mt_spin_instrs": result.mt_spin_instrs,
-        "st_instrs": result.st_instrs,
-        "error": result.error,
-        "error_type": result.error_type,
-        "snapshot": result.snapshot,
+        "name": outcome.name,
+        "n_threads": outcome.n_threads,
+        "status": outcome.status,
+        "attempts": outcome.attempts,
+        **payload,
+        "error": outcome.error,
+        "error_type": outcome.error_type,
+        "snapshot": outcome.snapshot,
     }
     # absent (not null) when collection is off: presence mirrors whether
     # the journal will carry a metrics key for this cell
-    if result.metrics is not None:
-        doc["metrics"] = result.metrics
-    # spans likewise absent when collection is off — and, unlike
-    # metrics, never journaled (wall-clock is nondeterministic)
-    if result.spans is not None:
-        doc["spans"] = result.spans
+    if outcome.metrics is not None:
+        doc["metrics"] = outcome.metrics
     return doc
 
 
-def result_from_dict(doc: dict) -> CellResult:
-    return CellResult(
+def outcome_from_dict(doc: dict) -> CellOutcome:
+    """The outcome a queue record holds (extra keys — the queue's own
+    bookkeeping, ``spans``, ``resumed_from_cycle`` — are ignored)."""
+    result = None
+    if doc["status"] == CELL_OK:
+        result = CellResult(
+            stack=stack_from_dict(doc["stack"]),
+            report=report_from_dict(doc["report"]),
+            total_cycles=doc["total_cycles"],
+            truncated=doc["truncated"],
+            mt_instrs=doc["mt_instrs"],
+            mt_spin_instrs=doc["mt_spin_instrs"],
+            st_instrs=doc["st_instrs"],
+        )
+    return CellOutcome(
         name=doc["name"],
         n_threads=doc["n_threads"],
         status=doc["status"],
         attempts=doc["attempts"],
-        stack=(
-            stack_from_dict(doc["stack"])
-            if doc["stack"] is not None else None
-        ),
-        report=(
-            report_from_dict(doc["report"])
-            if doc["report"] is not None else None
-        ),
-        total_cycles=doc["total_cycles"],
-        truncated=doc["truncated"],
-        mt_instrs=doc["mt_instrs"],
-        mt_spin_instrs=doc["mt_spin_instrs"],
-        st_instrs=doc["st_instrs"],
+        result=result,
         error=doc["error"],
         error_type=doc["error_type"],
         snapshot=doc["snapshot"],
         metrics=doc.get("metrics"),
-        spans=doc.get("spans"),
     )

@@ -16,13 +16,14 @@ and ``--queue-dir DIR`` on a durable one:
    ``repro worker DIR`` processes on other hosts may join the same
    queue directory;
 3. run the reclaimer and translate queue state transitions into the
-   standard sweep event stream (``CellStarted`` / ``CellFinished`` /
-   ``LeaseExpired`` / ``CellRequeued`` / ``CellQuarantined``) and
-   ``runtime.*`` metrics, so ``--progress`` / ``--heartbeat`` work
-   unchanged.  Lease expiries are read from the reclaim history the
-   cells' records carry, so an expiry an idle worker reclaimed is
-   reported exactly like one the driver reclaimed itself;
-4. once every cell is terminal, merge the finished-cell records into
+   standard sweep event stream (``CellStarted`` / ``CellRetry`` /
+   ``CellFinished`` / ``LeaseExpired`` / ``CellRequeued`` /
+   ``CellQuarantined``) and ``runtime.*`` metrics, so ``--progress`` /
+   ``--heartbeat`` work unchanged.  Lease expiries are read from the
+   reclaim history the cells' records carry, so an expiry an idle
+   worker reclaimed is reported exactly like one the driver reclaimed
+   itself, and retries from a finished cell's ``attempts``;
+4. once every cell is terminal, merge the finished cells' outcomes into
    the :class:`~repro.robustness.journal.SweepJournal` **in canonical
    (manifest) order**, through the same
    :func:`~repro.experiments.runner.record_outcome` the serial sweep
@@ -63,6 +64,7 @@ from repro.observability.events import (
     CellFinished,
     CellQuarantined,
     CellRequeued,
+    CellRetry,
     CellStarted,
     LeaseExpired,
     SweepFinished,
@@ -70,8 +72,8 @@ from repro.observability.events import (
     WorkerCrashed,
     WorkerHeartbeat,
 )
-from repro.parallel.cells import CellResult, CellSpec
-from repro.parallel.transport import result_from_dict
+from repro.parallel.cells import CellSpec
+from repro.parallel.transport import outcome_from_dict
 from repro.queue.store import (
     DONE,
     LEASED,
@@ -197,10 +199,9 @@ def run_queue_sweep(
     The drop-in counterpart of
     :meth:`~repro.experiments.runner.BatchRunner.run_sweep`: same
     resume semantics, same journal records (written by the parent, in
-    canonical order), same :class:`SweepReport` shape — ok outcomes
-    carry the :class:`~repro.parallel.cells.CellResult` their worker
-    committed, which exposes the same ``stack`` / ``actual_speedup``
-    surface as an ``ExperimentResult``.
+    canonical order), and an equal :class:`SweepReport` — each outcome
+    is the one its worker committed, ok ones holding their
+    :class:`~repro.experiments.runner.CellResult`.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -279,7 +280,10 @@ class QueueWatch:
     idle worker).  A cell's record is read only when its state changes,
     so an expiry cycle that completes between two polls surfaces with
     the cell's next visible state at the latest (its terminal record
-    keeps the whole history).
+    keeps the whole history).  In-cell retries are reported the same
+    way, from the terminal record's ``attempts``: a
+    :class:`CellRetry` per attempt past the first, with the backoff the
+    worker slept (:meth:`~repro.config.RunConfig.backoff_delay`).
     """
 
     def __init__(self, store: QueueStore, bus=None, metrics=None) -> None:
@@ -309,10 +313,15 @@ class QueueWatch:
                 self._started.add(key)
                 self.bus.emit(CellStarted(key, 1))
             elif state in TERMINAL_STATES:
+                attempts = record.get("attempts", 0)
+                for attempt in range(2, attempts + 1):
+                    self.bus.emit(CellRetry(
+                        key, attempt,
+                        self.store.policy.backoff_delay(attempt, key),
+                        record.get("error") or "",
+                    ))
                 status = CELL_OK if state == DONE else CELL_FAILED
-                self.bus.emit(CellFinished(
-                    key, status, record.get("attempts", 0)
-                ))
+                self.bus.emit(CellFinished(key, status, attempts))
         self._report_heartbeats()
 
     def _report_expiries(self, key: str, state: str, record: dict) -> None:
@@ -420,13 +429,13 @@ def _supervise(
         fleet.terminate(grace_s)
 
 
-def _terminal_result(cell: CellSpec, record: dict) -> CellResult:
-    """The finished-cell record of a terminal queue entry: what the
-    worker shipped, or — for a quarantined poison cell — a failure
-    built from its lease-expiry history."""
+def _terminal_outcome(cell: CellSpec, record: dict) -> CellOutcome:
+    """The outcome of a terminal queue entry: what the worker committed,
+    or — for a quarantined poison cell — a failure built from its
+    lease-expiry history."""
     if record.get("status") != QUARANTINED:
-        return result_from_dict(record)
-    return CellResult(
+        return outcome_from_dict(record)
+    return CellOutcome(
         name=cell.name,
         n_threads=cell.n_threads,
         status=CELL_FAILED,
@@ -477,18 +486,15 @@ def _merge(
                 continue
             if spans is not None and record.get("spans"):
                 spans.absorb(record["spans"], parent=merge_id)
-            result = _terminal_result(cell, record)
-            if result.status == CELL_FAILED and policy.on_error == "abort":
+            outcome = _terminal_outcome(cell, record)
+            if outcome.status == CELL_FAILED and policy.on_error == "abort":
                 # match the serial runner: abort raises before the
                 # failing cell's record reaches the journal
                 raise ExperimentError(
-                    result.name, result.n_threads,
-                    result.error or "cell failed",
+                    outcome.name, outcome.n_threads,
+                    outcome.error or "cell failed",
                 )
-            record_outcome(
-                report, journal, CellOutcome.from_result(result),
-                metrics, spans,
-            )
+            record_outcome(report, journal, outcome, metrics, spans)
     finally:
         if spans is not None:
             spans.finish(merge_id)

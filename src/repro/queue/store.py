@@ -8,7 +8,7 @@ directory at a time::
       tmp/            # staging for every transition (same filesystem)
       pending/        # claimable cells (may carry a not_before backoff)
       leased/         # cells owned by a worker under a TTL lease
-      done/           # terminal: the finished-cell record (CellResult)
+      done/           # terminal: the finished cell's outcome record
       failed/         # terminal: deterministic in-simulation failure
       quarantined/    # terminal: poison cells (N expired leases)
       workers/        # per-worker liveness heartbeats (advisory)
@@ -525,8 +525,8 @@ class QueueStore:
     def complete(self, lease: Lease, result: dict) -> bool:
         """Commit a terminal result for a leased cell.
 
-        ``result`` is a finished-cell record
-        (:func:`~repro.parallel.transport.result_to_dict` plus extras
+        ``result`` is a finished cell's record
+        (:func:`~repro.parallel.transport.outcome_to_dict` plus extras
         such as the resume cycle) whose ``status`` is "ok" or "failed".
         The terminal record also keeps the cell's lease-expiry history.
         Returns False when the lease was lost or another worker already

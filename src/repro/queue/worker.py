@@ -5,18 +5,21 @@ A :class:`QueueWorker` attaches to a queue directory and loops:
 1. claim the first claimable pending cell (single-winner rename);
 2. start a renewal thread that extends the lease every TTL/3 and
    refreshes the worker's heartbeat file;
-3. run the cell on its warm runner
-   (:func:`~repro.parallel.worker.execute_cell`) — faults,
+3. run the cell with :meth:`BatchRunner.run_cell
+   <repro.experiments.runner.BatchRunner.run_cell>` on the worker's
+   warm runner for the cell's (scale, machine) — faults,
    retry-with-backoff, and crucially *checkpoint resume*: a cell
    reclaimed from a dead worker picks up that worker's config-hash-
    guarded checkpoint and continues from the saved cycle instead of
    cycle 0;
-4. commit the finished-cell record — the
-   :class:`~repro.parallel.cells.CellResult` dict, plus the resume
-   cycle and the cell's spans — with a fencing-token check: a worker
-   whose lease expired mid-run (stalled heartbeat, long GC pause)
-   discovers it here and discards its result; the new owner recomputes
-   the byte-identical record.
+4. commit the cell's outcome —
+   :func:`~repro.parallel.transport.outcome_to_dict` of its
+   :class:`~repro.experiments.runner.CellOutcome`, with its
+   ``sim.*`` metrics harvested from the live chip when the sweep
+   collects them, plus the resume cycle and the cell's spans — with a
+   fencing-token check: a worker whose lease expired mid-run (stalled
+   heartbeat, long GC pause) discovers it here and discards its
+   result; the new owner recomputes the byte-identical record.
 
 A failing cell is recorded, never raised: ``--on-error abort`` runs as
 ``skip`` here, and the driver aborts at merge time in canonical order.
@@ -52,11 +55,11 @@ import threading
 import time
 from dataclasses import replace
 
-from repro.experiments.runner import BatchRunner
+from repro.experiments.runner import BatchRunner, CellOutcome, CellResult
+from repro.observability.metrics import harvest_cell_metrics
 from repro.observability.spans import SpanRecorder, maybe_span
-from repro.parallel.cells import CellResult
-from repro.parallel.transport import result_to_dict
-from repro.parallel.worker import WorkerCaches, execute_cell
+from repro.parallel.cells import CellSpec
+from repro.parallel.transport import outcome_to_dict
 from repro.queue.store import Lease, QueueStore
 from repro.robustness.drain import (
     EXIT_DRAINED,
@@ -177,28 +180,43 @@ class QueueWorker:
         self._policy = store.policy
         if self._policy.on_error == "abort":
             self._policy = replace(self._policy, on_error="skip")
-        # warm runner per (policy, scale, machine) family and a memoized
-        # machine parse, so reference runs and trace decodes amortize
-        # across the worker's claimed cells; the drain controller is a
-        # per-worker constant, which is exactly what WorkerCaches
-        # requires of runner kwargs
-        self._caches = WorkerCaches()
+        # faults travel as (kind, seed) and are rebuilt by the runner,
+        # which can then describe them in checkpoint descriptors
+        self._fault_plan = {
+            key: (cell.fault, cell.fault_seed)
+            for key, cell in store.cells.items() if cell.fault is not None
+        }
+        #: one warm runner per (scale, machine_json), the only runner
+        #: inputs that differ between the queue's cells: its reference
+        #: memo serves every cell of a benchmark the worker claims (the
+        #: claim rule keeps them together)
+        self._runners: dict[tuple, _QueueRunner] = {}
 
     # -- cell execution -------------------------------------------------
 
+    def _runner(self, cell: CellSpec) -> _QueueRunner:
+        key = (cell.scale, cell.machine_json)
+        runner = self._runners.get(key)
+        if runner is None:
+            machine = cell.machine
+            runner = self._runners[key] = _QueueRunner(
+                policy=self._policy,
+                scale=cell.scale,
+                fault_plan=self._fault_plan,
+                machine_factory=(
+                    machine.with_cores if machine is not None else None
+                ),
+                drain=self.drain,
+            )
+        return runner
+
     def _run_cell(
         self, lease: Lease, spans: SpanRecorder | None = None
-    ) -> tuple[CellResult, int | None]:
-        """The cell's finished-cell record and the checkpoint cycle it
-        resumed from (None for a fresh run)."""
+    ) -> tuple[CellOutcome, int | None]:
+        """The cell's outcome, holding its :class:`CellResult`, and the
+        checkpoint cycle it resumed from (None for a fresh run)."""
         cell = lease.cell
-        runner = self._caches.runner(
-            self._policy,
-            cell.scale,
-            cell.machine_json,
-            runner_cls=_QueueRunner,
-            drain=self.drain,
-        )
+        runner = self._runner(cell)
         runner.kill_after_save_key = None
         if os.environ.get(KILL_AFTER_SAVE_ENV) == cell.key:
             if self.store.chaos_armed("kill-after-save", cell.key):
@@ -206,10 +224,18 @@ class QueueWorker:
         # the cell's own spans (trace.decode, engine.advance, ...) nest
         # under queue.run via the runner's thread-local span stack
         with maybe_span(spans, "queue.run", cat="queue", key=cell.key):
-            result = execute_cell(
-                runner, cell, self.store.collect_metrics, spans
-            )
-        return result, runner.resumed_from
+            runner.spans = spans
+            try:
+                outcome = runner.run_cell(cell.spec, cell.n_threads)
+            finally:
+                runner.spans = None
+            if outcome.result is not None:
+                # the live chip is read here, in the worker, as the
+                # serial runner reads it: it does not serialize
+                if self.store.collect_metrics:
+                    outcome.metrics = harvest_cell_metrics(outcome.result)
+                outcome.result = CellResult.of(outcome.result)
+        return outcome, runner.resumed_from
 
     # -- the loop -------------------------------------------------------
 
@@ -276,7 +302,7 @@ class QueueWorker:
             renewer = _LeaseRenewer(store, lease, stall=stall, spans=recorder)
             renewer.start()
             try:
-                result, resumed_from = self._run_cell(lease, spans=recorder)
+                outcome, resumed_from = self._run_cell(lease, spans=recorder)
             except DrainRequested as exc:
                 renewer.stop()
                 released = store.release(lease)
@@ -289,12 +315,12 @@ class QueueWorker:
                 self._heartbeat(None)
                 return EXIT_DRAINED
             renewer.stop()
+            record = outcome_to_dict(outcome)
             if recorder is not None:
                 # attached after the renewer stops so late lease-renew
                 # rows are included; the driver's merge absorbs them
                 # and never journals them (spans are wall-clock)
-                result = replace(result, spans=recorder.to_dicts())
-            record = result_to_dict(result)
+                record["spans"] = recorder.to_dicts()
             if resumed_from is not None:
                 record["resumed_from_cycle"] = resumed_from
             self.cells_run += 1

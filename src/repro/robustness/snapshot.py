@@ -21,6 +21,7 @@ This module only *reads* engine state — it has no dependency on
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field
 
 from repro.osmodel.thread import FINISHED
@@ -73,8 +74,11 @@ class EngineSnapshot:
     barriers: tuple[BarrierSnapshot, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        """Plain-JSON form (used by the sweep journal)."""
-        return asdict(self)
+        """Plain-JSON form (used by the sweep journal): lists where the
+        snapshot holds tuples, so it compares ``==`` to its own JSON
+        round trip — a failed cell's outcome is the same from a queue
+        worker's record as from the serial runner."""
+        return json.loads(json.dumps(asdict(self)))
 
     @property
     def blocked_tids(self) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
 """BatchRunner checkpoint lifecycle: arm, keep-on-truncation, resume
 (also under a raised limit), refuse-on-mismatch or tighter limits,
-unlink-on-success."""
+unlink-on-success; and the periodic saves of a resumed cell."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ import logging
 import pytest
 
 from repro.checkpoint import read_header, save_checkpoint
-from repro.config import RunConfig
+from repro.config import MachineConfig, RunConfig
 from repro.core.rendering import render_stack
-from repro.experiments.runner import BatchRunner
+from repro.experiments.runner import BatchRunner, open_cell
 from repro.workloads.suite import by_name
 
 BENCH = "cholesky"
@@ -163,6 +163,38 @@ class TestCellCheckpointLifecycle:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestResumedSchedule:
+    def test_resumed_cell_saves_one_interval_on(self, tmp_path):
+        """A cell resumed from a periodic save is next due one interval
+        past it, as if it had just saved there: its first step does not
+        rewrite the checkpoint it was loaded from."""
+        every = 5_000
+        spec, machine = by_name(BENCH), MachineConfig(n_cores=N)
+        first = tmp_path / "first.ckpt"
+        fresh = open_cell(
+            machine, spec, N, SCALE, RunConfig(),
+            checkpoint=first, checkpoint_every=every,
+        )
+        while fresh.kernel.checkpoint.n_saves == 0:
+            fresh.kernel.step(1_000)
+        saved = read_header(first)["cycle"]
+        resumed = open_cell(
+            machine, spec, N, SCALE, RunConfig(),
+            checkpoint=tmp_path / "again.ckpt", checkpoint_every=every,
+            resume_from=first,
+        )
+        assert resumed.resumed_from == saved >= every
+        hook = resumed.kernel.checkpoint
+        resumed.kernel.step(1)
+        assert hook.n_saves == 0
+        assert not (tmp_path / "again.ckpt").exists()
+        resumed.kernel.step(every)
+        assert hook.n_saves == 1
+        assert read_header(tmp_path / "again.ckpt")["cycle"] >= (
+            saved // every + 1
+        ) * every
+
+
 class TestPolicyPlumbing:
     def test_from_run_maps_checkpoint_fields(self):
         from repro.config import ExperimentConfig
@@ -173,7 +205,7 @@ class TestPolicyPlumbing:
         assert runner.policy.checkpoint_dir == "ckpts"
 
     def test_policy_stays_hashable(self, tmp_path):
-        """The parallel worker cache keys on the policy dataclass."""
+        """The run options are a frozen value: equal ones hash equal."""
         policy = _policy(tmp_path, checkpoint_every=100)
         assert hash(policy) == hash(
             _policy(tmp_path, checkpoint_every=100)

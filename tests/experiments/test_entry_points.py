@@ -4,8 +4,9 @@ point gives the same stack.
 The reference is ``run_experiment`` with its ST program; each other way
 to run a cell — the batch runner, the figure cache, a session (built at
 N or re-cored to it), the CLI (fresh and resumed from a mid-run
-checkpoint), the process pool and the work queue — must return a stack
-that compares ``==`` to it.
+checkpoint) and the serial sweep — must return a stack that compares
+``==`` to it, and the ``--jobs N`` and work-queue sweeps must return
+the serial sweep's whole report.
 """
 
 from __future__ import annotations
@@ -111,21 +112,39 @@ def test_cli_stack_resumed_from_mid_run_checkpoint(
         assert "resuming" in capsys.readouterr().out
 
 
+#: the sweeps add a cell that deadlocks, so their reports also hold a
+#: failed outcome with its engine post-mortem
+SWEEP = CELLS + [("cholesky", 2)]
+FAULTS = {"cholesky:2": "deadlock"}
+
+
 def _sweep_cells():
     return cells_from_sweep(
-        [(by_name(name), n) for name, n in CELLS], scale=SCALE
+        [(by_name(name), n) for name, n in SWEEP], scale=SCALE,
+        fault_kinds=FAULTS,
     )
 
 
-def test_process_pool(expected):
-    report = run_parallel_sweep(_sweep_cells(), jobs=2)
-    assert report.ok
+@pytest.fixture(scope="module")
+def serial_sweep(expected):
+    report = BatchRunner(scale=SCALE, fault_plan=dict(FAULTS)).run_sweep(
+        [(by_name(name), n) for name, n in SWEEP]
+    )
+    [failed] = report.failures
+    assert failed.key == "cholesky:2" and failed.snapshot is not None
     assert {o.key: o.result.stack for o in report.completed} == expected
+    return report
 
 
-def test_work_queue(expected, tmp_path):
+def test_process_pool(serial_sweep):
+    """``--jobs N`` (``run_parallel_sweep``) returns the serial sweep's
+    report: the same outcomes, each holding an equal ``CellResult``."""
+    report = run_parallel_sweep(_sweep_cells(), jobs=2)
+    assert report == serial_sweep
+
+
+def test_work_queue(serial_sweep, tmp_path):
     report = run_queue_sweep(
         _sweep_cells(), workers=2, queue_dir=tmp_path / "q",
     )
-    assert report.ok
-    assert {o.key: o.result.stack for o in report.completed} == expected
+    assert report == serial_sweep

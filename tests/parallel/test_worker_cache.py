@@ -1,18 +1,22 @@
 """Warm-worker cache correctness.
 
-The warm caches in :mod:`repro.parallel.worker` only earn their keep if
-they are *invisible*: a worker that has already run other benchmarks
-and other machines must produce exactly the result a cold worker
-produces.  These tests run warm/cold differentials in-process through
-the same :class:`WorkerCaches` and :func:`execute_cell` a queue worker
-runs its cells with.
+A queue worker keeps one runner per (scale, machine) for its whole
+life, so the single-threaded reference it measured, the trace-decode
+memo and the engine's warm-filled tag stores serve every cell it
+claims.  That only earns its keep if it is *invisible*: a worker that
+has already run other benchmarks and other machines must commit
+exactly the outcome a cold worker commits.  These tests run warm/cold
+differentials with an in-process :class:`QueueWorker` over a
+:class:`QueueStore`, as a forked worker runs them.
 """
 
 from __future__ import annotations
 
 from repro.config import MachineConfig, RunConfig
-from repro.parallel import WorkerCaches, cells_from_sweep
-from repro.parallel.worker import execute_cell
+from repro.parallel import cells_from_sweep
+from repro.parallel.transport import outcome_from_dict
+from repro.queue import QueueStore
+from repro.queue.worker import QueueWorker
 from repro.workloads.suite import sweep_cells
 
 POLICY = RunConfig(on_error="skip", max_cycles=2_000_000)
@@ -23,50 +27,56 @@ SCALE = 0.2
 SMALL_LLC = MachineConfig().with_llc_size(1024 * 1024)
 
 
-def _run(caches, cell):
-    runner = caches.runner(POLICY, cell.scale, cell.machine_json)
-    return execute_cell(runner, cell)
+def _work(queue_dir, cells):
+    """Run ``cells`` on one in-process worker: the outcomes it committed
+    (by key, in queue order) and the worker."""
+    store = QueueStore.create(queue_dir, cells, POLICY)
+    worker = QueueWorker(store, worker_id="w0")
+    assert worker.run() == 0
+    outcomes = {
+        key: outcome_from_dict(store.result(key)) for key in store.order
+    }
+    return outcomes, worker
 
 
-def _cold_run(cell):
-    return _run(WorkerCaches(), cell)
+def _cold(tmp_path, cells):
+    """Each cell's outcome from a fresh worker that runs only it."""
+    cold = {}
+    for i, cell in enumerate(cells):
+        cold.update(_work(tmp_path / f"cold{i}", [cell])[0])
+    return cold
 
 
-def test_warm_worker_mixed_benchmarks_match_cold():
-    """A worker that has run other benchmarks produces byte-identical
-    results for the next one: the ST-reference memo and trace decode it
+def test_warm_worker_mixed_benchmarks_match_cold(tmp_path):
+    """A worker that has run other benchmarks commits byte-identical
+    outcomes for the next one: the ST-reference memo and trace decode it
     warmed up must key on the benchmark, not leak across it."""
     cells = cells_from_sweep(
         sweep_cells(("cholesky", "blackscholes_small"), (2, 4)),
         scale=SCALE,
     )
-    cold = [_cold_run(cell) for cell in cells]
-    caches = WorkerCaches()
-    warm = [_run(caches, cell) for cell in cells]
-    assert warm == cold
+    warm, worker = _work(tmp_path / "warm", cells)
+    assert warm == _cold(tmp_path, cells)
+    assert all(o.status == "ok" for o in warm.values())
     # the warm pass really did share one runner across all four cells
-    assert len(caches._runners) == 1
+    assert len(worker._runners) == 1
 
 
-def test_warm_worker_mixed_machines_match_cold():
+def test_warm_worker_mixed_machines_match_cold(tmp_path):
     """Two machines interleaved through one worker stay isolated: the
-    runner cache keys on machine_json, so the small-LLC cell can never
-    see the default machine's warm cache arrays (or vice versa)."""
-    sweep = sweep_cells(("cholesky",), (2,))
-    default_cell = cells_from_sweep(sweep, scale=SCALE)[0]
-    small_cell = cells_from_sweep(sweep, scale=SCALE, machine=SMALL_LLC)[0]
-    cold_default = _cold_run(default_cell)
-    cold_small = _cold_run(small_cell)
-    # a smaller LLC must actually change the result, or this test
-    # could not detect bleed at all
-    assert cold_small.stack != cold_default.stack
-    caches = WorkerCaches()
-    interleaved = [
-        _run(caches, default_cell),
-        _run(caches, small_cell),
-        _run(caches, default_cell),
-    ]
-    assert interleaved[0] == cold_default
-    assert interleaved[1] == cold_small
-    assert interleaved[2] == cold_default
-    assert len(caches._runners) == 2
+    worker keeps a runner per machine_json, so the small-LLC cell can
+    never see the default machine's reference memo or warm tag stores
+    (or vice versa).  Queue keys are unique, so the small-LLC cell runs
+    at its own thread count, between two default-machine cells."""
+    default = cells_from_sweep(sweep_cells(("cholesky",), (2, 8)), scale=SCALE)
+    [small] = cells_from_sweep(
+        sweep_cells(("cholesky",), (4,)), scale=SCALE, machine=SMALL_LLC
+    )
+    cells = [default[0], small, default[1]]
+    warm, worker = _work(tmp_path / "warm", cells)
+    assert warm == _cold(tmp_path, cells)
+    # a smaller LLC must actually change the reference run, or this
+    # test could not detect a memo shared across machines at all
+    ts = {key: o.result.stack.ts_cycles for key, o in warm.items()}
+    assert ts["cholesky:4"] != ts["cholesky:2"] == ts["cholesky:8"]
+    assert len(worker._runners) == 2

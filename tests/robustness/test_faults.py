@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.config import MachineConfig
@@ -90,6 +92,17 @@ class TestProgramFaults:
         held = [s for s in snapshot.locks if s.holder_tid is not None]
         assert held, "post-mortem must show the stuck lock"
         assert any(s.waiter_tids for s in snapshot.locks)
+
+    def test_post_mortem_dict_is_its_json_form(self, machine4):
+        """The dict a failed outcome carries is already what its JSON
+        round trip gives back (lists, not tuples), so a failure reads
+        the same from a queue record as from the serial runner."""
+        faulted = FaultInjector(0).drop_lock_releases(lock_step_program(4))
+        with pytest.raises(DeadlockError) as err:
+            simulate(machine4, faulted)
+        doc = err.value.snapshot.to_dict()
+        assert doc == json.loads(json.dumps(doc))
+        assert isinstance(doc["core_clocks"], list)
 
     def test_skewed_barriers_still_finish_but_slower(self, machine4):
         baseline = simulate(machine4, lock_step_program(4)).total_cycles

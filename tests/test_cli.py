@@ -321,18 +321,24 @@ class TestSweepTelemetry:
     def test_retries_counted_serial_and_parallel(self, capsys, tmp_path):
         """``runtime.retries`` comes from each finished cell's attempts,
         so a ``--jobs 2`` sweep, whose workers keep no registry, counts
-        the retries of an always-failing cell as the serial one does."""
+        the retries of an always-failing cell as the serial one does;
+        its driver derives the ``CellRetry`` events the heartbeat counts
+        from the same attempts."""
         retried = ["sweep", "--benchmarks", "cholesky", "-n", "2",
                    "--on-error", "retry", "--retries", "2",
                    "--inject", "deadlock@cholesky:2"] + SCALE
-        counters = []
+        counters, heartbeats = [], []
         for jobs in ("1", "2"):
             path = tmp_path / f"metrics-{jobs}.json"
+            heartbeat = tmp_path / f"heartbeat-{jobs}.json"
             assert main(retried + ["--jobs", jobs,
-                                   "--emit-metrics", str(path)]) == 1
+                                   "--emit-metrics", str(path),
+                                   "--heartbeat", str(heartbeat)]) == 1
             counters.append(json.loads(path.read_text())["counters"])
+            heartbeats.append(json.loads(heartbeat.read_text()))
         capsys.readouterr()
         assert [c.get("runtime.retries") for c in counters] == [2, 2]
+        assert [h["retries"] for h in heartbeats] == [2, 2]
 
     def test_progress_renders_to_stderr(self, capsys):
         assert main(self.BASE + ["--progress"]) == 0
