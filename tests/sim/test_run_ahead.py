@@ -384,3 +384,33 @@ def test_false_declaration_is_harmless_off_the_run_ahead_path():
     assert canon(reference.state_dict()) == canon(armed.state_dict())
     stats = reference.chip.stats[0]
     assert (stats.l1_hits, stats.l1_misses) == (166, 34)
+
+
+def test_false_declaration_post_mortem_sees_the_whole_block():
+    """The faulting store ends a block that ran computes and L1 hits
+    first: the post-mortem reports the clocks and instruction counts
+    those ops reached, not the block's starting point."""
+    base = 0x1000_0000
+    own = 0x2000_0000
+
+    def reader():
+        yield Compute(10_000)
+        for k in range(20):
+            yield Load(base + k * 64)
+
+    def writer():
+        yield Load(own, overlappable=False, dependent=True)
+        for _ in range(10):
+            yield Compute(40)
+            yield Load(own)
+        yield Store(base)
+
+    program = Program("liar", [reader(), writer()],
+                      private=[range(base, base + 20 * 64),
+                               range(own, own + 64)])
+    with pytest.raises(SimulationError, match="thread 1") as err:
+        Simulation(MachineConfig(n_cores=2), program).run()
+    snapshot = err.value.snapshot.to_dict()
+    assert snapshot["core_clocks"] == [2908, 667]
+    instrs = [thread["instrs"] for thread in snapshot["threads"]]
+    assert instrs == [10000, 411]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.workloads.program import (
@@ -244,3 +247,107 @@ class TestDeterminism:
                 assert type(op_a) is type(op_b)
                 if isinstance(op_a, (Load, Store)):
                     assert op_a.addr == op_b.addr
+
+
+# ----------------------------------------------------------------------
+# the op stream, pinned op by op
+# ----------------------------------------------------------------------
+
+
+def _op_stream_digest(spec: BenchmarkSpec, thread_counts, scale) -> str:
+    """A digest of every op of ``spec``'s programs at each thread count:
+    per thread, in order, each op's class name and ``__slots__`` fields.
+    The thread bodies draw from their RNG in an order that is part of
+    the workload definition, so any change to a draw changes this."""
+    digest = hashlib.sha256()
+    for n_threads in thread_counts:
+        program = build_program(spec, n_threads, scale=scale)
+        for tid, body in enumerate(program.thread_bodies):
+            ops = [
+                (type(op).__name__,
+                 *[getattr(op, field) for field in type(op).__slots__])
+                for op in body
+            ]
+            digest.update(f"{n_threads}/{tid}:{len(ops)}".encode())
+            digest.update(repr(ops).encode())
+    return digest.hexdigest()[:16]
+
+
+#: every suite benchmark at 1, 2, 4 and 16 threads, scale 0.05
+SUITE_OP_DIGESTS = {
+    "blackscholes_medium": "773854286ee736c4",
+    "blackscholes_small": "2cb0503410a2e4b8",
+    "radix": "50bb034b211d5d75",
+    "swaptions_medium": "8269371657842c4d",
+    "heartwall": "47c3457cfb476f91",
+    "srad": "7d9aaabebb87e4da",
+    "cholesky": "ec8baf146fb23879",
+    "lud": "f88bb0b6a45ffe2b",
+    "water-nsquared": "cee86a579445e0c0",
+    "fluidanimate_medium": "33d2bddc1bf2ee4e",
+    "lu.ncont": "7ceadb6e423a67c1",
+    "lu.cont": "3c2399f9dd0089cc",
+    "facesim_medium": "9232b7386fe2f237",
+    "facesim_small": "13029245cf444f55",
+    "fft": "558bc24036a59920",
+    "canneal_medium": "919e3ad6a06316fd",
+    "canneal_small": "e0ded005e66bab7f",
+    "bfs": "cb7aaa9b20b1b336",
+    "ferret_medium": "6dacd4ba93fb2d3d",
+    "water-spatial": "dc4f757c81037f1b",
+    "dedup_medium": "fd44981934997bfc",
+    "freqmine_small": "2b1cd95878fbaed9",
+    "freqmine_medium": "e3a93b8abf9849fb",
+    "swaptions_small": "01b057c8fb982ad1",
+    "dedup_small": "4e45671b4262ad7a",
+    "bodytrack_small": "a84ceed62a09b48b",
+    "ferret_small": "c3edf66ebbdc4636",
+    "needle": "07022443ba5c4045",
+}
+
+#: the five ``run16`` benchmarks at 16 and 1 threads, at a scale that
+#: reaches their later phases
+RUN16_OP_DIGESTS = {
+    "bodytrack_small": "91ea24d9f8a128ff",
+    "cholesky": "29c40466a68c5f3f",
+    "dedup_small": "fef66ac64dcc3c10",
+    "heartwall": "f222200b8822f2cb",
+    "lud": "f036cacdfb0fc823",
+}
+
+#: specs that take the paths the suite leaves cold: a benchmark under a
+#: second seed (renamed, as perfbench seeds one), and a knob mix with
+#: false sharing, a dense memory mix and a region the stride wraps
+#: around many times
+EXTRA_SPECS = {
+    "lud.s7": dataclasses.replace(by_name("lud"), name="lud.s7"),
+    "mix": BenchmarkSpec(
+        name="mix", total_kinstrs=60, mem_per_kinstr=700, private_ws_kb=1,
+        stride_bytes=24, store_fraction=0.4, false_sharing_fraction=0.3,
+        shared_ws_kb=8, shared_fraction=0.1, cold_ws_kb=4,
+        cold_fraction=0.1, dependent_fraction=0.2, stream_fraction=0.05,
+        stream_window=4, n_phases=3, imbalance=0.3, cs_per_kinstr=0.5,
+        n_locks=3,
+    ),
+}
+EXTRA_OP_DIGESTS = {
+    "lud.s7": "551fb819ba800b2c",
+    "mix": "0308a6541093d7c7",
+}
+
+
+class TestOpStreamDigest:
+    @pytest.mark.parametrize("name", [spec.full_name for spec in SUITE])
+    def test_suite(self, name):
+        digest = _op_stream_digest(by_name(name), (1, 2, 4, 16), 0.05)
+        assert digest == SUITE_OP_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(RUN16_OP_DIGESTS))
+    def test_run16_later_phases(self, name):
+        digest = _op_stream_digest(by_name(name), (16, 1), 0.5)
+        assert digest == RUN16_OP_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(EXTRA_SPECS))
+    def test_other_paths(self, name):
+        digest = _op_stream_digest(EXTRA_SPECS[name], (1, 2, 4), 1.0)
+        assert digest == EXTRA_OP_DIGESTS[name]
