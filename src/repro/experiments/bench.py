@@ -102,16 +102,17 @@ def _bench_observability(scale, max_cycles, repeats):
     ``sweep --emit-metrics`` and ``sweep --emit-spans`` cost together.
     Simulated cycles must be identical either way (instrumentation
     observes, never perturbs); CI gates on ``overhead_pct``.
+    Disabled/enabled repeats interleave, as in :func:`_bench_checkpoint`,
+    and each pair's overhead is reported beside the gated one.
     """
     spec = by_name(CELL_BENCHMARK)
     policy = RunConfig(on_error="skip", max_cycles=max_cycles)
-    timings = {}
+    timings = {False: [], True: []}
     cycles = {}
     n_events = 0
     n_spans = 0
-    for enabled in (False, True):
-        best = None
-        for _ in range(repeats):
+    for _ in range(repeats):
+        for enabled in (False, True):
             bus = metrics = spans = None
             if enabled:
                 bus = EventBus()
@@ -124,28 +125,37 @@ def _bench_observability(scale, max_cycles, repeats):
             )
             start = time.perf_counter()
             outcome = runner.run_cell(spec, CELL_THREADS)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
+            timings[enabled].append(time.perf_counter() - start)
             cycles[enabled] = outcome.result.mt_result.total_cycles
             if bus is not None:
                 n_events = bus.n_emitted
             if spans is not None:
                 n_spans = len(spans)
-        timings[enabled] = best
     assert cycles[True] == cycles[False], (
         "instrumentation changed simulated time — the bus is not "
         "observation-only"
     )
     return {
         "cell": f"{CELL_BENCHMARK}:{CELL_THREADS}",
-        "wall_s_disabled": round(timings[False], 4),
-        "wall_s_enabled": round(timings[True], 4),
-        "overhead_pct": round(
-            100.0 * (timings[True] - timings[False]) / timings[False], 2
-        ),
+        **_overhead(timings),
         "events_emitted": n_events,
         "spans_recorded": n_spans,
         "total_cycles": cycles[True],
+    }
+
+
+def _overhead(timings) -> dict:
+    """The best disabled and enabled times, the gated overhead between
+    them, and the overhead of each disabled/enabled pair (its spread)."""
+    off, on = min(timings[False]), min(timings[True])
+    return {
+        "wall_s_disabled": round(off, 4),
+        "wall_s_enabled": round(on, 4),
+        "overhead_pct": round(100.0 * (on - off) / off, 2),
+        "pair_overhead_pct": [
+            round(100.0 * (pair_on - pair_off) / pair_off, 2)
+            for pair_off, pair_on in zip(timings[False], timings[True])
+        ],
     }
 
 
@@ -184,13 +194,14 @@ def _bench_checkpoint(max_cycles, repeats):
     Disabled/enabled repeats interleave so background load drifts into
     both sides of the comparison equally.  Simulated cycles must be
     identical either way (saving never mutates the engine); CI gates on
-    ``overhead_pct`` staying within budget.  ``save_ms``/``load_ms``
+    ``overhead_pct`` staying within budget, and each pair's overhead is
+    reported beside it.  ``save_ms``/``load_ms``
     time one explicit :func:`save_checkpoint` write and one full
     :func:`resume_simulation` rebuild of the same mid-run state.
     """
     spec = by_name(CELL_BENCHMARK)
     machine = MachineConfig(n_cores=CELL_THREADS)
-    timings = {False: None, True: None}
+    timings = {False: [], True: []}
     cycles = {}
     n_saves = 0
     save_best = load_best = None
@@ -214,11 +225,7 @@ def _bench_checkpoint(max_cycles, repeats):
                     machine, program, max_cycles=max_cycles,
                     on_timeout="truncate", checkpoint=hook,
                 )
-                elapsed = time.perf_counter() - start
-                best = timings[enabled]
-                timings[enabled] = (
-                    elapsed if best is None else min(best, elapsed)
-                )
+                timings[enabled].append(time.perf_counter() - start)
                 cycles[enabled] = mt_result.total_cycles
                 if hook is not None:
                     n_saves = hook.n_saves
@@ -248,11 +255,7 @@ def _bench_checkpoint(max_cycles, repeats):
         "cell": f"{CELL_BENCHMARK}:{CELL_THREADS}",
         "scale": CKPT_SCALE,
         "every_cycles": CKPT_INTERVAL,
-        "wall_s_disabled": round(timings[False], 4),
-        "wall_s_enabled": round(timings[True], 4),
-        "overhead_pct": round(
-            100.0 * (timings[True] - timings[False]) / timings[False], 2
-        ),
+        **_overhead(timings),
         "n_saves": n_saves,
         "save_ms": (
             None if save_best is None else round(save_best * 1000, 3)
@@ -312,6 +315,10 @@ def run_bench(
     return doc
 
 
+def _pairs_text(section: dict) -> str:
+    return "/".join(f"{pct:+.1f}" for pct in section["pair_overhead_pct"])
+
+
 def render_bench(doc: dict) -> str:
     """Human-readable summary of a BENCH document."""
     host = doc["host"]
@@ -337,8 +344,8 @@ def render_bench(doc: dict) -> str:
         f"observability ({obs['cell']}): "
         f"{obs['wall_s_disabled']:.3f}s -> "
         f"{obs['wall_s_enabled']:.3f}s enabled "
-        f"({obs['overhead_pct']:+.1f}%, {obs['events_emitted']} "
-        f"events{spans_txt}, cycles identical)"
+        f"({obs['overhead_pct']:+.1f}%, pairs {_pairs_text(obs)}, "
+        f"{obs['events_emitted']} events{spans_txt}, cycles identical)"
     )
     prof = doc.get("profile")
     if prof is not None:
@@ -364,7 +371,8 @@ def render_bench(doc: dict) -> str:
         f"{ckpt['wall_s_disabled']:.3f}s -> "
         f"{ckpt['wall_s_enabled']:.3f}s saving every "
         f"{ckpt['every_cycles']} cycles "
-        f"({ckpt['overhead_pct']:+.1f}%, {ckpt['n_saves']} saves, "
+        f"({ckpt['overhead_pct']:+.1f}%, pairs {_pairs_text(ckpt)}, "
+        f"{ckpt['n_saves']} saves, "
         f"{roundtrip}, cycles identical)"
     )
     return "\n".join(lines)

@@ -104,6 +104,17 @@ _WATCHDOG_STRIDE = 1024
 #: ones the fused warm-up loop inlines
 _FRONT_EVICTING = (LruPolicy, FifoPolicy)
 
+#: what the block reads as a core's miss window when an accountant
+#: other than :class:`CycleAccountant` takes the chip's hooks: never
+#: empty, so every op of that run goes through the chip
+_ALWAYS_OUTSTANDING = (None,)
+
+#: a word's (version, writer) before its first store, as
+#: :meth:`CoherenceDirectory.record_store` reads it
+_UNWRITTEN = (0, -1)
+#: the (version, writer) a load of a never-stored word observes
+_NEVER_WRITTEN = (-1, -1)
+
 
 class _CoreRuntime:
     """Per-core scheduling state."""
@@ -238,6 +249,9 @@ class Simulation:
         #: with two threads, as a thread cannot break its own declaration)
         self._run_ahead = False
         self._guarded = False
+        #: set by run(): per core, what the block's inline paths touch
+        #: (see :meth:`_gather_core_refs`)
+        self._core_refs: list[tuple] = []
         # Watchdog progress state lives on the instance (not as run()
         # locals) so a checkpoint restored mid-run resumes the stride
         # and livelock bookkeeping byte-identically.
@@ -344,6 +358,7 @@ class Simulation:
         self._guarded = (
             self._run_ahead and bool(self._guard_spans) and n_threads > 1
         )
+        self._core_refs = self._gather_core_refs()
         if self.bus is not None and not self._sim_started:
             self.bus.emit(SimStarted(n_threads, self.machine.n_cores))
         self._sim_started = True
@@ -385,11 +400,12 @@ class Simulation:
                         f"no forward progress for {livelock_window} cycles "
                         f"at t={core.now}"
                     ), reason="livelock")
-            self._step(core)
             if fast_forward:
                 steps = self._fast_forward_block(
                     core, max_cycles, livelock_window, steps
                 )
+            else:
+                self._step(core)
             if checkpoint is not None and checkpoint.due(core.now):
                 self._steps = steps
                 checkpoint.save(self, "interval")
@@ -794,6 +810,56 @@ class Simulation:
     # quiescent-region fast-forward
     # ------------------------------------------------------------------
 
+    def _gather_core_refs(self) -> list[tuple]:
+        """Per core, the objects and settings the block's inline paths
+        read, gathered once per :meth:`run` call: a restored checkpoint
+        replaces the stats, miss windows and directory dicts, and
+        ``Session.swap`` the spin detectors, only between two calls.
+
+        Inline paths stand in for :meth:`Chip.compute`, :meth:`Chip.load`
+        and :meth:`Chip.store` with no accountant or the
+        :class:`CycleAccountant`, whose only hook on an L1 hit is the
+        spin detector's ``on_load``; any other accountant gets every
+        call (its cores read as always having a miss outstanding).
+        """
+        chip = self.chip
+        directory = chip.directory
+        accountant = self.accountant
+        detectors = None
+        if type(accountant) is CycleAccountant:
+            detectors = accountant.spin_detectors
+        foreign = accountant.enabled and detectors is None
+        return [
+            (
+                chip.stats[cid], l1, l1._sets, l1._set_mask,
+                l1._promote_on_hit,
+                (_ALWAYS_OUTSTANDING if foreign
+                 else chip._mem_state[cid].outstanding),
+                None if detectors is None else detectors[cid],
+                frozenset((cid,)), directory._sharers,
+                directory._word_versions,
+            )
+            for cid, l1 in enumerate(chip.l1d)
+        ]
+
+    @staticmethod
+    def _write_back(core, thread, stats, l1, now, instrs, taken, computed,
+                    loads, stores, stall) -> None:
+        """Store what a block kept in locals: the core clock, the
+        thread's instruction and op counts, and the counters of the ops
+        it ran inline (``computed`` instructions, ``loads`` and
+        ``stores`` that hit the L1, ``stall`` cycles)."""
+        core.now = now
+        thread.instrs += instrs
+        thread.ops_taken += taken
+        hits = loads + stores
+        stats.instrs += computed + hits
+        stats.loads += loads
+        stats.stores += stores
+        stats.l1_hits += hits
+        stats.stall_cycles += stall
+        l1.n_hits += hits
+
     def _fast_forward_block(
         self,
         core: _CoreRuntime,
@@ -801,8 +867,15 @@ class Simulation:
         livelock_window: int | None,
         steps: int,
     ) -> int:
-        """Execute a block of ops on ``core`` without returning to the
-        global scheduling loop, and return the updated step count.
+        """Run the picked core's step, then a block of ops on it without
+        returning to the global scheduling loop; return the updated
+        step count.
+
+        The picked step is a ``Compute``, load or store of the core's
+        running thread, run here as the first op of the block, or
+        anything else (a dispatch, a spin iteration, a sync op, the end
+        of the stream, or a thread with others in its run queue), which
+        :meth:`_step` runs before the block.
 
         This is purely an optimization: the block executes exactly the
         ops the per-op reference loop would, with the same effects.  Up
@@ -837,89 +910,165 @@ class Simulation:
         time, and the op runs at the core's next pick, in the reference
         loop's (start time, core id) order.
 
+        While no miss is outstanding, the block runs three kinds of op
+        itself instead of calling the chip: a ``Compute`` op, a load
+        that hits the L1, and a store that hits the L1 on a line no
+        other core holds (its directory update is the word's version
+        bump alone).  It keeps the clock, the thread's counts and those
+        ops' counters in locals and writes them back at the end, and
+        before any call that reads them or can raise (the access guard,
+        a sync op, the end of the thread).
+
         Differential and property tests assert that a run with
         ``fast_forward`` off is identical down to its ``state_dict()``.
         """
-        limit = self._ff_limit
         thread = core.current
-        if thread is None or thread.spin is not None or core.queue:
-            return steps
+        op = _NOTHING
+        if thread is not None and thread.spin is None and not core.queue:
+            op = core.held
+            core.held = _NOTHING
+            if op is _NOTHING:
+                op = next(thread.body, None)
+            if op is None or op.TAG > TAG_STORE:  # the rest are sync ops
+                core.held = op
+                op = _NOTHING
+        if op is _NOTHING:
+            self._step(core)
+            thread = core.current
+            if thread is None or thread.spin is not None or core.queue:
+                return steps
         run_ahead = self._run_ahead
-        if core.now >= limit and not run_ahead:
+        limit = self._ff_limit
+        now = core.now
+        if op is _NOTHING and now >= limit and not run_ahead:
             return steps
-        chip = self.chip
-        stats = chip.stats[core.core_id]
         cid = core.core_id
+        chip = self.chip
+        (stats, l1, l1_sets, l1_mask, promote, outstanding, detector, alone,
+         sharers, word_versions) = self._core_refs[cid]
+        shift = chip._l1_line_shift
+        l1_stall = chip._l1_stall
+        hit_latency = self.machine.l1d.hit_latency
         width = self._width
         body = thread.body
         guarded = self._guarded
         if run_ahead:
             start, stop = self._private[thread.tid]
-            l1 = chip.l1d[cid]
-            l1_sets = l1._sets
-            l1_mask = l1._set_mask
-            shift = chip._l1_line_shift
         else:
             start = stop = 0
-        block_start = core.now
+        instrs = taken = computed = loads = stores = stall = 0
+        picked = op is not _NOTHING
+        ahead = False  # past the horizon, where only core-local ops run
+        pending = _NOTHING  # a sync op or end of stream, run after the block
+        block_start = now
         while True:
-            now = core.now
-            if now < limit:
-                if max_cycles is not None and now > max_cycles:
-                    break
-                if (livelock_window is not None
-                        and (steps + 1) % _WATCHDOG_STRIDE == 0):
-                    break
-                op = next(body, None)
-                if op is None:
-                    steps += 1
-                    self._finish_thread(core, thread)
-                    break
-                tag = op.TAG
-            elif run_ahead:
-                # past the horizon only core-local ops run; hold the next
-                op = next(body, None)
-                if op is None:
-                    core.held = None  # the next pick finishes the thread
-                    break
-                tag = op.TAG
-                if tag != TAG_COMPUTE and not (
-                        tag == TAG_LOAD and start <= op.addr < stop
-                        and (line := op.addr >> shift)
-                        in l1_sets[line & l1_mask]):
-                    core.held = op
-                    break
+            if picked:
+                picked = False  # its step was counted at the pick
             else:
-                break
-            steps += 1
-            thread.ops_taken += 1
+                if now < limit:
+                    if max_cycles is not None and now > max_cycles:
+                        break
+                    if (livelock_window is not None
+                            and (steps + 1) % _WATCHDOG_STRIDE == 0):
+                        break
+                elif run_ahead:
+                    ahead = True
+                else:
+                    break
+                op = next(body, None)
+                if op is None:
+                    if ahead:
+                        core.held = None  # the next pick finishes the thread
+                    else:
+                        steps += 1
+                        pending = None
+                    break
+                steps += 1
+            taken += 1
+            tag = op.TAG
             if tag == TAG_COMPUTE:
                 n = op.n
-                thread.instrs += n
-                core.now = now + (-(-n // width)) + chip.compute(cid, n, now)
+                instrs += n
+                if outstanding:
+                    now += -(-n // width) + chip.compute(cid, n, now)
+                else:
+                    computed += n
+                    now += -(-n // width)
             elif tag == TAG_LOAD:
-                if guarded and not start <= op.addr < stop:
-                    self._check_access(thread, op.addr)
-                thread.instrs += 1
-                core.now = now + 1 + chip.load(
-                    cid, op.addr, op.pc, now,
-                    overlappable=op.overlappable, dependent=op.dependent,
-                )
+                addr = op.addr
+                line = addr >> shift
+                cache_set = l1_sets[line & l1_mask]
+                if ahead and (line not in cache_set
+                              or not start <= addr < stop):
+                    core.held = op  # not a hit on a private line
+                    steps -= 1  # it counts when it runs, at the next pick
+                    taken -= 1
+                    break
+                if guarded and not start <= addr < stop:
+                    self._write_back(core, thread, stats, l1, now, instrs,
+                                     taken, computed, loads, stores, stall)
+                    instrs = taken = computed = loads = stores = stall = 0
+                    self._check_access(thread, addr)
+                instrs += 1
+                if outstanding or line not in cache_set:
+                    now += 1 + chip.load(
+                        cid, addr, op.pc, now,
+                        overlappable=op.overlappable, dependent=op.dependent,
+                    )
+                    continue
+                if promote:
+                    cache_set[line] = cache_set.pop(line)
+                if detector is not None:
+                    version, writer = word_versions.get(
+                        addr & ~7, _NEVER_WRITTEN
+                    )
+                    detector.on_load(op.pc, addr, version, writer, now, cid)
+                loads += 1
+                hit_stall = hit_latency if op.dependent else l1_stall
+                stall += hit_stall
+                now += 1 + hit_stall
+            elif ahead:
+                core.held = op  # a store or a sync op
+                steps -= 1
+                taken -= 1
+                break
             elif tag == TAG_STORE:
-                if guarded and not start <= op.addr < stop:
-                    self._check_access(thread, op.addr)
-                thread.instrs += 1
-                core.now = now + 1 + chip.store(cid, op.addr, op.pc, now)
+                addr = op.addr
+                if guarded and not start <= addr < stop:
+                    self._write_back(core, thread, stats, l1, now, instrs,
+                                     taken, computed, loads, stores, stall)
+                    instrs = taken = computed = loads = stores = stall = 0
+                    self._check_access(thread, addr)
+                instrs += 1
+                line = addr >> shift
+                cache_set = l1_sets[line & l1_mask]
+                if (outstanding or line not in cache_set
+                        or sharers.get(line) != alone):
+                    now += 1 + chip.store(cid, addr, op.pc, now)
+                    continue
+                word = addr & ~7
+                word_versions[word] = (
+                    word_versions.get(word, _UNWRITTEN)[0] + 1, cid
+                )
+                if promote:
+                    del cache_set[line]
+                cache_set[line] = True
+                stores += 1
+                now += 1
             else:
-                self._execute_sync_op(core, thread, op, tag)
-                delta = core.now - block_start
-                core.busy_cycles += delta
-                stats.busy_cycles += delta
-                self._maybe_preempt(core)
-                return steps
+                pending = op
+                break
+        self._write_back(core, thread, stats, l1, now, instrs, taken,
+                         computed, loads, stores, stall)
+        if pending is None:
+            self._finish_thread(core, thread)
+        elif pending is not _NOTHING:
+            self._execute_sync_op(core, thread, pending, pending.TAG)
         delta = core.now - block_start
         core.busy_cycles += delta
         stats.busy_cycles += delta
+        if pending is not _NOTHING:
+            self._maybe_preempt(core)
         return steps
 
     def _maybe_preempt(self, core: _CoreRuntime) -> None:

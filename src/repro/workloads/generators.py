@@ -1,4 +1,4 @@
-"""Deterministic address-stream generators for synthetic workloads.
+"""Address layout and deterministic helpers for synthetic workloads.
 
 Each thread owns a private data region and all threads share one shared
 region; synchronization variables live in their own reserved region
@@ -7,13 +7,14 @@ offset by an odd number of DRAM pages per thread so that concurrently
 streaming threads spread across banks instead of pathologically
 colliding on bank 0.
 
-All randomness comes from :class:`random.Random` instances seeded from
-``(benchmark name, thread id)``, so every simulation is reproducible.
+The thread bodies (:func:`repro.workloads.spec.build_program`) draw
+their addresses from :class:`random.Random` instances seeded by
+:func:`seed_for` from ``(benchmark name, thread id)``, so every
+simulation is reproducible.
 """
 
 from __future__ import annotations
 
-import random
 import zlib
 from math import gcd
 from typing import Iterator
@@ -36,67 +37,6 @@ def seed_for(name: str, thread_id: int) -> int:
 def private_base(thread_id: int) -> int:
     """Base address of a thread's private region (bank-interleaved)."""
     return PRIVATE_BASE + thread_id * PRIVATE_STRIDE + thread_id * 13 * PAGE
-
-
-class AddressStream:
-    """Mixes strided (streaming) and random accesses over a region."""
-
-    def __init__(
-        self,
-        base: int,
-        size_bytes: int,
-        rng: random.Random,
-        stride_fraction: float = 0.5,
-        stride: int = LINE,
-    ) -> None:
-        if size_bytes < LINE:
-            raise ValueError("region smaller than one cache line")
-        self.base = base
-        self.size = size_bytes
-        self.rng = rng
-        self.stride_fraction = stride_fraction
-        self.stride = stride
-        self._cursor = 0
-        self._n_lines = size_bytes // LINE
-
-    def next_addr(self) -> int:
-        if self.rng.random() < self.stride_fraction:
-            addr = self.base + self._cursor
-            self._cursor = (self._cursor + self.stride) % self.size
-            return addr
-        line = self.rng.randrange(self._n_lines)
-        return self.base + line * LINE
-
-
-class SharedStream:
-    """Accesses over the shared region with a hot-subset bias.
-
-    A fraction of accesses go to a small hot set (lines every thread
-    reuses, maximizing inter-thread hits); the rest sweep the full
-    shared region.
-    """
-
-    def __init__(
-        self,
-        size_bytes: int,
-        rng: random.Random,
-        hot_fraction: float = 0.6,
-        hot_lines: int = 512,
-    ) -> None:
-        if size_bytes < LINE:
-            raise ValueError("shared region smaller than one cache line")
-        self.size = size_bytes
-        self.rng = rng
-        self.hot_fraction = hot_fraction
-        self._n_lines = size_bytes // LINE
-        self._hot_lines = min(hot_lines, self._n_lines)
-
-    def next_addr(self) -> int:
-        if self.rng.random() < self.hot_fraction:
-            line = self.rng.randrange(self._hot_lines)
-        else:
-            line = self.rng.randrange(self._n_lines)
-        return SHARED_BASE + line * LINE
 
 
 def round_robin_lock(

@@ -20,7 +20,8 @@ from typing import Callable, Iterator, overload
 from repro.errors import ConfigError
 from repro.sync.primitives import SYNC_REGION_BASE
 
-# Op tags (engine dispatch).
+# Op tags (engine dispatch).  Synchronization and scheduling ops take
+# the tags after TAG_STORE.
 TAG_COMPUTE = 0
 TAG_LOAD = 1
 TAG_STORE = 2

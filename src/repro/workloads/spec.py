@@ -210,59 +210,99 @@ STREAM_BASE = g.SHARED_BASE + 0x2000_0000
 #: base of the falsely-shared line region
 FALSE_SHARING_BASE = g.SHARED_BASE + 0x3000_0000
 
+#: base of the lines critical sections store to, eight per lock
+CS_DATA_BASE = g.SHARED_BASE + 0x100_0000
 
-class _Stream:
-    """Per-thread producer-consumer stream state."""
+#: the shared region's hot set: this share of shared accesses goes to
+#: its first ``SHARED_HOT_LINES`` lines, which every thread reuses (the
+#: rest sweep the whole region)
+SHARED_HOT_FRACTION = 0.6
+SHARED_HOT_LINES = 512
 
-    __slots__ = ("tid", "n_threads", "cursor", "window", "rng")
 
-    def __init__(self, tid: int, n_threads: int, window: int, rng) -> None:
-        self.tid = tid
-        self.n_threads = n_threads
-        self.cursor = 0
-        self.window = window
-        self.rng = rng
+class _Computes(dict):
+    """``Compute(n)`` by ``n``, each built on first use: nothing mutates
+    an op, so a body can yield one object many times."""
 
-    def produce_addr(self) -> int:
-        addr = STREAM_BASE + (self.cursor * self.n_threads + self.tid) * g.LINE
-        self.cursor += 1
-        return addr
+    def __missing__(self, n: int) -> Compute:
+        op = self[n] = Compute(n)
+        return op
 
-    def consume_addr(self) -> int | None:
-        """A recently produced line — by any thread, assuming the peers
-        progress roughly in step (they execute the same op mix)."""
-        hi = self.cursor * self.n_threads
-        if hi <= 0:
-            return None
-        lo = max(0, hi - self.window * self.n_threads)
-        return STREAM_BASE + self.rng.randrange(lo, hi) * g.LINE
+
+def _region_lines(size_bytes: int, what: str) -> int:
+    if size_bytes < g.LINE:
+        raise ValueError(f"{what} smaller than one cache line")
+    return size_bytes // g.LINE
 
 
 def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
-    """Generator of one thread's dynamic instruction stream."""
+    """Generator of one thread's dynamic instruction stream.
+
+    Blocks of :data:`BLOCK_INSTRS` instructions interleave compute with
+    the spec's memory accesses, then run the critical sections the
+    block owes; barriers separate the phases.  Each memory access draws
+    from the thread's RNG in a fixed order: the producer-consumer
+    stream, the shared region, the cold region or the private working
+    set; in a region, a strided or a random line; then a store or a
+    load, a falsely-shared word, a dependent load.  That order is part
+    of the workload's definition, and ``tests/workloads/test_spec.py``
+    pins the resulting ops one by one.
+
+    This runs once per op of every simulated thread, so it is one flat
+    loop over locals.  A random line is the rejection loop CPython's
+    ``randrange(n)`` runs over ``getrandbits``, written out; the rare
+    stream and false-sharing picks call ``randrange`` itself.
+    """
+    line_bytes = g.LINE
     rng = random.Random(g.seed_for(spec.full_name, tid))
-    private = g.AddressStream(
-        g.private_base(tid),
-        spec.private_ws_kb * 1024,
-        rng,
-        stride_fraction=spec.stride_fraction,
-        stride=spec.stride_bytes,
-    )
-    shared = None
-    if spec.shared_ws_kb > 0 and spec.shared_fraction > 0:
-        shared = g.SharedStream(spec.shared_ws_kb * 1024, rng)
-    stream = None
-    if spec.stream_fraction > 0:
-        stream = _Stream(tid, n_threads, spec.stream_window, rng)
-    cold = None
-    if spec.cold_ws_kb > 0 and spec.cold_fraction > 0:
-        cold = g.AddressStream(
-            g.private_base(tid) + COLD_OFFSET,
-            spec.cold_ws_kb * 1024,
-            rng,
-            stride_fraction=spec.cold_stride_fraction,
-            stride=g.LINE,
-        )
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    randrange = rng.randrange
+    load, store = Load, Store
+    pc_load, pc_store = PC_WORK_LOAD, PC_WORK_STORE
+    store_fraction = spec.store_fraction
+    has_dependent = spec.dependent_fraction > 0
+    dependent_fraction = spec.dependent_fraction
+    has_false_sharing = spec.false_sharing_fraction > 0
+    false_sharing_fraction = spec.false_sharing_fraction
+    false_sharing_lines = spec.false_sharing_lines
+    false_sharing_word = FALSE_SHARING_BASE + (tid % 8) * 8
+
+    # private working set: a stride that wraps, or a random line
+    p_base = g.private_base(tid)
+    p_size = spec.private_ws_kb * 1024
+    p_lines = _region_lines(p_size, "region")
+    p_bits = p_lines.bit_length()
+    p_stride_fraction = spec.stride_fraction
+    p_stride = spec.stride_bytes
+    p_cursor = 0
+    # shared region: a random line of its hot set, or of all of it
+    use_shared = spec.shared_ws_kb > 0 and spec.shared_fraction > 0
+    shared_fraction = spec.shared_fraction
+    shared_store_fraction = spec.shared_store_fraction
+    shared_base = g.SHARED_BASE
+    if use_shared:
+        s_lines = _region_lines(spec.shared_ws_kb * 1024, "shared region")
+        s_hot = min(SHARED_HOT_LINES, s_lines)
+        s_bits = s_lines.bit_length()
+        s_hot_bits = s_hot.bit_length()
+    # producer-consumer stream: store a fresh line, or load one of the
+    # last ``stream_window`` lines each thread produced
+    use_stream = spec.stream_fraction > 0
+    stream_fraction = spec.stream_fraction
+    produce_fraction = spec.stream_produce_fraction
+    window = spec.stream_window * n_threads
+    produced = 0
+    # cold region: like the private set, at a line stride
+    use_cold = spec.cold_ws_kb > 0 and spec.cold_fraction > 0
+    cold_fraction = spec.cold_fraction
+    if use_cold:
+        c_base = p_base + COLD_OFFSET
+        c_size = spec.cold_ws_kb * 1024
+        c_lines = _region_lines(c_size, "region")
+        c_bits = c_lines.bit_length()
+        c_stride_fraction = spec.cold_stride_fraction
+        c_cursor = 0
 
     total_instrs = spec.total_kinstrs * 1000
     base_share = total_instrs // n_threads
@@ -275,8 +315,9 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
     # Start each thread at a random phase of its critical-section cycle
     # so threads do not all reach their first CS at the same instant
     # (which would serialize the whole program through one convoy).
-    cs_debt = rng.random()
+    cs_debt = random_()
     cs_counter = 0
+    computes = _Computes()
 
     n_phases = max(1, spec.n_phases)
     for phase in range(n_phases):
@@ -293,20 +334,88 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
             mem_debt -= n_mem
             compute_budget = block - n_mem
             if n_mem == 0:
-                yield Compute(block)
+                yield computes[block]
             else:
-                sub = max(1, compute_budget // n_mem)
-                emitted = 0
-                for _ in range(n_mem):
-                    step = min(sub, compute_budget - emitted)
-                    if step > 0:
-                        yield Compute(step)
-                        emitted += step
-                    yield _mem_access(
-                        spec, rng, private, shared, cold, stream, tid
-                    )
-                if emitted < compute_budget:
-                    yield Compute(compute_budget - emitted)
+                # a compute of ``step`` instructions before each of the
+                # first ``lead`` accesses: all of them, or one each for
+                # the first accesses of a block denser than that
+                if compute_budget >= n_mem:
+                    step, lead = compute_budget // n_mem, n_mem
+                else:
+                    step, lead = 1, compute_budget
+                compute = computes[step]
+                for index in range(n_mem):
+                    if index < lead:
+                        yield compute
+                    if use_stream and random_() < stream_fraction:
+                        if random_() < produce_fraction or not produced:
+                            op = store(
+                                STREAM_BASE
+                                + (produced * n_threads + tid) * line_bytes,
+                                pc_store,
+                            )
+                            produced += 1
+                        else:
+                            hi = produced * n_threads
+                            lo = max(0, hi - window)
+                            op = load(
+                                STREAM_BASE + randrange(lo, hi) * line_bytes,
+                                pc_load,
+                            )
+                    elif use_shared and random_() < shared_fraction:
+                        if random_() < SHARED_HOT_FRACTION:
+                            line = getrandbits(s_hot_bits)
+                            while line >= s_hot:
+                                line = getrandbits(s_hot_bits)
+                        else:
+                            line = getrandbits(s_bits)
+                            while line >= s_lines:
+                                line = getrandbits(s_bits)
+                        addr = shared_base + line * line_bytes
+                        if random_() < shared_store_fraction:
+                            op = store(addr, pc_store)
+                        else:
+                            op = load(addr, pc_load)
+                    elif use_cold and random_() < cold_fraction:
+                        dependent = (
+                            has_dependent and random_() < dependent_fraction
+                        )
+                        if random_() < c_stride_fraction:
+                            addr = c_base + c_cursor
+                            c_cursor = (c_cursor + line_bytes) % c_size
+                        else:
+                            line = getrandbits(c_bits)
+                            while line >= c_lines:
+                                line = getrandbits(c_bits)
+                            addr = c_base + line * line_bytes
+                        op = load(addr, pc_load, not dependent, dependent)
+                    else:
+                        if random_() < p_stride_fraction:
+                            addr = p_base + p_cursor
+                            p_cursor = (p_cursor + p_stride) % p_size
+                        else:
+                            line = getrandbits(p_bits)
+                            while line >= p_lines:
+                                line = getrandbits(p_bits)
+                            addr = p_base + line * line_bytes
+                        if random_() < store_fraction:
+                            if (has_false_sharing
+                                    and random_() < false_sharing_fraction):
+                                # own word of a hot shared line: pure
+                                # coherency ping-pong
+                                addr = (
+                                    false_sharing_word
+                                    + randrange(false_sharing_lines)
+                                    * line_bytes
+                                )
+                            op = store(addr, pc_store)
+                        elif has_dependent and random_() < dependent_fraction:
+                            op = load(addr, pc_load, False, True)
+                        else:
+                            op = load(addr, pc_load)
+                    yield op
+                if step * lead < compute_budget:
+                    yield computes[compute_budget - step * lead]
 
             # Critical sections (locks exist in the 1-thread run too —
             # they are then uncontended, like the paper's parallel
@@ -317,65 +426,14 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
                 cs_counter += 1
                 lock_id = g.round_robin_lock(tid, cs_counter, spec.n_locks)
                 yield LockAcquire(lock_id)
-                yield Compute(spec.cs_len_instrs)
+                yield computes[spec.cs_len_instrs]
                 for store_idx in range(spec.cs_stores):
-                    addr = (
-                        g.SHARED_BASE
-                        + 0x100_0000
-                        + (lock_id * 8 + store_idx) * g.LINE
+                    yield store(
+                        CS_DATA_BASE + (lock_id * 8 + store_idx) * line_bytes,
+                        pc_store,
                     )
-                    yield Store(addr, PC_WORK_STORE)
                 yield LockRelease(lock_id)
         if n_phases > 1 and phase < n_phases - 1:
             yield BarrierWait(phase)
     if spec.final_barrier:
         yield BarrierWait(n_phases)
-
-
-def _mem_access(spec: BenchmarkSpec, rng: random.Random, private, shared,
-                cold, stream, tid: int):
-    """One memory access according to the spec's mix.
-
-    A plain function (not a generator): the thread body yields the
-    returned op directly, avoiding one generator object and a ``yield
-    from`` frame per memory access on the synthesis hot path.  The RNG
-    draw order is part of the workload definition and must not change.
-    """
-    if stream is not None and rng.random() < spec.stream_fraction:
-        if rng.random() < spec.stream_produce_fraction:
-            return Store(stream.produce_addr(), PC_WORK_STORE)
-        addr = stream.consume_addr()
-        if addr is None:
-            return Store(stream.produce_addr(), PC_WORK_STORE)
-        return Load(addr, PC_WORK_LOAD)
-    if shared is not None and rng.random() < spec.shared_fraction:
-        addr = shared.next_addr()
-        if rng.random() < spec.shared_store_fraction:
-            return Store(addr, PC_WORK_STORE)
-        return Load(addr, PC_WORK_LOAD)
-    if cold is not None and rng.random() < spec.cold_fraction:
-        dependent = (
-            spec.dependent_fraction > 0
-            and rng.random() < spec.dependent_fraction
-        )
-        return Load(
-            cold.next_addr(), PC_WORK_LOAD,
-            overlappable=not dependent, dependent=dependent,
-        )
-    addr = private.next_addr()
-    if rng.random() < spec.store_fraction:
-        if (
-            spec.false_sharing_fraction > 0
-            and rng.random() < spec.false_sharing_fraction
-        ):
-            # own word of a hot shared line: pure coherency ping-pong
-            line = rng.randrange(spec.false_sharing_lines)
-            addr = FALSE_SHARING_BASE + line * g.LINE + (tid % 8) * 8
-        return Store(addr, PC_WORK_STORE)
-    dependent = (
-        spec.dependent_fraction > 0
-        and rng.random() < spec.dependent_fraction
-    )
-    return Load(
-        addr, PC_WORK_LOAD, overlappable=not dependent, dependent=dependent
-    )

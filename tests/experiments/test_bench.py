@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.bench import gate_verdicts
+from repro.experiments import bench
+from repro.experiments.bench import gate_verdicts, render_bench
 
 
 def _doc(observability=1.0, checkpoint=2.0, speedups=None) -> dict:
@@ -114,3 +116,62 @@ def test_bench_cli_gates_the_serial_speedup(factor, status, tmp_path,
     assert [run["jobs"] for run in doc["sweep"]] == [1]
     assert doc["sweep"][0]["speedup_vs_serial"] == 1.0
     assert doc["sweep"][0]["cells_failed"] == 0
+
+
+class _Clock:
+    """A perf_counter that each fake run advances: 1 s disabled, 1.1 s
+    enabled, plus the drift of a host that slows down run by run."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.runs = 0
+
+    def perf_counter(self):
+        return self.now
+
+    def run(self, enabled):
+        self.runs += 1
+        self.now += (1.1 if enabled else 1.0) + 0.05 * self.runs
+
+
+def test_overhead_repeats_alternate_and_report_each_pair(monkeypatch):
+    """Both overhead sections run disabled, enabled, disabled, ... so a
+    host that drifts lands on both sides, and each pair's overhead
+    shows in the document and the printed line."""
+    clock = _Clock()
+    order = {"observability": [], "checkpoint": []}
+    result = SimpleNamespace(total_cycles=1234)
+
+    class Runner:
+        def __init__(self, bus=None, **kwargs):
+            self.enabled = bus is not None
+
+        def run_cell(self, spec, n_threads):
+            order["observability"].append(self.enabled)
+            clock.run(self.enabled)
+            return SimpleNamespace(result=SimpleNamespace(mt_result=result))
+
+    def run_accounted(machine, program, checkpoint=None, **kwargs):
+        order["checkpoint"].append(checkpoint is not None)
+        clock.run(checkpoint is not None)
+        return result, None
+
+    monkeypatch.setattr(bench, "time", clock)
+    monkeypatch.setattr(bench, "BatchRunner", Runner)
+    monkeypatch.setattr(bench, "run_accounted", run_accounted)
+    doc = {
+        "host": {"cpu_count": 1},
+        "config": {"n_cells": 0, "scale": 0.05},
+        "sweep": [],
+        "observability": bench._bench_observability(0.05, 10**6, 3),
+        "checkpoint": bench._bench_checkpoint(10**6, 3),
+    }
+    for section in ("observability", "checkpoint"):
+        assert order[section] == [False, True] * 3
+        pairs = doc[section]["pair_overhead_pct"]
+        assert len(pairs) == 3
+        assert pairs[0] > pairs[1] > pairs[2] > 0  # drift shrinks each
+    # disabled then enabled all at once would read 1.05 s against 1.25 s
+    assert doc["observability"]["pair_overhead_pct"] == [14.29, 13.04, 12.0]
+    assert doc["observability"]["overhead_pct"] == 14.29
+    assert "pairs +14.3/+13.0/+12.0" in render_bench(doc)

@@ -8,19 +8,21 @@ the bytes of ``state_dict()``: the per-op reference loop
 the horizon.  Hypothesis drives them over random programs that block
 and wake (a low spin budget, futex handshakes, barriers), queue
 dependent loads on one DRAM bank, touch private ranges they declare,
-and run with threads both at most and more than the cores.  Any
+and run with threads both at most and more than the cores, on L1s
+that promote on a hit or not and under either spin detector.  Any
 divergence is an unsound fast path, not noise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from repro.accounting.accountant import CycleAccountant
-from repro.config import MachineConfig
+from repro.config import AccountingConfig, MachineConfig
 from repro.core.stack import build_stack
 from repro.errors import DeadlockError
 from repro.sim.engine import Simulation
@@ -73,6 +75,9 @@ def programs(draw):
     declare = draw(st.booleans())
     spin_threshold = draw(st.sampled_from([None, 1, 3]))
     seed = draw(st.integers(min_value=0, max_value=2**16))
+    # fifo turns promote-on-hit off in the L1s the block updates inline
+    replacement = draw(st.sampled_from(["lru", "fifo"]))
+    detector = draw(st.sampled_from(["tian", "li"]))
 
     def body(tid: int):
         # a per-thread generator keeps every thread's stream its own
@@ -144,7 +149,12 @@ def programs(draw):
             spin_threshold_override=spin_threshold, private=private,
         )
 
-    return factory, n_threads, n_cores
+    machine = MachineConfig(
+        n_cores=n_cores,
+        l1d=dataclasses.replace(MachineConfig().l1d, replacement=replacement),
+        accounting=AccountingConfig(spin_detector=detector),
+    )
+    return factory, n_threads, machine
 
 
 def canon(state: dict) -> str:
@@ -162,9 +172,8 @@ PATHS = {
 def _run(case, path, accounted):
     """(outcome, canonical state, simulation, result) of one path;
     the outcome is "ok" or "deadlock"."""
-    factory, _, n_cores = case
+    factory, _, machine = case
     fast_forward, run_kwargs = PATHS[path]
-    machine = MachineConfig(n_cores=n_cores)
     accountant = CycleAccountant(machine) if accounted else None
     args = (accountant,) if accounted else ()
     sim = Simulation(machine, factory(), *args, fast_forward=fast_forward)
@@ -199,7 +208,7 @@ def test_fast_forward_preserves_stack_components(case):
         )
         assert other_outcome == outcome, path
         assert other_state == state, path
-        if outcome != "ok" or case[1] > case[2]:
+        if outcome != "ok" or case[1] > case[2].n_cores:
             continue  # stacks need a finished, pinned run
         report = sim.accountant.report(result)
         other_report = other_sim.accountant.report(other_result)
@@ -215,10 +224,10 @@ def test_stack_invariants(case):
     """Eq. 4 structural invariants on random programs: segments sum to
     N, base > 0, and no overhead segment is negative (net_negative_llc
     folds the positive-LLC credit in, so it alone may go negative)."""
-    factory, n_threads, n_cores = case
+    factory, n_threads, machine = case
+    machine = machine.with_cores(max(machine.n_cores, n_threads))
     outcome, _, sim, result = _run(
-        (factory, n_threads, max(n_cores, n_threads)), "run-ahead",
-        accounted=True,
+        (factory, n_threads, machine), "run-ahead", accounted=True,
     )
     if outcome != "ok":
         return

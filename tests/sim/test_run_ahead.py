@@ -29,6 +29,7 @@ from repro.observability.events import EventBus, SimEnded
 from repro.observability.progress import ProgressReporter
 from repro.observability.timeline import TimelineRecorder
 from repro.robustness.drain import DrainableHook, DrainController
+from repro.sim.cmp import Chip
 from repro.sim.engine import Simulation
 from repro.sync.primitives import SYNC_REGION_BASE
 from repro.workloads import generators as g
@@ -154,6 +155,53 @@ def test_end_of_stream_is_held_like_a_shared_op():
     fast, reference = run(True), run(False)
     assert [t.instrs for t in fast.threads] == [100, 150]
     assert canon(fast.state_dict()) == canon(reference.state_dict())
+
+
+def test_l1_hit_with_a_miss_outstanding_takes_chip_load(monkeypatch):
+    """A load that hits the L1 while a miss is outstanding occupies the
+    miss window, so the block hands it to :meth:`Chip.load` instead of
+    running it inline, in order and past the horizon alike: the run-
+    ahead path makes exactly the reference's such calls."""
+    own = [0x1000_0000, 0x2000_0000]
+    far = 0x3000_0000
+
+    def body(tid):
+        # a blocking miss brings the private line in with nothing
+        # outstanding; each overlappable miss after it stays outstanding
+        # over the private hits that follow
+        yield Load(own[tid], overlappable=False, dependent=True)
+        for k in range(8):
+            yield Load(far + tid * 0x100_0000 + k * 4096)
+            yield Load(own[tid])
+            yield Compute(20 + 10 * tid)
+            yield Load(own[tid])
+
+    calls = []
+    chip_load = Chip.load
+
+    def load(chip, cid, addr, pc, now, **kwargs):
+        if addr in own and chip.has_outstanding(cid):
+            calls.append((cid, addr, now))
+        return chip_load(chip, cid, addr, pc, now, **kwargs)
+
+    monkeypatch.setattr(Chip, "load", load)
+
+    def run(fast_forward):
+        calls.clear()
+        program = Program("mlp", [body(0), body(1)],
+                          private=[range(b, b + 64) for b in own])
+        sim = _Counted(MachineConfig(n_cores=2), program,
+                       CycleAccountant(MachineConfig(n_cores=2)),
+                       fast_forward=fast_forward)
+        sim.run()
+        return sorted(calls), canon(sim.state_dict()), sim.picks
+
+    fast_calls, fast_state, fast_picks = run(True)
+    reference_calls, reference_state, reference_picks = run(False)
+    assert fast_state == reference_state
+    assert fast_calls == reference_calls
+    assert len(reference_calls) >= 16
+    assert fast_picks < reference_picks / 2
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
-"""Address-stream generators: determinism, ranges, skew."""
+"""Workload address streams and helpers: determinism, ranges, skew."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads import generators as g
+from repro.workloads.program import Load, Store
+from repro.workloads.spec import (
+    COLD_OFFSET,
+    SHARED_HOT_FRACTION,
+    SHARED_HOT_LINES,
+    BenchmarkSpec,
+    build_program,
+)
 
 
 class TestSeeding:
@@ -32,54 +38,94 @@ class TestPrivateBase:
         assert len(banks) > 1
 
 
+def _accesses(spec: BenchmarkSpec, n_threads: int = 1, tid: int = 0):
+    """The addresses of thread ``tid``'s loads and stores, in order."""
+    body = build_program(spec, n_threads).thread_bodies[tid]
+    return [op.addr for op in body if isinstance(op, (Load, Store))]
+
+
+def _private(**knobs) -> BenchmarkSpec:
+    """A spec whose every access goes to the private working set."""
+    return BenchmarkSpec(name="private", total_kinstrs=20,
+                         mem_per_kinstr=100, par_overhead=0.0, **knobs)
+
+
 class TestAddressStream:
+    """The private and cold regions: a stride that wraps, or a random
+    line, as drawn by the thread bodies."""
+
     def test_deterministic(self):
-        a = g.AddressStream(0x1000, 4096, random.Random(7))
-        b = g.AddressStream(0x1000, 4096, random.Random(7))
-        assert [a.next_addr() for __ in range(50)] == [
-            b.next_addr() for __ in range(50)
-        ]
+        spec = _private(private_ws_kb=4, stride_fraction=0.5)
+        assert _accesses(spec, 2, 1) == _accesses(spec, 2, 1)
+        assert _accesses(spec, 2, 1) != _accesses(spec, 2, 0)
 
     def test_addresses_within_region(self):
-        stream = g.AddressStream(0x1000, 4096, random.Random(1))
-        for __ in range(500):
-            addr = stream.next_addr()
-            assert 0x1000 <= addr < 0x1000 + 4096
+        spec = _private(private_ws_kb=4, stride_fraction=0.5,
+                        cold_ws_kb=8, cold_fraction=0.3,
+                        cold_stride_fraction=0.5)
+        base = g.private_base(1)
+        cold = base + COLD_OFFSET
+        addrs = _accesses(spec, 2, 1)
+        in_private = [a for a in addrs if base <= a < base + 4096]
+        in_cold = [a for a in addrs if cold <= a < cold + 8192]
+        assert len(in_private) + len(in_cold) == len(addrs)
+        assert in_private and in_cold
+        # random picks reach the region's far end, not just the stride's
+        assert max(in_private) >= base + 4096 - 64
+        assert max(in_cold) >= cold + 8192 - 64
 
     def test_pure_stride_wraps(self):
-        stream = g.AddressStream(
-            0, 256, random.Random(1), stride_fraction=1.0, stride=64
-        )
-        addrs = [stream.next_addr() for __ in range(6)]
-        assert addrs == [0, 64, 128, 192, 0, 64]
+        spec = _private(private_ws_kb=1, stride_fraction=1.0,
+                        stride_bytes=64, store_fraction=0.0)
+        base = g.private_base(0)
+        addrs = _accesses(spec)
+        assert [a - base for a in addrs[:18]] == [
+            *range(0, 1024, 64), 0, 64,
+        ]
 
     def test_sub_line_stride(self):
-        stream = g.AddressStream(
-            0, 256, random.Random(1), stride_fraction=1.0, stride=8
-        )
-        addrs = [stream.next_addr() for __ in range(9)]
+        spec = _private(private_ws_kb=1, stride_fraction=1.0,
+                        stride_bytes=8, store_fraction=0.0)
+        addrs = _accesses(spec)
         # 8 accesses per 64-byte line before moving on
         assert len({a // 64 for a in addrs[:8]}) == 1
-        assert addrs[8] // 64 == 1
+        assert addrs[8] // 64 == addrs[0] // 64 + 1
 
     def test_too_small_region_rejected(self):
-        with pytest.raises(ValueError):
-            g.AddressStream(0, 32, random.Random(1))
+        """An empty private working set is refused at the body's first
+        op (building the program draws nothing)."""
+        program = build_program(_private(private_ws_kb=0), 1)
+        with pytest.raises(ValueError, match="smaller than one cache line"):
+            next(program.thread_bodies[0])
 
 
 class TestSharedStream:
-    def test_hot_bias(self):
-        stream = g.SharedStream(
-            1024 * 1024, random.Random(3), hot_fraction=0.9, hot_lines=16
+    """The shared region: most accesses go to its hot set."""
+
+    @staticmethod
+    def _shared(shared_ws_kb: int) -> BenchmarkSpec:
+        return BenchmarkSpec(
+            name="shared", total_kinstrs=40, mem_per_kinstr=100,
+            shared_ws_kb=shared_ws_kb, shared_fraction=1.0,
+            par_overhead=0.0,
         )
-        addrs = [stream.next_addr() for __ in range(1000)]
-        hot = sum(1 for a in addrs if (a - g.SHARED_BASE) // 64 < 16)
-        assert hot > 800
+
+    def test_hot_bias(self):
+        addrs = _accesses(self._shared(1024))
+        hot = sum(
+            1 for a in addrs
+            if (a - g.SHARED_BASE) // 64 < SHARED_HOT_LINES
+        )
+        # the hot share plus the sweeps that land in the hot set
+        expected = SHARED_HOT_FRACTION + (1 - SHARED_HOT_FRACTION) * (
+            SHARED_HOT_LINES / (1024 * 1024 // 64)
+        )
+        assert hot / len(addrs) == pytest.approx(expected, abs=0.05)
 
     def test_within_region(self):
-        stream = g.SharedStream(4096, random.Random(3))
-        for __ in range(200):
-            addr = stream.next_addr()
+        addrs = _accesses(self._shared(4))
+        assert len(addrs) > 200
+        for addr in addrs:
             assert g.SHARED_BASE <= addr < g.SHARED_BASE + 4096
 
 
