@@ -22,6 +22,11 @@ from __future__ import annotations
 
 from repro.sim.address import word_addr
 
+#: a word's (version, last writer) before its first store
+UNWRITTEN = (0, -1)
+#: what a load of a word never stored during the run observes
+NEVER_WRITTEN = (-1, -1)
+
 
 class CoherenceDirectory:
     """Sharer tracking, invalidation, and load-value versioning."""
@@ -107,13 +112,13 @@ class CoherenceDirectory:
 
     def record_store(self, addr: int, writer_core: int) -> None:
         word = word_addr(addr)
-        version, _ = self._word_versions.get(word, (0, -1))
+        version, _ = self._word_versions.get(word, UNWRITTEN)
         self._word_versions[word] = (version + 1, writer_core)
 
     def load_value(self, addr: int) -> tuple[int, int]:
         """(version, last-writer core) observed by a load; (-1,-1) if never
         written during the simulation (immutable/initial data)."""
-        return self._word_versions.get(word_addr(addr), (-1, -1))
+        return self._word_versions.get(word_addr(addr), NEVER_WRITTEN)
 
     # ------------------------------------------------------------------
     # checkpointing (Snapshotable)

@@ -69,7 +69,7 @@ from repro.osmodel.thread import (
 )
 from repro.sim.cache import SetAssocCache
 from repro.sim.cmp import Chip
-from repro.sim.coherence import CoherenceDirectory
+from repro.sim.coherence import NEVER_WRITTEN, UNWRITTEN, CoherenceDirectory
 from repro.sync import primitives as sync_pc
 from repro.sync.primitives import BarrierState, LockState, SyncManager
 from repro.workloads.program import (
@@ -108,12 +108,6 @@ _FRONT_EVICTING = (LruPolicy, FifoPolicy)
 #: other than :class:`CycleAccountant` takes the chip's hooks: never
 #: empty, so every op of that run goes through the chip
 _ALWAYS_OUTSTANDING = (None,)
-
-#: a word's (version, writer) before its first store, as
-#: :meth:`CoherenceDirectory.record_store` reads it
-_UNWRITTEN = (0, -1)
-#: the (version, writer) a load of a never-stored word observes
-_NEVER_WRITTEN = (-1, -1)
 
 
 class _CoreRuntime:
@@ -1019,8 +1013,9 @@ class Simulation:
                 if promote:
                     cache_set[line] = cache_set.pop(line)
                 if detector is not None:
+                    # addr & ~7 is the directory's word (word_addr)
                     version, writer = word_versions.get(
-                        addr & ~7, _NEVER_WRITTEN
+                        addr & ~7, NEVER_WRITTEN
                     )
                     detector.on_load(op.pc, addr, version, writer, now, cid)
                 loads += 1
@@ -1048,7 +1043,7 @@ class Simulation:
                     continue
                 word = addr & ~7
                 word_versions[word] = (
-                    word_versions.get(word, _UNWRITTEN)[0] + 1, cid
+                    word_versions.get(word, UNWRITTEN)[0] + 1, cid
                 )
                 if promote:
                     del cache_set[line]
