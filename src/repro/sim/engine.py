@@ -28,10 +28,12 @@ system do it.
 from __future__ import annotations
 
 import logging
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from math import gcd
 
 from repro.accounting.accountant import CycleAccountant
 from repro.accounting.interface import NULL_ACCOUNTANT
@@ -73,6 +75,7 @@ from repro.sim.coherence import NEVER_WRITTEN, UNWRITTEN, CoherenceDirectory
 from repro.sync import primitives as sync_pc
 from repro.sync.primitives import BarrierState, LockState, SyncManager
 from repro.workloads.program import (
+    AddressRegions,
     Program,
     TAG_BARRIER_WAIT,
     TAG_COMPUTE,
@@ -620,20 +623,38 @@ class Simulation:
 
     def _warm_fused(self, warmup) -> None:
         """:meth:`Chip.warm_line` inlined into one loop over the cache
-        sets and the directory's sharer dict.
+        sets and the directory's sharer dict (:meth:`_warm_rows`),
+        followed by the sampled ATD fills (:meth:`_warm_atds`).
 
         Each address makes the same dict operations in the same order
         as the per-line loop, so the warmed state is identical down to
-        set order and the sharer dict's insertion order: the LLC fill
-        without promote and the drop of its victim's L1 copies, the
-        sampled ATD fill, the clean L1 fill, and the sharer updates.
-        A set is a plain ``dict`` in replacement order, so a promote
-        re-inserts the line and an eviction deletes the first key.
-        The invalid-tag discards of the per-line path are left out:
-        warm-up never stores, so those sets stay empty.
+        set order and the sharer dict's insertion order.  The ATDs see
+        only their own core's lines, so filling them in a pass of their
+        own leaves them as the interleaved loop would.  A warm-up of
+        :class:`AddressRegions` takes :meth:`_warm_regions`, which skips
+        whole periods of each region once the state repeats.
+        """
+        cores = [tid % self.machine.n_cores for tid in range(len(warmup))]
+        if all(type(addrs) is AddressRegions for addrs in warmup):
+            self._warm_regions(warmup, cores)
+        else:
+            self._warm_rows(cores, zip_longest(*warmup))
+        if self.accountant.enabled:
+            self._warm_atds(warmup)
+
+    def _warm_rows(self, cores, rows) -> None:
+        """The LLC, L1 and sharer updates of the warm-up, for ``rows``
+        of addresses (one per thread, in thread order, None once a
+        thread's list is exhausted) issued by ``cores``.
+
+        The LLC fills without promote and drops its victim's L1 copies;
+        the L1 fills clean and promotes a resident line; the sharer
+        dict follows both.  A set is a plain ``dict`` in replacement
+        order, so a promote re-inserts the line and an eviction deletes
+        the first key.  The invalid-tag discards of the per-line path
+        are left out: warm-up never stores, so those sets stay empty.
         """
         chip = self.chip
-        n_cores = self.machine.n_cores
         shift = chip._l1_line_shift
         llc = chip.llc
         llc_sets = llc._sets
@@ -643,27 +664,16 @@ class Simulation:
         l1_mask = chip.l1d[0]._set_mask
         l1_assoc = chip.l1d[0].assoc
         sharers = chip.directory._sharers
-        accountant = self.accountant
-        atd_sets = None
-        if accountant.enabled:
-            atds = accountant.atds
-            atd_sets = [atd._tags._sets for atd in atds]
-            period = atds[0].sample_period
-            offset = atds[0]._sample_offset
-            atd_promote = atds[0]._tags._promote_on_hit
         llc_evictions = 0
-        l1_evictions = [0] * n_cores
-        atd_evictions = [0] * n_cores
-        cores = [tid % n_cores for tid in range(len(warmup))]
-        for row in zip_longest(*warmup):
+        l1_evictions = [0] * len(l1_sets)
+        for row in rows:
             for cid, addr in zip(cores, row):
                 if addr is None:
                     continue  # this thread's list is exhausted
                 line = addr >> shift
                 # LLC: a resident line stays put; a full set evicts its
                 # front, and every L1 copy of the victim goes with it
-                set_index = line & llc_mask
-                cache_set = llc_sets[set_index]
+                cache_set = llc_sets[line & llc_mask]
                 if line not in cache_set:
                     if len(cache_set) >= assoc:
                         victim = next(iter(cache_set))
@@ -675,17 +685,6 @@ class Simulation:
                             for core in holders:
                                 l1_sets[core][victim_set].pop(victim, None)
                     cache_set[line] = False
-                # sampled ATD: a resident line is promoted only under LRU
-                if atd_sets is not None and set_index % period == offset:
-                    cache_set = atd_sets[cid][set_index]
-                    if line in cache_set:
-                        if atd_promote:
-                            cache_set[line] = cache_set.pop(line)
-                    else:
-                        if len(cache_set) >= assoc:
-                            del cache_set[next(iter(cache_set))]
-                            atd_evictions[cid] += 1
-                        cache_set[line] = False
                 # clean L1 fill, always to MRU; its victim loses this sharer
                 cache_set = l1_sets[cid][line & l1_mask]
                 if line in cache_set:
@@ -709,9 +708,190 @@ class Simulation:
         llc.n_evictions += llc_evictions
         for l1, count in zip(chip.l1d, l1_evictions):
             l1.n_evictions += count
-        if atd_sets is not None:
-            for atd, count in zip(atds, atd_evictions):
-                atd._tags.n_evictions += count
+
+    def _warm_regions(self, warmup, cores) -> None:
+        """:meth:`_warm_rows` over the segments of a region warm-up,
+        jumping over the whole periods in which the state repeats.
+
+        A segment is the rows between two range ends of any thread, so
+        within one each active thread steps through a single range.
+        When those ranges share one positive step, ``period`` rows
+        advance every thread by the same ``lines``, a multiple of both
+        set counts: each line keeps its LLC and L1 set.  Shifting every
+        key of the caches and the sharer dict by ``lines`` then commutes
+        with the warm-up of a row (each update tests membership, takes
+        a set's front or appends, and the shifted row touches the
+        shifted lines), so once the state at the end of a period equals
+        the state one period earlier shifted by ``lines``, it goes on
+        repeating, eviction counts included, for as long as the segment
+        lasts.  The jump applies that shift for every whole period left
+        and adds their evictions, then runs the rest of the segment.
+        The key comparison is exact; dirty lines are left out of it, so
+        a state holding one (only a pre-filled line can be dirty) does
+        not jump.
+
+        Comparing starts once the segment has streamed enough rows to
+        turn the LLC and the L1s over; segments too short for that, or
+        whose threads step differently, run every row.
+        """
+        chip = self.chip
+        line_bytes = 1 << chip._l1_line_shift
+        n_sets = max(chip.llc._set_mask, chip.l1d[0]._set_mask) + 1
+        turnover = (self.machine.llc.n_lines, self.machine.l1d.n_lines)
+        caches = (chip.llc, *chip.l1d)
+        for segment_cores, ranges in _region_segments(warmup, cores):
+            n_rows = len(ranges[0])
+            steps = {region.step for region in ranges}
+            step = steps.pop()
+            if steps or step <= 0:
+                self._warm_rows(segment_cores, zip(*ranges))
+                continue
+            span = n_sets * line_bytes
+            period = span // gcd(span, step)
+            lines = period * step // line_bytes
+            # rows that bring in an LLC's worth of lines (the distinct
+            # lines of the first row, one per stream), or a core's L1
+            streams = len({region[0] // line_bytes for region in ranges})
+            settle = max(-(-turnover[0] // streams), turnover[1])
+            settle = settle * line_bytes // min(step, line_bytes)
+            settle = -(-settle // period) * period
+            if settle + period > n_rows:
+                self._warm_rows(segment_cores, zip(*ranges))
+                continue
+            row = settle - period
+            self._warm_rows(segment_cores, zip(*(r[:row] for r in ranges)))
+            offset = 0
+            before = self._warm_keys(offset)
+            while row + 2 * period <= n_rows:
+                evictions = [cache.n_evictions for cache in caches]
+                self._warm_rows(segment_cores, zip(
+                    *(r[row:row + period] for r in ranges)
+                ))
+                row += period
+                offset -= lines
+                after = self._warm_keys(offset)
+                if after == before and self._warm_clean():
+                    repeats = (n_rows - row) // period
+                    self._warm_jump(repeats * lines, repeats, evictions)
+                    row += repeats * period
+                    break
+                before = after
+            self._warm_rows(segment_cores, zip(*(r[row:] for r in ranges)))
+
+    def _warm_keys(self, offset: int) -> tuple[array, ...]:
+        """The warm-up state's keys, each plus ``offset``: the LLC and
+        L1 lines in set and replacement order with every set's size,
+        and the sharer dict's lines in insertion order with each holder
+        set's size and cores (in set iteration order, so equal sets may
+        compare unequal, which only delays a jump)."""
+        chip = self.chip
+        llc_sets = chip.llc._sets
+        l1_sets = list(chain.from_iterable(l1._sets for l1 in chip.l1d))
+        sharers = chip.directory._sharers
+        add = offset.__add__
+        return (
+            array("q", map(add, chain.from_iterable(llc_sets))),
+            array("q", map(len, llc_sets)),
+            array("q", map(add, chain.from_iterable(l1_sets))),
+            array("q", map(len, l1_sets)),
+            array("q", map(add, sharers)),
+            array("q", map(len, sharers.values())),
+            array("q", chain.from_iterable(sharers.values())),
+        )
+
+    def _warm_clean(self) -> bool:
+        """Whether no LLC or L1 line is dirty."""
+        chip = self.chip
+        sets = chain(chip.llc._sets, *(l1._sets for l1 in chip.l1d))
+        return not any(map(any, map(dict.values, sets)))
+
+    def _warm_jump(self, lines: int, repeats: int, before: list[int]) -> None:
+        """Shift every cache and sharer-dict key by ``lines`` in place,
+        keeping each dict's order and the holder-set objects, and add
+        ``repeats`` times the evictions counted since ``before`` (the
+        LLC's count, then each L1's)."""
+        chip = self.chip
+        add = lines.__add__
+        sharers = chip.directory._sharers
+        for entries in chain(
+            chip.llc._sets, *(l1._sets for l1 in chip.l1d), (sharers,)
+        ):
+            if entries:
+                keys = list(map(add, entries))
+                values = list(entries.values())
+                entries.clear()
+                entries.update(zip(keys, values))
+        for cache, count in zip((chip.llc, *chip.l1d), before):
+            cache.n_evictions += repeats * (cache.n_evictions - count)
+
+    def _warm_atds(self, warmup) -> None:
+        """The warm-up's sampled ATD fills, core by core.
+
+        A core's ATD sees only its own threads' lines, in row order, so
+        this pass leaves every ATD as the interleaved loop would, down
+        to the order its sparse sets are created in.  A resident line
+        is promoted only under LRU.  A core with one thread of
+        :class:`AddressRegions` visits only the sampled lines of each
+        range that steps whole lines (:meth:`_sampled_lines`).
+        """
+        n_cores = self.machine.n_cores
+        shift = self.chip._l1_line_shift
+        llc_mask = self.chip.llc._set_mask
+        assoc = self.chip.llc.assoc
+        atds = self.accountant.atds
+        period = atds[0].sample_period
+        sampled = atds[0]._sample_offset
+        promote = atds[0]._tags._promote_on_hit
+        for cid, atd in enumerate(atds):
+            threads = warmup[cid::n_cores]
+            if len(threads) == 1 and type(threads[0]) is AddressRegions:
+                lines = chain.from_iterable(
+                    map(self._sampled_lines, threads[0].ranges)
+                )
+            else:
+                lines = (
+                    addr >> shift
+                    for addr in chain.from_iterable(zip_longest(*threads))
+                    if addr is not None
+                )
+            atd_sets = atd._tags._sets
+            evictions = 0
+            for line in lines:
+                set_index = line & llc_mask
+                if set_index % period != sampled:
+                    continue
+                cache_set = atd_sets[set_index]
+                if line in cache_set:
+                    if promote:
+                        cache_set[line] = cache_set.pop(line)
+                else:
+                    if len(cache_set) >= assoc:
+                        del cache_set[next(iter(cache_set))]
+                        evictions += 1
+                    cache_set[line] = False
+            atd._tags.n_evictions += evictions
+
+    def _sampled_lines(self, region: range):
+        """The lines of ``region``'s addresses, in order; when it steps
+        whole lines forward and the ATD sample period divides the LLC
+        set count, only the lines of sampled sets, as one ``range``."""
+        shift = self.chip._l1_line_shift
+        atd = self.accountant.atds[0]
+        period = atd.sample_period
+        step, line_bytes = region.step, 1 << shift
+        if (step <= 0 or step % line_bytes
+                or (self.chip.llc._set_mask + 1) % period):
+            return map(shift.__rrshift__, region)
+        lines = step // line_bytes
+        first = region.start >> shift
+        stride = period // gcd(lines, period)
+        for index in range(min(stride, len(region))):
+            if (first + index * lines) % period == atd._sample_offset:
+                return range(
+                    first + index * lines, first + len(region) * lines,
+                    stride * lines,
+                )
+        return ()
 
     def _pick_core(self) -> _CoreRuntime | None:
         """The core that can act earliest, or None when every core is
@@ -1513,3 +1693,37 @@ def simulate(
         on_timeout=on_timeout,
         checkpoint=checkpoint,
     )
+
+
+def _region_segments(warmup, cores):
+    """Split a warm-up of :class:`AddressRegions` at every range end of
+    every thread.  Yields, per segment, the cores of the threads that
+    still have rows there and, in thread order, the part of each one's
+    range that the segment covers (all of one length)."""
+    threads = []
+    ends = set()
+    for regions in warmup:
+        pieces = []
+        end = 0
+        for region in regions.ranges:
+            pieces.append((end, end + len(region), region))
+            end += len(region)
+            ends.add(end)
+        threads.append(pieces)
+    cursors = [0] * len(threads)
+    start = 0
+    for stop in sorted(ends):
+        if stop == start:
+            continue
+        segment_cores, ranges = [], []
+        for tid, pieces in enumerate(threads):
+            index = cursors[tid]
+            while index < len(pieces) and pieces[index][1] <= start:
+                index += 1
+            cursors[tid] = index
+            if index < len(pieces):
+                first, _, region = pieces[index]
+                ranges.append(region[start - first:stop - first])
+                segment_cores.append(cores[tid])
+        yield segment_cores, ranges
+        start = stop

@@ -192,6 +192,11 @@ class AddressRegions(Sequence[int]):
         self._ranges = ranges
         self._len = sum(map(len, ranges))
 
+    @property
+    def ranges(self) -> tuple[range, ...]:
+        """The regions, in order."""
+        return self._ranges
+
     def __len__(self) -> int:
         return self._len
 
@@ -226,7 +231,11 @@ class Program:
     simulator streams them through the caches untimed before
     measurement starts, so results reflect the steady state of the
     parallel fraction (the paper measures after the sequential
-    initialization has run).
+    initialization has run).  When every thread's list is an
+    :class:`AddressRegions`, the warm-up skips whole periods of a
+    region once the cache state repeats, shifted, from one period to
+    the next (see :meth:`~repro.sim.engine.Simulation._warm_fused`);
+    the warmed state is the same.
 
     ``private`` optionally declares, per thread, one byte-address
     ``range`` that no *other* thread's ops load or store (an empty

@@ -119,14 +119,21 @@ def test_bench_cli_gates_the_serial_speedup(factor, status, tmp_path,
 
 
 class _Clock:
-    """A perf_counter that each fake run advances: 1 s disabled, 1.1 s
-    enabled, plus the drift of a host that slows down run by run."""
+    """The wall and CPU clocks, which each fake run advances: 1 s
+    disabled, 1.1 s enabled, plus the drift of a host that slows down
+    run by run.  ``read`` records which clock each section used."""
 
     def __init__(self):
         self.now = 0.0
         self.runs = 0
+        self.read = set()
 
     def perf_counter(self):
+        self.read.add("wall")
+        return self.now
+
+    def process_time(self):
+        self.read.add("cpu")
         return self.now
 
     def run(self, enabled):
@@ -159,12 +166,21 @@ def test_overhead_repeats_alternate_and_report_each_pair(monkeypatch):
     monkeypatch.setattr(bench, "time", clock)
     monkeypatch.setattr(bench, "BatchRunner", Runner)
     monkeypatch.setattr(bench, "run_accounted", run_accounted)
+    observability = bench._bench_observability(0.05, 10**6, 3)
+    # the in-process cell is timed in CPU seconds, the checkpoint cell
+    # (whose cost includes the write) on the wall clock
+    assert clock.read == {"cpu"}
+    clock.read.clear()
+    checkpoint = bench._bench_checkpoint(10**6, 3)
+    assert clock.read == {"wall"}
+    assert observability["cpu_s_disabled"] == 1.05
+    assert checkpoint["wall_s_disabled"] == 1.35
     doc = {
         "host": {"cpu_count": 1},
         "config": {"n_cells": 0, "scale": 0.05},
         "sweep": [],
-        "observability": bench._bench_observability(0.05, 10**6, 3),
-        "checkpoint": bench._bench_checkpoint(10**6, 3),
+        "observability": observability,
+        "checkpoint": checkpoint,
     }
     for section in ("observability", "checkpoint"):
         assert order[section] == [False, True] * 3
