@@ -32,7 +32,7 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, zip_longest
 from math import gcd
 
 from repro.accounting.accountant import CycleAccountant
@@ -736,7 +736,10 @@ class Simulation:
         """
         chip = self.chip
         line_bytes = 1 << chip._l1_line_shift
+        # the bytes of one line per set of the larger set count: a
+        # period moves every address by a multiple of them
         n_sets = max(chip.llc._set_mask, chip.l1d[0]._set_mask) + 1
+        span = n_sets * line_bytes
         turnover = (self.machine.llc.n_lines, self.machine.l1d.n_lines)
         caches = (chip.llc, *chip.l1d)
         for segment_cores, ranges in _region_segments(warmup, cores):
@@ -746,7 +749,6 @@ class Simulation:
             if steps or step <= 0:
                 self._warm_rows(segment_cores, zip(*ranges))
                 continue
-            span = n_sets * line_bytes
             period = span // gcd(span, step)
             lines = period * step // line_bytes
             # rows that bring in an LLC's worth of lines (the distinct
@@ -878,19 +880,17 @@ class Simulation:
         shift = self.chip._l1_line_shift
         atd = self.accountant.atds[0]
         period = atd.sample_period
-        step, line_bytes = region.step, 1 << shift
-        if (step <= 0 or step % line_bytes
+        if (region.step <= 0 or region.step % (1 << shift)
                 or (self.chip.llc._set_mask + 1) % period):
             return map(shift.__rrshift__, region)
-        lines = step // line_bytes
+        step = region.step >> shift
         first = region.start >> shift
-        stride = period // gcd(lines, period)
-        for index in range(min(stride, len(region))):
-            if (first + index * lines) % period == atd._sample_offset:
-                return range(
-                    first + index * lines, first + len(region) * lines,
-                    stride * lines,
-                )
+        lines = range(first, first + len(region) * step, step)
+        # ``line % period`` repeats every ``stride`` entries of ``lines``
+        stride = period // gcd(step, period)
+        for index, line in enumerate(lines[:stride]):
+            if line % period == atd._sample_offset:
+                return lines[index::stride]
         return ()
 
     def _pick_core(self) -> _CoreRuntime | None:
@@ -1700,30 +1700,16 @@ def _region_segments(warmup, cores):
     every thread.  Yields, per segment, the cores of the threads that
     still have rows there and, in thread order, the part of each one's
     range that the segment covers (all of one length)."""
-    threads = []
-    ends = set()
-    for regions in warmup:
-        pieces = []
-        end = 0
-        for region in regions.ranges:
-            pieces.append((end, end + len(region), region))
-            end += len(region)
-            ends.add(end)
-        threads.append(pieces)
-    cursors = [0] * len(threads)
+    ends = [list(accumulate(map(len, regions.ranges))) for regions in warmup]
     start = 0
-    for stop in sorted(ends):
-        if stop == start:
-            continue
+    for stop in sorted(set(chain.from_iterable(ends)) - {0}):
         segment_cores, ranges = [], []
-        for tid, pieces in enumerate(threads):
-            index = cursors[tid]
-            while index < len(pieces) and pieces[index][1] <= start:
-                index += 1
-            cursors[tid] = index
-            if index < len(pieces):
-                first, _, region = pieces[index]
+        for regions, thread_ends, core in zip(warmup, ends, cores):
+            index = bisect_right(thread_ends, start)
+            if index < len(thread_ends):
+                first = thread_ends[index - 1] if index else 0
+                region = regions.ranges[index]
                 ranges.append(region[start - first:stop - first])
-                segment_cores.append(cores[tid])
+                segment_cores.append(core)
         yield segment_cores, ranges
         start = stop

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulation
 from repro.workloads.program import AddressRegions, Program
-from tests.sim.test_warm_fused import LINE, TINY, _sim, _with_replacement
+from tests.sim.test_warm_fused import (
+    LINE, TINY, _sim, _warm_both, _with_replacement,
+)
 
 
 def _regions_program(warmup: list[tuple[range, ...]]) -> Program:
@@ -24,16 +26,6 @@ def _regions_program(warmup: list[tuple[range, ...]]) -> Program:
         "regions", [iter(()) for _ in warmup],
         warmup=[AddressRegions(ranges) for ranges in warmup],
     )
-
-
-def _warm_both(machine, program, accounted):
-    """(per-line state, fused state)."""
-    reference = _sim(machine, program, accounted)
-    reference._warm_per_line(program.warmup)
-    fused = _sim(machine, program, accounted)
-    assert fused._can_fuse_warm()
-    fused._warm_fused(program.warmup)
-    return reference.state_dict(), fused.state_dict()
 
 
 @st.composite
@@ -67,7 +59,9 @@ def _region_cases(draw):
 @given(case=_region_cases())
 def test_random_regions_warm_identically(case):
     machine, warmup, accounted = case
-    per_line, fused = _warm_both(machine, _regions_program(warmup), accounted)
+    per_line, fused, _ = _warm_both(
+        machine, _regions_program(warmup), accounted
+    )
     assert fused == per_line
 
 
@@ -97,7 +91,7 @@ def test_a_long_shared_and_private_warm_up_jumps(monkeypatch):
         (range(tid * 256 * LINE, (tid * 256 + 64) * LINE, LINE), shared)
         for tid in range(2)
     ]
-    per_line, fused = _warm_both(TINY, _regions_program(warmup), True)
+    per_line, fused, _ = _warm_both(TINY, _regions_program(warmup), True)
     assert fused == per_line
     assert jumps[0] == (14 * 4, 14)
     assert len(jumps) == 2, jumps
