@@ -173,6 +173,12 @@ class CoreConfig:
     rob_size: int = 128
     coherence_write_latency: int = 8
 
+    def __post_init__(self) -> None:
+        if self.dispatch_width < 1:
+            raise ConfigError(
+                "dispatch_width: must be >= 1", field="dispatch_width"
+            )
+
     @property
     def rob_drain_cycles(self) -> int:
         """Cycles of useful dispatch available while a miss drains the ROB."""
@@ -253,6 +259,16 @@ class AccountingConfig:
         if self.atd_sample_period < 1:
             raise ConfigError(
                 "atd_sample_period: must be >= 1", field="atd_sample_period"
+            )
+        if self.spin_table_entries < 1:
+            raise ConfigError(
+                "spin_table_entries: must be >= 1", field="spin_table_entries"
+            )
+        if self.spin_value_threshold < 2:
+            raise ConfigError(
+                "spin_value_threshold: must be >= 2 (a spin loop repeats "
+                "a value)",
+                field="spin_value_threshold",
             )
 
 
@@ -559,6 +575,10 @@ def _from_plain(cls: Any, doc: Any, path: str) -> Any:
     for name, value in doc.items():
         sub_path = f"{path}.{name}" if path else name
         if name in nested:
+            if isinstance(value, dict):
+                # a partial table keeps the rest of this field's default
+                # (the l1i, l1d and llc defaults differ from each other)
+                value = {**_to_plain(getattr(cls(), name)), **value}
             kwargs[name] = _from_plain(nested[name], value, sub_path)
         elif isinstance(value, list):
             kwargs[name] = tuple(value)

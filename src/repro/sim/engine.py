@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import logging
 from array import array
-from bisect import bisect_right
-from collections import deque
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, islice, zip_longest
 from math import gcd
 
 from repro.accounting.accountant import CycleAccountant
@@ -711,94 +711,192 @@ class Simulation:
 
     def _warm_regions(self, warmup, cores) -> None:
         """:meth:`_warm_rows` over the segments of a region warm-up,
-        jumping over the whole periods in which the state repeats.
+        jumping over the whole L1 periods in which the young state
+        repeats.
 
         A segment is the rows between two range ends of any thread, so
         within one each active thread steps through a single range.
-        When those ranges share one positive step, ``period`` rows
-        advance every thread by the same ``lines``, a multiple of both
-        set counts: each line keeps its LLC and L1 set.  Shifting every
-        key of the caches and the sharer dict by ``lines`` then commutes
-        with the warm-up of a row (each update tests membership, takes
-        a set's front or appends, and the shifted row touches the
-        shifted lines), so once the state at the end of a period equals
-        the state one period earlier shifted by ``lines``, it goes on
-        repeating, eviction counts included, for as long as the segment
-        lasts.  The jump applies that shift for every whole period left
-        and adds their evictions, then runs the rest of the segment.
-        The key comparison is exact; dirty lines are left out of it, so
-        a state holding one (only a pre-filled line can be dirty) does
-        not jump.
+        When those ranges step the same whole number of lines,
+        ``period`` rows advance every stream by ``lines``, a multiple of
+        the L1 set count, so each line keeps its L1 set.  The young
+        state is the segment's cores' L1 sets and the sharer entries of
+        the lines they hold.  Shifting it by ``lines`` commutes with the
+        L1 and sharer updates of a row: each tests membership, takes a
+        set's front, pops a key or appends one, and the shifted row
+        touches the shifted lines.  The LLC reaches the young state
+        only when it drops a line some L1 still holds.  It fills without
+        promote, so each set is a FIFO and a streamed line leaves on the
+        ``assoc``-th later arrival in its set; every set a stream
+        reaches sees the same arrivals, shifted in time, so each
+        stream's lines leave the LLC a fixed number of rows after they
+        arrive, and those drops shift with the young state too.  So once
+        the young state one period on equals the young state shifted by
+        ``lines``, it goes on repeating, L1 evictions included, for as
+        long as the segment lasts, and :meth:`_warm_jump` moves it over
+        the whole periods left and refills the LLC set by set.
 
-        Comparing starts once the segment has streamed enough rows to
-        turn the LLC and the L1s over; segments too short for that, or
-        whose threads step differently, run every row.
+        A segment is compared once its cores' L1s have turned over
+        (``settle`` rows), and only if as many rows again are left to
+        jump.  Segments that fail a check run every row.
         """
         chip = self.chip
-        line_bytes = 1 << chip._l1_line_shift
-        # the bytes of one line per set of the larger set count: a
-        # period moves every address by a multiple of them
-        n_sets = max(chip.llc._set_mask, chip.l1d[0]._set_mask) + 1
-        span = n_sets * line_bytes
-        turnover = (self.machine.llc.n_lines, self.machine.l1d.n_lines)
-        caches = (chip.llc, *chip.l1d)
+        shift = chip._l1_line_shift
+        l1_sets = chip.l1d[0]._set_mask + 1
+        # rows in which one line a row turns a core's L1 over: a whole
+        # number of periods, which divide the set count
+        settle = self.machine.l1d.n_lines
         for segment_cores, ranges in _region_segments(warmup, cores):
             n_rows = len(ranges[0])
-            steps = {region.step for region in ranges}
-            step = steps.pop()
-            if steps or step <= 0:
+            step, part = divmod(ranges[0].step, 1 << shift)
+            plan = None
+            if (step > 0 and not part and all(
+                    region.step == ranges[0].step for region in ranges)):
+                period = l1_sets // gcd(l1_sets, step)
+                if 2 * settle + period <= n_rows:
+                    plan = self._warm_plan(segment_cores, ranges, step)
+            if plan is None:
                 self._warm_rows(segment_cores, zip(*ranges))
                 continue
-            period = span // gcd(span, step)
-            lines = period * step // line_bytes
-            # rows that bring in an LLC's worth of lines (the distinct
-            # lines of the first row, one per stream), or a core's L1
-            streams = len({region[0] // line_bytes for region in ranges})
-            settle = max(-(-turnover[0] // streams), turnover[1])
-            settle = settle * line_bytes // min(step, line_bytes)
-            settle = -(-settle // period) * period
-            if settle + period > n_rows:
-                self._warm_rows(segment_cores, zip(*ranges))
-                continue
-            row = settle - period
+            firsts, core_lines, refill = plan
+            young_cores = sorted(core_lines)
+            lines = period * step
+            shifted = lines.__add__
+            row = settle
             self._warm_rows(segment_cores, zip(*(r[:row] for r in ranges)))
-            offset = 0
-            before = self._warm_keys(offset)
-            while row + 2 * period <= n_rows:
-                evictions = [cache.n_evictions for cache in caches]
+            before = self._warm_young(young_cores, core_lines)
+            while before is not None and row + 2 * period <= n_rows:
+                evictions = [l1.n_evictions for l1 in chip.l1d]
                 self._warm_rows(segment_cores, zip(
                     *(r[row:row + period] for r in ranges)
                 ))
                 row += period
-                offset -= lines
-                after = self._warm_keys(offset)
-                if after == before and self._warm_clean():
+                after = self._warm_young(young_cores, core_lines)
+                if (after is not None and after[1] == before[1]
+                        and after[0] == array("q", map(shifted, before[0]))):
                     repeats = (n_rows - row) // period
-                    self._warm_jump(repeats * lines, repeats, evictions)
-                    row += repeats * period
+                    stop = row + repeats * period
+                    start = max(row, stop - refill)
+                    self._warm_jump(
+                        young_cores, repeats * lines, len(after[1][1]),
+                        [range(first + start * step, first + stop * step,
+                               step) for first in firsts],
+                        len(firsts) * (stop - row),
+                    )
+                    for l1, count in zip(chip.l1d, evictions):
+                        l1.n_evictions += repeats * (l1.n_evictions - count)
+                    row = stop
                     break
                 before = after
             self._warm_rows(segment_cores, zip(*(r[row:] for r in ranges)))
 
-    def _warm_keys(self, offset: int) -> tuple[array, ...]:
-        """The warm-up state's keys, each plus ``offset``: the LLC and
-        L1 lines in set and replacement order with every set's size,
-        and the sharer dict's lines in insertion order with each holder
-        set's size and cores (in set iteration order, so equal sets may
-        compare unequal, which only delays a jump)."""
+    def _warm_plan(self, segment_cores, ranges, step):
+        """What a segment whose ranges all step ``step`` lines needs to
+        jump, or None if one of its preconditions fails: the streams'
+        first lines, one per distinct stream in the order its lines
+        arrive within a row; the lines each core's threads stream, as
+        ``range``s; and the rows whose lines refill every LLC set
+        (:meth:`_llc_refill`).
+
+        Two threads stream identical lines (one first line) or disjoint
+        ones.  No line the segment streams may be resident when it
+        starts: an old line read again would hit at the front of its
+        set instead of arriving.  No line may be dirty (only a
+        pre-filled one can be).
+        """
         chip = self.chip
-        llc_sets = chip.llc._sets
-        l1_sets = list(chain.from_iterable(l1._sets for l1 in chip.l1d))
+        shift = chip._l1_line_shift
+        span = len(ranges[0]) * step
+        firsts = []
+        core_lines = {}
+        for core, region in zip(segment_cores, ranges):
+            first = region.start >> shift
+            lines = range(first, first + span, step)
+            if first not in firsts:
+                firsts.append(first)
+            if lines not in core_lines.setdefault(core, []):
+                core_lines[core].append(lines)
+        ordered = sorted(firsts, key=lambda first: (first % step, first))
+        for low, high in zip(ordered, ordered[1:]):
+            if high % step == low % step and high - low < span:
+                return None  # two streams share some lines
+        refill = self._llc_refill(firsts, step)
+        if refill is None:
+            return None
+        resident = sorted(chain.from_iterable(chip.llc._sets))
+        for first in firsts:
+            lines = range(first, first + span, step)
+            old = resident[bisect_left(resident, first):
+                           bisect_right(resident, lines[-1])]
+            if any(map(lines.__contains__, old)):
+                return None
+        if not self._warm_clean():
+            return None
+        return firsts, core_lines, refill
+
+    def _llc_refill(self, firsts, step) -> int | None:
+        """The rows whose lines refill every LLC set the streams reach,
+        or None if a row brings some set more than ``assoc`` lines.
+
+        A stream stepping ``step`` lines reaches the sets of one coset
+        (its lines' residue modulo ``gcd(step, n_sets)``), each once
+        every ``cycle`` rows, and every set of a coset sees the same
+        arrivals, shifted in time: in ``ceil(assoc / streams)`` cycles
+        each set takes ``assoc`` lines.  Streams that reach one set of
+        a coset in the same row reach all of them together; more than
+        ``assoc`` of them would drop a line in the row it arrives,
+        before an identical stream reads it again.
+        """
+        llc = self.chip.llc
+        n_sets = llc._set_mask + 1
+        cosets = gcd(step, n_sets)
+        cycle = n_sets // cosets
+        inverse = pow(step // cosets, -1, cycle)
+        streams = Counter()
+        rows = Counter()
+        for first in firsts:
+            coset = first % cosets
+            streams[coset] += 1
+            # the row (modulo cycle) of this stream's lines in set `coset`
+            rows[coset, (coset - first) // cosets * inverse % cycle] += 1
+        if max(rows.values()) > llc.assoc:
+            return None
+        return -(-llc.assoc // min(streams.values())) * cycle
+
+    def _warm_young(self, cores, core_lines):
+        """The young state: its lines, and the shape they sit in.
+
+        The lines are ``cores``' L1 lines in set and replacement order,
+        then the sharer dict's entries of those lines in insertion
+        order.  The shape is every one of those L1 sets' sizes, and
+        each sharer entry's holder-set size and cores (in set iteration
+        order, so equal sets may compare unequal, which only delays a
+        jump).  None unless each core holds only the lines its threads
+        stream (``core_lines``) and those lines' sharer entries are the
+        dict's last, after all older ones.
+        """
+        chip = self.chip
+        sets = []
+        held = []
+        for core in cores:
+            core_sets = chip.l1d[core]._sets
+            lines = list(chain.from_iterable(core_sets))
+            # the streams are disjoint: each line counts at most once
+            if sum(sum(map(streamed.__contains__, lines))
+                   for streamed in core_lines[core]) != len(lines):
+                return None
+            sets += core_sets
+            held += lines
+        young = set(held)
         sharers = chip.directory._sharers
-        add = offset.__add__
-        return (
-            array("q", map(add, chain.from_iterable(llc_sets))),
-            array("q", map(len, llc_sets)),
-            array("q", map(add, chain.from_iterable(l1_sets))),
-            array("q", map(len, l1_sets)),
-            array("q", map(add, sharers)),
-            array("q", map(len, sharers.values())),
-            array("q", chain.from_iterable(sharers.values())),
+        tail = list(islice(reversed(sharers), len(young)))
+        if len(tail) != len(young) or not young.issuperset(tail):
+            return None
+        tail.reverse()
+        holders = list(map(sharers.__getitem__, tail))
+        return array("q", held + tail), (
+            array("q", map(len, sets)),
+            array("q", map(len, holders)),
+            array("q", chain.from_iterable(holders)),
         )
 
     def _warm_clean(self) -> bool:
@@ -807,24 +905,62 @@ class Simulation:
         sets = chain(chip.llc._sets, *(l1._sets for l1 in chip.l1d))
         return not any(map(any, map(dict.values, sets)))
 
-    def _warm_jump(self, lines: int, repeats: int, before: list[int]) -> None:
-        """Shift every cache and sharer-dict key by ``lines`` in place,
-        keeping each dict's order and the holder-set objects, and add
-        ``repeats`` times the evictions counted since ``before`` (the
-        LLC's count, then each L1's)."""
+    def _warm_jump(self, cores, lines: int, young: int, streams,
+                   n_arrivals: int) -> None:
+        """Move a segment's warm-up state over whole periods.
+
+        ``cores``' L1 keys and the sharer dict's last ``young`` keys
+        shift by ``lines``, in the same order; the sharer dict and its
+        holder sets stay the same objects.  Then each LLC set takes its
+        lines of ``streams`` (each stream's lines in the jumped rows,
+        or in the last of them, enough to fill every set), in the
+        order the rows bring them, and drops its overflow from the
+        front.  Each drop is an eviction, out of ``n_arrivals`` lines
+        brought in.  An old line some idle core holds leaves that L1
+        and the sharer dict with it; a streamed line is already gone
+        from the shifted young state, however it left it.  No line is
+        dirty, so every set is rebuilt clean.
+        """
         chip = self.chip
         add = lines.__add__
+        for core in cores:
+            core_sets = chip.l1d[core]._sets
+            core_sets[:] = [
+                dict.fromkeys(map(add, entries), False)
+                for entries in core_sets
+            ]
         sharers = chip.directory._sharers
-        for entries in chain(
-            chip.llc._sets, *(l1._sets for l1 in chip.l1d), (sharers,)
-        ):
-            if entries:
-                keys = list(map(add, entries))
-                values = list(entries.values())
-                entries.clear()
-                entries.update(zip(keys, values))
-        for cache, count in zip((chip.llc, *chip.l1d), before):
-            cache.n_evictions += repeats * (cache.n_evictions - count)
+        keys = list(sharers)
+        holders = list(sharers.values())
+        old = len(keys) - young
+        sharers.clear()
+        sharers.update(zip(keys[:old], holders[:old]))
+        sharers.update(zip(map(add, keys[old:]), holders[old:]))
+        llc = chip.llc
+        llc_sets = llc._sets
+        mask = llc._set_mask
+        assoc = llc.assoc
+        incoming = [[] for _ in llc_sets]
+        for line in chain.from_iterable(zip(*streams)):
+            incoming[line & mask].append(line)
+        evictions = n_arrivals + sum(map(len, llc_sets))
+        victims = []
+        for index, new in enumerate(incoming):
+            if not new:
+                continue
+            held = llc_sets[index]
+            if old:
+                victims += islice(held, max(len(held) + len(new) - assoc, 0))
+            if len(new) < assoc:
+                new = [*held, *new]
+            llc_sets[index] = dict.fromkeys(new[-assoc:], False)
+        llc.n_evictions += evictions - sum(map(len, llc_sets))
+        if victims:
+            l1_sets = [l1._sets for l1 in chip.l1d]
+            l1_mask = chip.l1d[0]._set_mask
+            for victim in filter(sharers.__contains__, victims):
+                for core in sharers.pop(victim):
+                    l1_sets[core][victim & l1_mask].pop(victim, None)
 
     def _warm_atds(self, warmup) -> None:
         """The warm-up's sampled ATD fills, core by core.

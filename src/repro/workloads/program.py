@@ -233,8 +233,8 @@ class Program:
     parallel fraction (the paper measures after the sequential
     initialization has run).  When every thread's list is an
     :class:`AddressRegions`, the warm-up skips whole periods of a
-    region once the cache state repeats, shifted, from one period to
-    the next (see :meth:`~repro.sim.engine.Simulation._warm_fused`);
+    region once its cores' L1s repeat, shifted, from one period to
+    the next (see :meth:`~repro.sim.engine.Simulation._warm_regions`);
     the warmed state is the same.
 
     ``private`` optionally declares, per thread, one byte-address

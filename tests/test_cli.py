@@ -250,6 +250,30 @@ def test_bad_numbers_exit_2_without_traceback(argv, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("setting", [
+    "core]\ndispatch_width = 0",
+    "accounting]\nspin_table_entries = 0",
+    "accounting]\nspin_value_threshold = 1",
+], ids=["dispatch_width", "spin_table_entries", "spin_value_threshold"])
+@pytest.mark.parametrize("command", [
+    ["config", "validate", "bad.toml"],
+    ["stack", "cholesky", "-n", "2", *SCALE, "--config", "bad.toml"],
+    ["sweep", "--benchmarks", "cholesky", "-n", "2", *SCALE,
+     "--config", "bad.toml"],
+], ids=["validate", "stack", "sweep"])
+def test_config_values_a_run_cannot_use_exit_2(setting, command, tmp_path):
+    """A value the simulator cannot run with fails where the config is
+    built: one ``error:`` line naming the table and the field, exit 2,
+    no traceback."""
+    (tmp_path / "bad.toml").write_text(f"[machine.{setting}\n")
+    proc = _python_m_repro(command, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    table, key = setting.split("\n")[0].rstrip("]"), setting.split()[1]
+    assert proc.stderr.startswith(f"error: machine.{table}: {key}: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_abort_ends_the_same_way_on_every_path(tmp_path):
     """``--on-error abort`` on a deterministic failure: the serial
     sweep, ``--jobs 2`` and ``--queue-dir`` each journal the cells
@@ -455,6 +479,12 @@ class TestConfigCommands:
         assert "machine: 4 cores" in out
         assert "registered replacement: fifo, lru, random" in out
         assert "registered spin_detector: li, tian" in out
+
+    def test_validate_partial_cache_table(self, capsys, tmp_path):
+        path = tmp_path / "l1d.toml"
+        path.write_text("[machine.l1d]\nhit_latency = 3\n", encoding="utf-8")
+        assert main(["config", "validate", str(path)]) == 0
+        assert f"{path}: OK" in capsys.readouterr().out
 
     def test_validate_bad_component_lists_choices(self, tmp_path):
         path = tmp_path / "bad.toml"

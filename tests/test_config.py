@@ -175,6 +175,10 @@ class TestRunConfig:
     (lambda: DramConfig(n_banks=6), "n_banks"),
     (lambda: DramConfig(page_bytes=5000), "page_bytes"),
     (lambda: AccountingConfig(atd_sample_period=0), "atd_sample_period"),
+    (lambda: AccountingConfig(spin_table_entries=0), "spin_table_entries"),
+    (lambda: AccountingConfig(spin_value_threshold=1),
+     "spin_value_threshold"),
+    (lambda: CoreConfig(dispatch_width=0), "dispatch_width"),
     (lambda: MachineConfig(n_cores=0), "n_cores"),
     (lambda: MachineConfig(
         llc=CacheConfig(size_bytes=2 * MB, assoc=16, line_bytes=128),
@@ -215,6 +219,47 @@ def test_nested_range_check_names_the_full_path():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict(doc)
     assert exc.value.field == "machine.llc.size_bytes"
+
+
+@pytest.mark.parametrize("table,key,value", [
+    ("core", "dispatch_width", 0),
+    ("accounting", "spin_table_entries", 0),
+    ("accounting", "spin_value_threshold", 1),
+])
+def test_values_a_run_cannot_use_are_refused_when_built(table, key, value):
+    """Each of these used to pass validation and then crash the run
+    (a division by the dispatch width, the Tian detector's own
+    checks)."""
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict({"machine": {table: {key: value}}})
+    assert exc.value.field == f"machine.{table}.{key}"
+
+
+class TestPartialTables:
+    def test_a_partial_cache_table_keeps_that_caches_default(self):
+        """Each cache table fills its missing keys from its own default
+        on the machine: the L1D's 64 KB and 4 ways, the LLC's 16 ways
+        and 30-cycle latency."""
+        default = MachineConfig()
+        config = ExperimentConfig.from_dict({"machine": {
+            "l1d": {"hit_latency": 3},
+            "llc": {"size_bytes": 4 * MB},
+        }})
+        assert config.machine.l1d == replace(default.l1d, hit_latency=3)
+        assert config.machine.llc == replace(default.llc, size_bytes=4 * MB)
+        assert config.machine.l1i == default.l1i
+
+    def test_full_tables_and_the_default_hash_are_unchanged(self):
+        from repro.checkpoint import config_hash
+
+        default = ExperimentConfig()
+        assert ExperimentConfig.from_dict(default.to_dict()) == default
+        llc = {"size_bytes": 4 * MB, "assoc": 8, "line_bytes": 64,
+               "hit_latency": 2, "hidden_latency": 2, "replacement": "fifo"}
+        assert machine_from_dict({"llc": llc}).llc == CacheConfig(**llc)
+        # the digest of the default config's plain form, as before
+        # partial tables took their field's default
+        assert config_hash(default.to_dict()) == "bb43411dce3cd016"
 
 
 # ----------------------------------------------------------------------
