@@ -111,7 +111,7 @@ from repro.robustness.faults import FAULT_KINDS, make_fault
 from repro.robustness.journal import SweepJournal
 from repro.sim.engine import Simulation
 from repro.sync.profile import render_sync_profile
-from repro.workloads.spec import build_program
+from repro.workloads.spec import BenchmarkSpec, build_program
 from repro.workloads.suite import SUITE, by_name, sweep_cells
 from repro.workloads.tracefile import load_trace
 
@@ -515,13 +515,17 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _parse_injections(specs: list[str] | None) -> dict[str, str]:
+def _parse_injections(
+    specs: list[str] | None, cells: list[tuple[BenchmarkSpec, int]]
+) -> dict[str, str]:
     """``--inject KIND@BENCH:N`` -> fault plan {cell key: fault kind}.
 
     Kinds stay strings (resolved per cell by the runner): strings
     validate eagerly here, travel to worker processes, and record
-    cleanly — the closures :func:`make_fault` builds do neither.
+    cleanly — the closures :func:`make_fault` builds do neither.  A
+    key outside the sweep's ``cells`` is refused: it would never fire.
     """
+    keys = tuple(f"{spec.full_name}:{n}" for spec, n in cells)
     plan = {}
     for item in specs or ():
         try:
@@ -534,7 +538,15 @@ def _parse_injections(specs: list[str] | None) -> dict[str, str]:
                 f"deadlock@cholesky:16"
             ) from None
         make_fault(kind)  # eager kind validation (raises ConfigError)
-        plan[f"{name}:{n_txt}"] = kind
+        key = f"{name}:{n_txt}"
+        if key not in keys:
+            raise ConfigError(
+                f"--inject {item!r} names no cell of this sweep; cells: "
+                f"{', '.join(keys)}",
+                field="--inject",
+                choices=keys,
+            )
+        plan[key] = kind
     return plan
 
 
@@ -575,7 +587,7 @@ def cmd_sweep(args) -> int:
             run, checkpoint_dir=os.path.join(args.queue_dir, "checkpoints")
         )
     jobs = run.jobs
-    fault_plan = _parse_injections(args.inject)
+    fault_plan = _parse_injections(args.inject, cells)
     journal = SweepJournal(args.journal)
     metrics = MetricsRegistry() if args.emit_metrics else None
     spans = SpanRecorder() if args.emit_spans else None
@@ -777,12 +789,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """``repro report <journal|queue-dir>``: one-file HTML health report."""
-    try:
-        data = write_report(args.source, args.out)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """``repro report <journal|queue-dir>``: one-file HTML health report.
+
+    A source that is no journal or queue raises :class:`ConfigError`."""
+    data = write_report(args.source, args.out)
     cells = data["cells"]
     ok = sum(1 for c in cells if c["status"] == "ok")
     print(f"report on {len(cells)} cells ({ok} ok, {data['kind']} "

@@ -10,14 +10,13 @@ plain frozen dataclasses so experiment sweeps can use
 :func:`dataclasses.replace` to derive variants (e.g. the Figure 9 LLC-size
 sweep) without mutating shared state.
 
-Every string-valued policy field (``CacheConfig.replacement``,
-``AccountingConfig.spin_detector``, ``DramConfig.page_policy``) is
-validated against the component registry (:mod:`repro.components`) at
-construction time, so an unknown name fails immediately with the list
-of registered choices — and a policy registered by third-party code
-becomes a valid config value without any edit here.
-``SchedConfig.policy`` names the engine's one core-pick order and is
-checked the same way against :data:`SCHED_POLICIES`.
+Each field declares its bounds once, in the ``metadata`` of its
+:func:`dataclasses.field`, and every section checks them when it is
+built (:func:`_check_fields`).  A string-valued policy field
+(``CacheConfig.replacement``, ``DramConfig.page_policy``,
+``AccountingConfig.spin_detector``) takes its choices from the
+component registry (:mod:`repro.components`), so a policy registered
+by third-party code becomes a valid config value without any edit here.
 
 :class:`ExperimentConfig` bundles machine + workload + run options into
 one serializable object (``to_dict``/``from_dict``, TOML/JSON
@@ -44,25 +43,108 @@ MB = 1024 * KB
 #: valid ``RunConfig.on_error`` / ``--on-error`` policies
 ON_ERROR_MODES = ("abort", "skip", "retry")
 
+#: the values ``sched.policy`` accepts
+SCHED_POLICIES = ("earliest",)
+
+#: annotation -> (accepted types, refused types, how an error names it)
+_SCALARS: dict[str, tuple[Any, Any, str]] = {
+    "int": (int, bool, "an integer"),
+    "float": ((int, float), bool, "a finite number"),
+    "bool": (bool, (), "true or false"),
+    "str": (str, (), "a string"),
+}
+
 
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-def _component_choice(kind: str, name: str, config_field: str) -> None:
-    """Validate ``name`` against the component registry.
+def _section_class(annotation: Any) -> Any:
+    """The config dataclass a field's annotation string names, or None."""
+    cls = globals().get(annotation)
+    return cls if is_dataclass(cls) else None
 
-    The import is deferred so ``repro.config`` and ``repro.components``
-    can be imported in either order (the components package registers
-    the built-ins on import and touches neither config nor sim).
+
+class _Section:
+    """Base of every config section: building one first checks its
+    fields against their declarations (:func:`_check_fields`)."""
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
+
+
+def _check_fields(section: Any) -> None:
+    """Check every field of a config section against its declaration.
+
+    The annotation string gives the type: an ``int`` refuses ``bool``
+    and ``float``; a ``float`` takes an ``int`` and must be finite;
+    ``None`` passes only where the annotation allows it; a
+    ``tuple[X, ...]`` takes a list too, is stored as a tuple and is
+    checked entry by entry; any other name is a nested section's class.
+    The field's ``metadata`` gives the bounds: ``"min"`` (the smallest
+    value), ``"above"`` (a value to exceed), ``"pow2"`` (a power of
+    two), ``"choices"`` (a tuple, or a component-registry kind) and
+    ``"nonempty"`` (for a tuple).  The first bad field raises a
+    :class:`ConfigError` naming it; ``_from_plain`` adds the path.
     """
-    from repro.components.registry import validate_choice
+    for f in fields(section):
+        value = getattr(section, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if not kind.startswith("tuple["):
+            _check_value(f.name, kind, f.metadata, value)
+            continue
+        if not isinstance(value, (tuple, list)):
+            raise ConfigError(
+                f"{f.name}: expected a list, got {_shown(value)}",
+                field=f.name,
+            )
+        value = tuple(value)
+        object.__setattr__(section, f.name, value)
+        if not value and f.metadata.get("nonempty"):
+            raise ConfigError(f"{f.name}: must not be empty", field=f.name)
+        entry_kind = kind.removeprefix("tuple[").removesuffix(", ...]")
+        for entry in value:
+            _check_value(f.name, entry_kind, f.metadata, entry)
 
-    validate_choice(kind, name, config_field)
+
+def _shown(value: Any) -> str:
+    return f"{type(value).__name__} {value!r}"
+
+
+def _check_value(name: str, kind: str, bounds: Any, value: Any) -> None:
+    """Raise the :class:`ConfigError` for a value of field ``name`` that
+    is not a ``kind`` or lies outside ``bounds``."""
+    accepted, refused, expected = _SCALARS.get(kind) or (
+        _section_class(kind), (), f"a {kind} table"
+    )
+    choices = bounds.get("choices")
+    if isinstance(choices, str):  # a component-registry kind
+        # deferred so repro.config and repro.components import in
+        # either order (the package registers the built-ins on import)
+        from repro.components.registry import available
+
+        choices = available(choices)
+    if not isinstance(value, accepted) or isinstance(value, refused) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
+        problem = f"expected {expected}, got {_shown(value)}"
+    elif "min" in bounds and value < bounds["min"]:
+        problem = f"must be >= {bounds['min']}, got {value!r}"
+    elif "above" in bounds and not value > bounds["above"]:
+        problem = f"must be > {bounds['above']}, got {value!r}"
+    elif bounds.get("pow2") and not _is_power_of_two(value):
+        problem = f"must be a power of two, got {value!r}"
+    elif choices is not None and value not in choices:
+        problem = f"unknown {name} {value!r}; choices: {', '.join(choices)}"
+    else:
+        return
+    raise ConfigError(f"{name}: {problem}", field=name, choices=choices or ())
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(_Section):
     """Geometry and timing of one cache level.
 
     ``hit_latency`` is the load-to-use latency of a hit in this level;
@@ -71,33 +153,22 @@ class CacheConfig:
     hides L1 misses, i.e. LLC hits, very well).
     """
 
-    size_bytes: int
-    assoc: int
-    line_bytes: int = 64
-    hit_latency: int = 2
-    hidden_latency: int = 2
+    size_bytes: int = field(metadata={"min": 1})
+    assoc: int = field(metadata={"min": 1})
+    line_bytes: int = field(default=64, metadata={"pow2": True})
+    hit_latency: int = field(default=2, metadata={"min": 0})
+    hidden_latency: int = field(default=2, metadata={"min": 0})
     #: victim selection, resolved via the ``"replacement"`` component
     #: registry; built-ins: "lru", "fifo", "random" (seeded, deterministic)
-    replacement: str = "lru"
+    replacement: str = field(default="lru", metadata={"choices": "replacement"})
 
     def __post_init__(self) -> None:
-        _component_choice("replacement", self.replacement, "replacement")
-        if self.size_bytes % (self.assoc * self.line_bytes) != 0:
+        super().__post_init__()
+        set_bytes = self.assoc * self.line_bytes
+        if self.size_bytes % set_bytes or not _is_power_of_two(self.n_sets):
             raise ConfigError(
-                f"size_bytes: cache size {self.size_bytes} not divisible "
-                f"by assoc*line ({self.assoc}*{self.line_bytes})",
-                field="size_bytes",
-            )
-        if not _is_power_of_two(self.line_bytes):
-            raise ConfigError(
-                f"line_bytes: line size must be a power of two: "
-                f"{self.line_bytes}",
-                field="line_bytes",
-            )
-        if not _is_power_of_two(self.n_sets):
-            raise ConfigError(
-                f"size_bytes: number of sets must be a power of two: "
-                f"{self.n_sets}",
+                f"size_bytes: cache size {self.size_bytes} is not assoc*line "
+                f"({self.assoc}*{self.line_bytes}) times a power of two",
                 field="size_bytes",
             )
 
@@ -111,7 +182,7 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
-class DramConfig:
+class DramConfig(_Section):
     """Open-page DRAM with a shared bus and independently busy banks.
 
     Timing parameters follow conventional DDR-style nomenclature expressed
@@ -121,30 +192,16 @@ class DramConfig:
     ``t_rp + t_rcd + t_cas`` while a page hit costs only ``t_cas``.
     """
 
-    n_banks: int = 8
-    page_bytes: int = 4 * KB
-    bus_cycles: int = 16
-    t_cas: int = 40
-    t_rcd: int = 60
-    t_rp: int = 60
+    n_banks: int = field(default=8, metadata={"pow2": True})
+    page_bytes: int = field(default=4 * KB, metadata={"pow2": True})
+    bus_cycles: int = field(default=16, metadata={"min": 0})
+    t_cas: int = field(default=40, metadata={"min": 0})
+    t_rcd: int = field(default=60, metadata={"min": 0})
+    t_rp: int = field(default=60, metadata={"min": 0})
     #: row-buffer management, resolved via the ``"page_policy"``
     #: component registry; built-ins: "open" (the paper's setup),
     #: "closed" (auto-precharge)
-    page_policy: str = "open"
-
-    def __post_init__(self) -> None:
-        _component_choice("page_policy", self.page_policy, "page_policy")
-        if not _is_power_of_two(self.n_banks):
-            raise ConfigError(
-                f"n_banks: bank count must be a power of two: {self.n_banks}",
-                field="n_banks",
-            )
-        if not _is_power_of_two(self.page_bytes):
-            raise ConfigError(
-                f"page_bytes: page size must be a power of two: "
-                f"{self.page_bytes}",
-                field="page_bytes",
-            )
+    page_policy: str = field(default="open", metadata={"choices": "page_policy"})
 
     @property
     def page_hit_cycles(self) -> int:
@@ -166,18 +223,14 @@ class DramConfig:
 
 
 @dataclass(frozen=True)
-class CoreConfig:
+class CoreConfig(_Section):
     """Interval-model parameters of one out-of-order core."""
 
-    dispatch_width: int = 4
-    rob_size: int = 128
-    coherence_write_latency: int = 8
-
-    def __post_init__(self) -> None:
-        if self.dispatch_width < 1:
-            raise ConfigError(
-                "dispatch_width: must be >= 1", field="dispatch_width"
-            )
+    dispatch_width: int = field(default=4, metadata={"min": 1})
+    rob_size: int = field(default=128, metadata={"min": 1})
+    #: checked and hashed but read by nothing in the simulator; kept so
+    #: existing config files and checkpoint config hashes stay valid
+    coherence_write_latency: int = field(default=8, metadata={"min": 0})
 
     @property
     def rob_drain_cycles(self) -> int:
@@ -186,7 +239,7 @@ class CoreConfig:
 
 
 @dataclass(frozen=True)
-class SyncConfig:
+class SyncConfig(_Section):
     """Spin-then-yield synchronization library behaviour.
 
     A contended acquire spins for ``spin_threshold`` loop iterations and
@@ -196,87 +249,64 @@ class SyncConfig:
     hardware observes a genuine instruction stream.
     """
 
-    spin_threshold: int = 48
-    spin_iter_instrs: int = 4
-
-
-#: the values ``sched.policy`` accepts
-SCHED_POLICIES = ("earliest",)
+    spin_threshold: int = field(default=48, metadata={"min": 0})
+    spin_iter_instrs: int = field(default=4, metadata={"min": 0})
 
 
 @dataclass(frozen=True)
-class SchedConfig:
+class SchedConfig(_Section):
     """Operating-system scheduler model plus the engine's core-pick policy."""
 
-    timeslice_cycles: int = 100_000
-    context_switch_cycles: int = 400
-    wakeup_latency_cycles: int = 600
+    timeslice_cycles: int = field(default=100_000, metadata={"min": 0})
+    context_switch_cycles: int = field(default=400, metadata={"min": 0})
+    wakeup_latency_cycles: int = field(default=600, metadata={"min": 0})
     #: Extra per-scheduling-event overhead added per core in the machine,
     #: modelling the Linux scheduler being less efficient at high core
     #: counts (observed for ferret in Figure 7 of the paper).
-    overhead_per_core_cycles: int = 4
+    overhead_per_core_cycles: int = field(default=4, metadata={"min": 0})
     #: engine core-pick order; the one policy is "earliest" (smallest
     #: local clock first, ties by core id), which the engine's causality
     #: argument needs
-    policy: str = "earliest"
-
-    def __post_init__(self) -> None:
-        if self.policy not in SCHED_POLICIES:
-            raise ConfigError(
-                f"policy: unknown scheduler {self.policy!r}; choices: "
-                f"{', '.join(SCHED_POLICIES)}",
-                field="policy",
-                choices=SCHED_POLICIES,
-            )
+    policy: str = field(default="earliest", metadata={"choices": SCHED_POLICIES})
 
 
 @dataclass(frozen=True)
-class AccountingConfig:
+class AccountingConfig(_Section):
     """Parameters of the cycle-accounting hardware (Section 4).
 
     ``atd_sample_period`` selects one in every N LLC sets for ATD
     monitoring ("to reduce the hardware cost of the ATDs, only a few sets
     are monitored in the LLC").  ``spin_table_entries`` sizes the Tian
     et al. load-watch table ("assuming a spinning loop contains at most 8
-    loads, 8 entries are needed").
+    loads, 8 entries are needed").  A spin loop must repeat a value
+    before the Tian detector can see it, hence ``spin_value_threshold``
+    of at least 2.
     """
 
-    atd_sample_period: int = 8
-    spin_table_entries: int = 8
-    spin_value_threshold: int = 2
+    atd_sample_period: int = field(default=8, metadata={"min": 1})
+    spin_table_entries: int = field(default=8, metadata={"min": 1})
+    spin_value_threshold: int = field(default=2, metadata={"min": 2})
     #: spin-detection scheme, resolved via the ``"spin_detector"``
     #: component registry; built-ins: "tian" (load-value), "li"
     #: (backward-branch)
-    spin_detector: str = "tian"
+    spin_detector: str = field(default="tian", metadata={"choices": "spin_detector"})
     account_coherency: bool = False
     #: also run a full-tag (unsampled) shadow ATD per core, purely for
     #: verification: the report then carries oracle inter-thread counts
     #: against which the sampled extrapolation can be judged in-run
     atd_shadow_oracle: bool = False
 
-    def __post_init__(self) -> None:
-        _component_choice("spin_detector", self.spin_detector, "spin_detector")
-        if self.atd_sample_period < 1:
-            raise ConfigError(
-                "atd_sample_period: must be >= 1", field="atd_sample_period"
-            )
-        if self.spin_table_entries < 1:
-            raise ConfigError(
-                "spin_table_entries: must be >= 1", field="spin_table_entries"
-            )
-        if self.spin_value_threshold < 2:
-            raise ConfigError(
-                "spin_value_threshold: must be >= 2 (a spin loop repeats "
-                "a value)",
-                field="spin_value_threshold",
-            )
-
 
 @dataclass(frozen=True)
-class MachineConfig:
-    """Complete description of the simulated CMP plus its accounting HW."""
+class MachineConfig(_Section):
+    """Complete description of the simulated CMP plus its accounting HW.
 
-    n_cores: int = 16
+    ``l1i`` is checked and hashed but read by nothing in the simulator
+    (it models no instruction fetch); it stays so that existing config
+    files and checkpoint config hashes stay valid.
+    """
+
+    n_cores: int = field(default=16, metadata={"min": 1})
     core: CoreConfig = field(default_factory=CoreConfig)
     l1i: CacheConfig = field(
         default_factory=lambda: CacheConfig(size_bytes=32 * KB, assoc=4)
@@ -296,32 +326,26 @@ class MachineConfig:
     #: static per-core LLC way quotas (cache partitioning, the paper's
     #: Section 7.1 remedy for negative LLC interference); None = fully
     #: shared ways
-    llc_quotas: tuple[int, ...] | None = None
+    llc_quotas: tuple[int, ...] | None = field(default=None, metadata={"min": 1})
 
     def __post_init__(self) -> None:
-        if self.llc_quotas is not None:
-            object.__setattr__(self, "llc_quotas", tuple(self.llc_quotas))
-        if self.n_cores < 1:
-            raise ConfigError(
-                "n_cores: need at least one core", field="n_cores"
-            )
+        super().__post_init__()
         if self.l1d.line_bytes != self.llc.line_bytes:
             raise ConfigError(
                 "llc.line_bytes: L1D and LLC line sizes must match (one "
                 "line address indexes both levels)",
                 field="llc.line_bytes",
             )
-        if self.llc_quotas is not None:
-            if len(self.llc_quotas) != self.n_cores:
-                raise ConfigError(
-                    "llc_quotas: need one LLC way quota per core",
-                    field="llc_quotas",
-                )
-            if sum(self.llc_quotas) > self.llc.assoc:
-                raise ConfigError(
-                    "llc_quotas: LLC way quotas exceed associativity",
-                    field="llc_quotas",
-                )
+        quotas = self.llc_quotas
+        if quotas is not None and (
+            len(quotas) != self.n_cores or sum(quotas) > self.llc.assoc
+        ):
+            raise ConfigError(
+                f"llc_quotas: need one LLC way quota per core "
+                f"({self.n_cores}), summing to at most the LLC's "
+                f"{self.llc.assoc} ways",
+                field="llc_quotas",
+            )
 
     def with_cores(self, n_cores: int) -> "MachineConfig":
         """Derive a config with a different core count."""
@@ -345,37 +369,20 @@ DEFAULT_MACHINE = MachineConfig()
 
 
 @dataclass(frozen=True)
-class WorkloadConfig:
+class WorkloadConfig(_Section):
     """What to simulate: benchmarks, thread counts, and problem scale."""
 
     #: benchmark names from the synthetic suite; None = the full suite
     benchmarks: tuple[str, ...] | None = None
-    thread_counts: tuple[int, ...] = (16,)
+    thread_counts: tuple[int, ...] = field(
+        default=(16,), metadata={"min": 1, "nonempty": True}
+    )
     #: problem-size scale factor applied to every benchmark
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.benchmarks is not None:
-            object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
-        object.__setattr__(self, "thread_counts", tuple(self.thread_counts))
-        if not self.thread_counts:
-            raise ConfigError(
-                "thread_counts: must not be empty", field="thread_counts"
-            )
-        if any(n < 1 for n in self.thread_counts):
-            raise ConfigError(
-                f"thread_counts: must be >= 1: {self.thread_counts}",
-                field="thread_counts",
-            )
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError(
-                f"scale: must be a finite number > 0: {self.scale}",
-                field="scale",
-            )
+    scale: float = field(default=1.0, metadata={"above": 0})
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Section):
     """How to execute a sweep: error policy, retries, watchdogs,
     checkpoints and parallelism.
 
@@ -404,42 +411,29 @@ class RunConfig:
     sweep's numbers.
     """
 
-    on_error: str = "skip"
-    max_retries: int = 2
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
+    on_error: str = field(default="skip", metadata={"choices": ON_ERROR_MODES})
+    max_retries: int = field(default=2, metadata={"min": 0})
+    backoff_s: float = field(default=0.0, metadata={"min": 0})
+    backoff_factor: float = field(default=2.0, metadata={"min": 1})
     #: cap on any single retry delay (the geometric growth is otherwise
     #: unbounded); None = uncapped
-    backoff_max_s: float | None = 60.0
+    backoff_max_s: float | None = field(default=60.0, metadata={"min": 0})
     #: full jitter: each retry delay is drawn uniformly from
     #: [0, capped delay], seeded per (cell, attempt) — decorrelates
     #: concurrent workers without sacrificing determinism
     backoff_jitter: bool = True
     #: engine watchdog limits; None = unarmed
-    max_cycles: int | None = None
-    livelock_window: int | None = None
+    max_cycles: int | None = field(default=None, metadata={"min": 1})
+    livelock_window: int | None = field(default=None, metadata={"min": 1})
     #: sweep worker processes (1 = serial, in-process)
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"min": 1})
     #: simulated cycles between periodic engine checkpoints; None = no
     #: periodic saves (watchdog/fault saves still fire when a
     #: ``checkpoint_dir`` is set)
-    checkpoint_every: int | None = None
+    checkpoint_every: int | None = field(default=None, metadata={"min": 1})
     #: directory for per-cell checkpoint files; None disables
     #: checkpointing entirely
     checkpoint_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.on_error not in ON_ERROR_MODES:
-            raise ConfigError(
-                f"on_error: unknown mode {self.on_error!r}; "
-                f"valid modes: {', '.join(ON_ERROR_MODES)}",
-                field="on_error",
-                choices=ON_ERROR_MODES,
-            )
-        for name, minimum in _RUN_FIELD_MINIMUMS:
-            value = getattr(self, name)
-            if value is not None and value < minimum:
-                raise ConfigError(f"{name}: must be >= {minimum}", field=name)
 
     def backoff_delay(self, attempt: int, key: str = "") -> float:
         """Seconds to sleep before ``attempt`` (the second attempt is
@@ -465,21 +459,8 @@ class RunConfig:
         return delay
 
 
-#: the smallest valid value of each numeric run field (None = unset)
-_RUN_FIELD_MINIMUMS = (
-    ("max_retries", 0),
-    ("backoff_s", 0),
-    ("backoff_factor", 1),
-    ("backoff_max_s", 0),
-    ("max_cycles", 1),
-    ("livelock_window", 1),
-    ("jobs", 1),
-    ("checkpoint_every", 1),
-)
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Section):
     """One experiment, end to end: the machine, the workload, the run.
 
     Frozen and hashable like every other config, and — unlike the nested
@@ -504,30 +485,9 @@ class ExperimentConfig:
 
         Unknown keys and invalid values raise :class:`ConfigError`
         naming the full field path (e.g. ``machine.llc.replacement``)
-        and, for registry-backed fields, the registered choices.
+        and, for fields with choices, the valid choices.
         """
         return _from_plain(cls, doc, path="")
-
-
-#: nested dataclass-valued fields, per section type (needed because
-#: ``from __future__ import annotations`` turns field types into strings)
-_NESTED_TYPES: dict[type, dict[str, type]] = {
-    MachineConfig: {
-        "core": CoreConfig,
-        "l1i": CacheConfig,
-        "l1d": CacheConfig,
-        "llc": CacheConfig,
-        "dram": DramConfig,
-        "sync": SyncConfig,
-        "sched": SchedConfig,
-        "accounting": AccountingConfig,
-    },
-    ExperimentConfig: {
-        "machine": MachineConfig,
-        "workload": WorkloadConfig,
-        "run": RunConfig,
-    },
-}
 
 
 def machine_to_dict(machine: MachineConfig) -> dict[str, Any]:
@@ -544,10 +504,12 @@ def machine_from_dict(doc: dict[str, Any]) -> MachineConfig:
 
 def _to_plain(value: Any) -> Any:
     if is_dataclass(value) and not isinstance(value, type):
+        # a None is left out where it is the default, and kept where it
+        # is not (``backoff_max_s``), so that from_dict restores it
         return {
             f.name: _to_plain(getattr(value, f.name))
             for f in fields(value)
-            if getattr(value, f.name) is not None
+            if getattr(value, f.name) is not None or f.default is not None
         }
     if isinstance(value, tuple):
         return [_to_plain(v) for v in value]
@@ -570,20 +532,18 @@ def _from_plain(cls: Any, doc: Any, path: str) -> Any:
             field=where,
             choices=tuple(sorted(field_map)),
         )
-    nested = _NESTED_TYPES.get(cls, {})
     kwargs: dict[str, Any] = {}
     for name, value in doc.items():
-        sub_path = f"{path}.{name}" if path else name
-        if name in nested:
-            if isinstance(value, dict):
-                # a partial table keeps the rest of this field's default
-                # (the l1i, l1d and llc defaults differ from each other)
-                value = {**_to_plain(getattr(cls(), name)), **value}
-            kwargs[name] = _from_plain(nested[name], value, sub_path)
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+        section = _section_class(field_map[name].type)
+        if section is not None and isinstance(value, dict):
+            # a partial table keeps the rest of this field's default
+            # (the l1i, l1d and llc defaults differ from each other)
+            value = _from_plain(
+                section,
+                {**_to_plain(getattr(cls(), name)), **value},
+                f"{path}.{name}" if path else name,
+            )
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except ConfigError as exc:
@@ -591,8 +551,6 @@ def _from_plain(cls: Any, doc: Any, path: str) -> Any:
         raise ConfigError(
             f"{where}: {exc}", field=bad, choices=exc.choices
         ) from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}", field=where) from exc
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +598,8 @@ def _toml_scalar(value: Any) -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        # TOML reads no surrogate-pair escapes, and no raw DEL
+        return json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
     if isinstance(value, list):
         return "[" + ", ".join(_toml_scalar(v) for v in value) + "]"
     raise ConfigError(f"cannot serialize {type(value).__name__} to TOML")

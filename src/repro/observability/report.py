@@ -25,13 +25,14 @@ design); those sections degrade to a note instead of failing.
 from __future__ import annotations
 
 import html
-import json
 import os
 from pathlib import Path
 
 from repro.core.components import STACK_ORDER
 from repro.core.rendering import _bar
+from repro.errors import ConfigError
 from repro.observability.spans import span_roots
+from repro.robustness.journal import SweepJournal
 
 #: character width of every bar chart in the report
 BAR_WIDTH = 50
@@ -66,15 +67,16 @@ def load_report_data(source: str | Path) -> dict:
     source = Path(source)
     if source.is_dir():
         return _load_queue(source)
+    if not source.exists():
+        raise ConfigError(f"no sweep journal or queue directory at {source}")
     return _load_journal(source)
 
 
 def _load_journal(path: Path) -> dict:
-    with open(path) as handle:
-        doc = json.load(handle)
+    journal = SweepJournal(str(path))
     cells = []
-    for key in sorted(doc.get("cells", {})):
-        entry = doc["cells"][key]
+    for key in sorted(journal.cells):
+        entry = journal.cells[key]
         cells.append({
             "key": key,
             "status": entry.get("status"),

@@ -33,6 +33,7 @@ import os
 import tempfile
 
 from repro._version import repro_version
+from repro.errors import ConfigError
 
 logger = logging.getLogger(__name__)
 
@@ -61,12 +62,24 @@ class SweepJournal:
             self._load(path)
 
     def _load(self, path: str) -> None:
-        with open(path) as handle:
-            data = json.load(handle)
-        version = data.get("version")
-        if version != JOURNAL_VERSION:
-            raise ValueError(
-                f"unsupported journal version {version!r} in {path}"
+        """Read the journal at ``path``; a file that is not one raises
+        :class:`ConfigError` naming it."""
+        try:
+            with open(path) as handle:
+                data = json.load(handle)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON
+            raise ConfigError(f"cannot read journal {path}: {exc}") from exc
+        if not isinstance(data, dict) or not isinstance(
+            data.get("cells", {}), dict
+        ):
+            raise ConfigError(
+                f"{path} is not a sweep journal (a JSON object whose "
+                f"'cells' is a table)"
+            )
+        if data.get("version") != JOURNAL_VERSION:
+            raise ConfigError(
+                f"unsupported journal version {data.get('version')!r} in "
+                f"{path} (this build reads version {JOURNAL_VERSION})"
             )
         self.cells = dict(data.get("cells", {}))
         logger.info("loaded journal %s with %d cells", path, len(self.cells))

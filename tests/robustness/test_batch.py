@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.config import RunConfig
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.runner import (
     BatchRunner,
     CellResult,
@@ -256,7 +256,7 @@ class TestJournal:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "j.json"
         path.write_text(json.dumps({"version": 99, "cells": {}}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="version 99"):
             SweepJournal(str(path))
 
     def test_in_memory_journal_never_touches_disk(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, process_main
 from repro.errors import ConfigError
 
 SCALE = ["--scale", "0.05"]
@@ -148,6 +148,19 @@ class TestSweep:
         with pytest.raises(ConfigError):
             main(["sweep", "--benchmarks", "choleski", "-n", "2"])
 
+    def test_inject_outside_the_sweep_rejected(self, capsys):
+        """A fault planned for a cell the sweep does not run would never
+        fire: the sweep refuses it, naming ``--inject`` and its cells."""
+        argv = ["sweep", "--benchmarks", "fft", "-n", "2",
+                "--inject", "deadlock@fft:4"]
+        with pytest.raises(ConfigError) as exc:
+            main(argv)
+        assert exc.value.field == "--inject"
+        assert exc.value.choices == ("fft:2",)
+        assert process_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {exc.value}\n")
+
 
 def _python_m_repro(argv, cwd=None) -> subprocess.CompletedProcess:
     """``python -m repro ARGV`` in a child process, output captured."""
@@ -251,10 +264,20 @@ def test_bad_numbers_exit_2_without_traceback(argv, tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "core]\ndispatch_width = 0",
-    "accounting]\nspin_table_entries = 0",
-    "accounting]\nspin_value_threshold = 1",
-], ids=["dispatch_width", "spin_table_entries", "spin_value_threshold"])
+    "[machine.core]\ndispatch_width = 0",
+    "[machine.accounting]\nspin_table_entries = 0",
+    "[machine.accounting]\nspin_value_threshold = 1",
+    "[machine.l1d]\nassoc = 0",
+    "[machine.core]\nrob_size = \"big\"",
+    "[machine.accounting]\naccount_coherency = \"no\"",
+    "[workload]\nthread_counts = [2.5]",
+    "[run]\njobs = 1.5",
+    "[run]\ncheckpoint_dir = 5",
+    "[run]\nbackoff_s = nan",
+    "[machine]\nn_cores = 2\nllc_quotas = [-4, 20]",
+], ids=["dispatch_width", "spin_table_entries", "spin_value_threshold",
+        "assoc", "rob_size", "account_coherency", "thread_counts", "jobs",
+        "checkpoint_dir", "backoff_s", "llc_quotas"])
 @pytest.mark.parametrize("command", [
     ["config", "validate", "bad.toml"],
     ["stack", "cholesky", "-n", "2", *SCALE, "--config", "bad.toml"],
@@ -262,16 +285,63 @@ def test_bad_numbers_exit_2_without_traceback(argv, tmp_path):
      "--config", "bad.toml"],
 ], ids=["validate", "stack", "sweep"])
 def test_config_values_a_run_cannot_use_exit_2(setting, command, tmp_path):
-    """A value the simulator cannot run with fails where the config is
-    built: one ``error:`` line naming the table and the field, exit 2,
-    no traceback."""
-    (tmp_path / "bad.toml").write_text(f"[machine.{setting}\n")
+    """A value the simulator cannot run with, or of the wrong type,
+    fails where the config is built: one ``error:`` line naming the
+    table and the field (the table's last key), exit 2, no
+    traceback."""
+    (tmp_path / "bad.toml").write_text(f"{setting}\n")
     proc = _python_m_repro(command, cwd=tmp_path)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
-    table, key = setting.split("\n")[0].rstrip("]"), setting.split()[1]
-    assert proc.stderr.startswith(f"error: machine.{table}: {key}: ")
+    lines = setting.split("\n")
+    table, key = lines[0].strip("[]"), lines[-1].split(" = ")[0]
+    assert proc.stderr.startswith(f"error: {table}: {key}: ")
     assert proc.stderr.count("\n") == 1
+
+
+#: files that are no sweep journal (None: a directory)
+NOT_JOURNALS = {
+    "not-json": "not a journal\n",
+    "list": "[1, 2]\n",
+    "version-2": '{"version": 2, "cells": {}}\n',
+    "cells-list": '{"version": 1, "cells": []}\n',
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_JOURNALS))
+@pytest.mark.parametrize("command", [
+    ["sweep", "--benchmarks", "fft", "-n", "2", *SCALE, "--journal"],
+    ["sweep", "--benchmarks", "fft", "-n", "2", *SCALE, "--resume",
+     "--journal"],
+    ["report"],
+], ids=["sweep", "sweep-resume", "report"])
+def test_a_file_that_is_no_journal_exits_2(
+    kind, command, tmp_path, capsys, monkeypatch
+):
+    """``SweepJournal`` is the one journal reader: ``sweep --journal``
+    (with or without ``--resume``) and ``report`` refuse a file that is
+    not a journal with one ``error:`` line naming it, and exit 2.  The
+    journal is read before any cell runs, so this runs in-process."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "journal.json"
+    if NOT_JOURNALS[kind] is None:
+        path.mkdir()
+    else:
+        path.write_text(NOT_JOURNALS[kind])
+    assert process_main([*command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
+def test_report_of_a_missing_source_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert process_main(["report", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: no sweep journal or queue directory at {missing}\n"
+    )
 
 
 def test_abort_ends_the_same_way_on_every_path(tmp_path):

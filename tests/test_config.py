@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import tomllib
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.components import available
 from repro.config import (
     KB,
     MB,
@@ -21,6 +22,7 @@ from repro.config import (
     MachineConfig,
     RunConfig,
     SchedConfig,
+    SyncConfig,
     WorkloadConfig,
     dump_config,
     dumps_toml,
@@ -263,50 +265,192 @@ class TestPartialTables:
 
 
 # ----------------------------------------------------------------------
-# ExperimentConfig serialization
+# configs drawn from the field declarations
 # ----------------------------------------------------------------------
 
-experiment_configs = st.builds(
-    ExperimentConfig,
-    machine=st.builds(
+def _annotation(f) -> tuple[str, bool, bool]:
+    """(entry type, is a tuple, may be None) of a field's annotation."""
+    kind = f.type.removesuffix(" | None")
+    entry = kind.removeprefix("tuple[").removesuffix(", ...]")
+    return entry, entry != kind, kind != f.type
+
+
+def _entries(kind: str, bounds):
+    """Values of one scalar ``kind`` inside its declared ``bounds``;
+    a string ``choices`` names a component-registry kind."""
+    choices = bounds.get("choices")
+    if choices is not None:
+        return st.sampled_from(
+            available(choices) if isinstance(choices, str) else choices
+        )
+    if bounds.get("pow2"):
+        return st.integers(0, 12).map(lambda k: 2 ** k)
+    if kind == "bool":
+        return st.booleans()
+    if kind == "str":
+        return st.text(max_size=12)
+    low = bounds.get("min", bounds.get("above", 0))
+    if kind == "int":
+        return st.integers(low, low + 256)
+    return st.floats(low, low + 100, exclude_min="above" in bounds)
+
+
+def _values(f):
+    """Values of field ``f``, each inside its declaration."""
+    entry, is_tuple, optional = _annotation(f)
+    section = SECTIONS.get(entry)
+    values = sections(section) if section else _entries(entry, f.metadata)
+    if is_tuple:
+        values = st.lists(
+            values, min_size=1 if f.metadata.get("nonempty") else 0,
+            max_size=4,
+        ).map(tuple)
+    return st.none() | values if optional else values
+
+
+def sections(cls, **drawn):
+    """Config sections of type ``cls``, every field drawn from its
+    declaration unless ``drawn`` gives its strategy."""
+    return st.builds(cls, **{
+        f.name: drawn[f.name] if f.name in drawn else _values(f)
+        for f in fields(cls)
+    })
+
+
+def _field(cls, name: str):
+    return next(f for f in fields(cls) if f.name == name)
+
+
+@st.composite
+def caches(draw, line_bytes: int):
+    """Caches of one line size, sized assoc x line x 2^k so that the
+    set count is a power of two."""
+    assoc = draw(_values(_field(CacheConfig, "assoc")))
+    n_sets = 2 ** draw(st.integers(0, 10))
+    return draw(sections(
+        CacheConfig,
+        size_bytes=st.just(assoc * line_bytes * n_sets),
+        assoc=st.just(assoc),
+        line_bytes=st.just(line_bytes),
+    ))
+
+
+@st.composite
+def machines(draw):
+    """Machines drawn from the declarations: L1D and LLC share one line
+    size, and the LLC way quotas, when drawn, sum to at most its
+    associativity, so every draw builds."""
+    lines = _values(_field(CacheConfig, "line_bytes"))
+    line_bytes = draw(lines)
+    n_cores = draw(_values(_field(MachineConfig, "n_cores")))
+    llc = draw(caches(line_bytes))
+    quotas = st.none()
+    if n_cores <= llc.assoc:
+        quotas |= st.lists(
+            st.integers(1, llc.assoc // n_cores),
+            min_size=n_cores, max_size=n_cores,
+        ).map(tuple)
+    return draw(sections(
         MachineConfig,
-        n_cores=st.sampled_from([1, 2, 4, 8, 16]),
-        llc=st.builds(
-            CacheConfig,
-            size_bytes=st.sampled_from([1 * MB, 2 * MB, 4 * MB]),
-            assoc=st.sampled_from([8, 16]),
-            hit_latency=st.integers(min_value=10, max_value=40),
-            replacement=st.sampled_from(["lru", "fifo", "random"]),
-        ),
-        accounting=st.builds(
-            AccountingConfig,
-            spin_detector=st.sampled_from(["tian", "li"]),
-            atd_sample_period=st.sampled_from([1, 32, 64]),
-        ),
-    ),
-    workload=st.builds(
-        WorkloadConfig,
-        benchmarks=st.one_of(
-            st.none(),
-            st.lists(
-                st.sampled_from(["fft", "lu", "cholesky"]),
-                min_size=1, max_size=3, unique=True,
-            ).map(tuple),
-        ),
-        thread_counts=st.lists(
-            st.sampled_from([1, 2, 4, 8, 16]),
-            min_size=1, max_size=4, unique=True,
-        ).map(tuple),
-        scale=st.sampled_from([0.05, 0.25, 1.0]),
-    ),
-    run=st.builds(
-        RunConfig,
-        on_error=st.sampled_from(["abort", "skip", "retry"]),
-        max_retries=st.integers(min_value=0, max_value=4),
-        jobs=st.integers(min_value=1, max_value=8),
-        max_cycles=st.one_of(st.none(), st.sampled_from([10**6, 10**8])),
-    ),
+        n_cores=st.just(n_cores),
+        l1i=lines.flatmap(caches),
+        l1d=caches(line_bytes),
+        llc=st.just(llc),
+        llc_quotas=quotas,
+    ))
+
+
+#: every config section, by the name its annotations use
+SECTIONS = {
+    cls.__name__: cls for cls in (
+        CacheConfig, DramConfig, CoreConfig, SyncConfig, SchedConfig,
+        AccountingConfig, MachineConfig, WorkloadConfig, RunConfig,
+    )
+}
+
+experiment_configs = sections(ExperimentConfig, machine=machines())
+
+
+# ----------------------------------------------------------------------
+# every declared field refuses a wrong type and an out-of-range value
+# ----------------------------------------------------------------------
+
+#: a value of the wrong type for each annotation (5 for a section)
+_WRONG_TYPE = {"int": 1.5, "float": "1", "bool": "no", "str": 5}
+
+
+def _declared(cls=None, path=()):
+    """(path, field) of every field of every config section."""
+    for f in fields(cls or ExperimentConfig):
+        yield (*path, f.name), f
+        if f.type in SECTIONS:
+            yield from _declared(SECTIONS[f.type], (*path, f.name))
+
+
+def _refused(f) -> list:
+    """A value of the wrong type, then each value the declaration
+    refuses: the smallest value minus one, the value to exceed, a
+    non-power-of-two, an unknown choice, an empty list."""
+    entry, is_tuple, _ = _annotation(f)
+    bounds = f.metadata
+    values = [_WRONG_TYPE.get(entry, 5)]
+    if "min" in bounds:
+        values.append(bounds["min"] - 1)
+    if "above" in bounds:
+        values.append(bounds["above"])
+    if bounds.get("pow2"):
+        values.append(3)
+    if "choices" in bounds:
+        values.append("bogus")
+    if is_tuple:
+        values = [[value] for value in values]
+    return values + [[]] if bounds.get("nonempty") else values
+
+
+FIELD_CASES = [
+    (".".join(path), value) for path, f in _declared() for value in _refused(f)
+]
+
+
+@pytest.mark.parametrize(
+    "path,value", FIELD_CASES,
+    ids=[f"{path}={value!r}" for path, value in FIELD_CASES],
 )
+def test_every_field_refuses_a_wrong_type_and_a_value_out_of_bounds(
+    path, value, tmp_path, capsys
+):
+    """From a dict, and from a config file under ``config validate``,
+    ``stack`` and ``sweep``: a ConfigError with the full path as its
+    field, and one ``error: <section>: <field>: ...`` line with exit 2.
+    Config errors are raised before anything is simulated, so the
+    commands run in-process."""
+    from repro.cli import process_main
+
+    *section, name = path.split(".")
+    doc = value
+    for key in reversed(path.split(".")):
+        doc = {key: doc}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(doc)
+    assert exc.value.field == path
+    where = ".".join(section) or "ExperimentConfig"
+    assert str(exc.value).startswith(f"{where}: {name}: ")
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    cell = ["cholesky", "-n", "2", "--scale", "0.05", "--config", str(config)]
+    for argv in (
+        ["config", "validate", str(config)],
+        ["stack", *cell],
+        ["sweep", "--benchmarks", *cell],
+    ):
+        assert process_main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {exc.value}\n"), argv
+
+
+# ----------------------------------------------------------------------
+# ExperimentConfig serialization
+# ----------------------------------------------------------------------
 
 
 class TestExperimentConfig:
@@ -321,7 +465,13 @@ class TestExperimentConfig:
     @settings(max_examples=20, deadline=None)
     @given(experiment_configs)
     def test_toml_round_trip(self, config):
-        parsed = tomllib.loads(dumps_toml(config.to_dict()))
+        doc = config.to_dict()
+        if None in doc["run"].values():
+            # an uncapped backoff is a null, which TOML cannot write
+            with pytest.raises(ConfigError, match="NoneType"):
+                dumps_toml(doc)
+            return
+        parsed = tomllib.loads(dumps_toml(doc))
         assert ExperimentConfig.from_dict(parsed) == config
 
     @settings(max_examples=20, deadline=None)
